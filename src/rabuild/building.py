@@ -99,9 +99,6 @@ class Building:
         tmask, rep = face
         return [self.gp.mul(rep, x) for x in self.subgroup(tmask)]
 
-    def delta_syllables(self, a, b):
-        return self.gp.delta(a, b)
-
     def adjacency_type(self, a, b):
         """Generator index if the chambers are adjacent, else None."""
         d = self.gp.delta(a, b)
@@ -171,7 +168,7 @@ class Building:
         from .clump import Clump
 
         chambers = self.ball_chambers(n, cap=cap)
-        return Clump(self, chambers, provenance=({"op": "ball", "radius": n},))
+        return Clump(self, chambers)
 
     def minimal_gallery(self, a: ProductElement, b: ProductElement) -> Gallery:
         """Gallery from a to b whose type is the canonical word of delta(a,b)."""
@@ -232,11 +229,20 @@ def save_ball_cache(path, building: Building, n: int, chambers):
 
 
 def load_ball_cache(path, building: Building):
-    with open(path) as fh:
-        data = json.load(fh)
+    """(radius, chambers) from a file written by save_ball_cache."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read ball cache {path!r}: {exc}") from exc
+    if not isinstance(data, dict) or not {"config_hash", "radius", "chambers"} <= set(data):
+        raise InputError(f"{path!r} is not a ball cache")
     if data["config_hash"] != building.config_hash():
         raise InputError("ball cache was generated for a different configuration")
-    chambers = frozenset(
-        building.deserialize_chamber(pairs) for pairs in data["chambers"]
-    )
+    try:
+        chambers = frozenset(
+            building.deserialize_chamber(pairs) for pairs in data["chambers"]
+        )
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"malformed chamber in ball cache {path!r}: {exc}") from exc
     return data["radius"], chambers

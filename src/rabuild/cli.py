@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from . import covering as covering_mod
 from . import kernel
 from . import symmetry
-from .building import Building, save_ball_cache
+from .building import DEFAULT_CHAMBER_CAP, Building, save_ball_cache
 from .clump import unfold_steps_to_ball, sheets
 from .coxeter import CoxeterSystem
 from .errors import InputError, RabuildError
@@ -87,8 +87,13 @@ def parse_config(text: str) -> SystemConfig:
         if g not in gens:
             raise InputError(f"parameter for unknown generator {g!r}")
     caps = data.get("caps", {})
+    if not isinstance(caps, dict):
+        raise InputError("'caps' must be an object")
     radius_cap = caps.get("radius", 6)
-    chamber_cap = caps.get("chambers", 200_000)
+    chamber_cap = caps.get("chambers", DEFAULT_CHAMBER_CAP)
+    for name, value, least in (("radius", radius_cap, 0), ("chambers", chamber_cap, 1)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise InputError(f"caps.{name} = {value!r}, need an integer >= {least}")
     return SystemConfig(gens, [list(p) for p in rels], dict(params), radius_cap, chamber_cap)
 
 
@@ -136,7 +141,7 @@ def cmd_info(cfg: SystemConfig, args) -> int:
 def cmd_ball(cfg: SystemConfig, args) -> int:
     _check_radius(cfg, args.radius)
     bld = cfg.building()
-    ball = bld.ball(args.radius, cap=args.cap_chambers)
+    ball = bld.ball(args.radius)
     payload = {
         "radius": args.radius,
         "chambers": len(ball.chambers),
@@ -167,10 +172,8 @@ def cmd_unfold_trace(cfg: SystemConfig, args) -> int:
     _check_radius(cfg, args.radius)
     bld = cfg.building()
     rng = random.Random(args.seed) if args.seed else None
-    final, steps = unfold_steps_to_ball(
-        bld, args.radius, cap=args.cap_chambers, rng=rng
-    )
-    direct = bld.ball_chambers(args.radius, cap=args.cap_chambers)
+    final, steps = unfold_steps_to_ball(bld, args.radius, rng=rng)
+    direct = bld.ball_chambers(args.radius)
     trace = []
     for st in steps:
         part = sheets(st.before, st.side)
@@ -197,7 +200,7 @@ def cmd_unfold_trace(cfg: SystemConfig, args) -> int:
 def cmd_label(cfg: SystemConfig, args) -> int:
     _check_radius(cfg, args.radius)
     bld = cfg.building()
-    final, steps = unfold_steps_to_ball(bld, args.radius, cap=args.cap_chambers)
+    final, steps = unfold_steps_to_ball(bld, args.radius)
     lab = covering_mod.build_labeling(bld, steps)
     report = covering_mod.verify_labeling(lab)
     emit(
@@ -214,7 +217,7 @@ def cmd_label(cfg: SystemConfig, args) -> int:
 def cmd_verify_covering(cfg: SystemConfig, args) -> int:
     _check_radius(cfg, args.radius)
     bld = cfg.building()
-    final, steps = unfold_steps_to_ball(bld, args.radius, cap=args.cap_chambers)
+    final, steps = unfold_steps_to_ball(bld, args.radius)
     lab = covering_mod.build_labeling(bld, steps)
     cov = covering_mod.build_covering(lab)
     emit(covering_mod.covering_to_json(cov))
@@ -290,7 +293,7 @@ def cmd_witness(cfg: SystemConfig, args) -> int:
 def cmd_quotient(cfg: SystemConfig, args) -> int:
     _check_radius(cfg, args.radius)
     bld = cfg.building()
-    ball = bld.ball(args.radius, cap=args.cap_chambers)
+    ball = bld.ball(args.radius)
     autos = symmetry.automorphism_group_from_permutations(ball)
     result = symmetry.quotient_cog(ball, autos)
     emit(result.to_json())
@@ -335,12 +338,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
+        if args.cap_chambers is not None:
+            cfg.chamber_cap = args.cap_chambers
         return COMMANDS[args.command](cfg, args)
     except RabuildError as exc:
         sys.stderr.write(f"error: {exc}\n")
         payload = {"error": str(exc), "kind": type(exc).__name__}
         report = getattr(exc, "report", None)
-        if report is not None and hasattr(report, "failures"):
+        if report is not None:
             payload["failures"] = report.failures[:10]
         sys.stdout.write(json.dumps(payload, sort_keys=True, default=str) + "\n")
         return exc.exit_code

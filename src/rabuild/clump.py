@@ -26,9 +26,6 @@ class Side:
     gen: int  # generator index (the side's type)
     mirrors: tuple  # sorted panel representatives (raw syllable tuples)
 
-    def key(self):
-        return (self.gen, [list(m) for m in self.mirrors])
-
 
 @dataclass(frozen=True)
 class SheetPartition:
@@ -38,10 +35,9 @@ class SheetPartition:
 
 
 class Clump:
-    def __init__(self, building: Building, chambers, provenance=(), validate=True):
+    def __init__(self, building: Building, chambers, validate=True):
         self.building = building
         self.chambers = frozenset(chambers)
-        self.provenance = tuple(provenance)
         self._mirror_counts = None
         self._sides = None
         self._scwol = None
@@ -72,9 +68,6 @@ class Clump:
 
     def __contains__(self, chamber):
         return chamber in self.chambers
-
-    def sorted_chambers(self):
-        return sorted(self.chambers, key=syllable_key)
 
     # -- mirrors and boundary ---------------------------------------------
 
@@ -107,44 +100,29 @@ class Clump:
 
     # -- vertex (face) queries ----------------------------------------------
 
-    def face_chambers(self, face):
-        """Clump chambers on the residue of a face."""
-        tmask, rep = face
-        gp = self.building.gp
-        return [c for c in self.building.residue_chambers(face) if c in self.chambers]
-
-    def is_face_of(self, face):
-        return bool(self.face_chambers(face))
-
-    def boundary_type_mask(self, face):
-        """Types s in the face's type with SOME boundary s-panel on it."""
-        tmask, rep = face
-        if not self.is_face_of(face):
+    def _boundary_type(self, face, reading):
+        """Mask of the types g of the face for which ``reading`` (``any`` or
+        ``all``) holds over its incident g-panels being boundary panels."""
+        members = self.scwol().face_chambers.get(face)
+        if not members:
             raise DomainError("face is not incident to the clump")
         gp = self.building.gp
         out = 0
-        members = self.face_chambers(face)
         for g in range(len(gp.qs)):
-            if not (tmask >> g) & 1:
+            if not (face[0] >> g) & 1:
                 continue
             panels = {gp.strip(c, 1 << g) for c in members}
-            if any(self.panel_count(g, p) == 1 for p in panels):
+            if reading(self.panel_count(g, p) == 1 for p in panels):
                 out |= 1 << g
         return out
 
+    def boundary_type_mask(self, face):
+        """Types s in the face's type with SOME boundary s-panel on it."""
+        return self._boundary_type(face, any)
+
     def boundary_type_mask_all_variant(self, face):
         """Types s in the face's type with EVERY incident s-panel boundary."""
-        tmask, rep = face
-        gp = self.building.gp
-        members = self.face_chambers(face)
-        out = 0
-        for g in range(len(gp.qs)):
-            if not (tmask >> g) & 1:
-                continue
-            panels = {gp.strip(c, 1 << g) for c in members}
-            if panels and all(self.panel_count(g, p) == 1 for p in panels):
-                out |= 1 << g
-        return out
+        return self._boundary_type(face, all)
 
     def boundary_type(self, face):
         return self.building.system.unmask(self.boundary_type_mask(face))
@@ -222,7 +200,7 @@ class Clump:
 
 def chamber_clump(building: Building) -> Clump:
     """The radius-zero ball: a single chamber."""
-    return Clump(building, {()}, provenance=({"op": "ball", "radius": 0},))
+    return Clump(building, {()})
 
 
 def unfold(clump: Clump, side: Side) -> Clump:
@@ -234,14 +212,7 @@ def unfold(clump: Clump, side: Side) -> Clump:
     for rep in side.mirrors:
         for e in range(gp.qs[side.gen]):
             new.add(gp.mul(rep, ((side.gen, e),)))
-    prov = clump.provenance + (
-        {
-            "op": "unfold",
-            "type": clump.building.system.generators[side.gen],
-            "mirrors": len(side.mirrors),
-        },
-    )
-    return Clump(clump.building, new, provenance=prov, validate=False)
+    return Clump(clump.building, new, validate=False)
 
 
 def sheets(clump: Clump, side: Side) -> SheetPartition:
@@ -346,43 +317,3 @@ def unfold_steps_to_ball(building: Building, n: int, cap=None, rng=None):
             steps.append(UnfoldStep(current, side, after))
             current = after
     return current, steps
-
-
-def ball_by_unfolding(building: Building, n: int, cap=None):
-    """The ball via unfoldings, with the sides used (in order)."""
-    final, steps = unfold_steps_to_ball(building, n, cap=cap)
-    return final, [st.side for st in steps]
-
-
-def save_clump(path, clump: Clump):
-    """Ball-cache format plus the provenance of unfolding steps."""
-    import json
-
-    bld = clump.building
-    data = {
-        "config": bld.config_dict(),
-        "config_hash": bld.config_hash(),
-        "chambers": [
-            bld.serialize_chamber(c) for c in clump.sorted_chambers()
-        ],
-        "provenance": list(clump.provenance),
-    }
-    with open(path, "w") as fh:
-        json.dump(data, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
-def load_clump(path, building: Building) -> Clump:
-    import json
-
-    from .errors import InputError
-
-    with open(path) as fh:
-        data = json.load(fh)
-    if data["config_hash"] != building.config_hash():
-        raise InputError("clump file was generated for a different configuration")
-    chambers = {building.deserialize_chamber(p) for p in data["chambers"]}
-    prov = tuple(
-        {str(k): v for k, v in entry.items()} for entry in data["provenance"]
-    )
-    return Clump(building, chambers, provenance=prov)

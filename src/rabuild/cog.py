@@ -84,9 +84,6 @@ class ComplexOfGroups:
     scwol: Scwol
     local_masks: dict  # face -> type mask of the local direct product
 
-    def local_group_elements(self, face):
-        return self.clump.building.subgroup(self.local_masks[face])
-
 
 def canonical_cog(clump) -> ComplexOfGroups:
     scwol = clump.scwol()

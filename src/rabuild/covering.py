@@ -34,10 +34,7 @@ from .errors import InternalError, VerificationError
 class EdgeLabeling:
     clump: Clump
     labels: dict  # scwol edge -> exponent vector over all generators
-    steps: tuple  # UnfoldStep provenance
-
-    def vector(self, edge):
-        return self.labels[edge]
+    steps: tuple  # the UnfoldSteps labeled so far
 
 
 def zero_vector(building):
@@ -154,22 +151,22 @@ def build_labeling(building, steps) -> EdgeLabeling:
 
 
 @dataclass
-class LabelingReport:
-    ok: bool = True
-    support_failures: list = field(default_factory=list)
-    composition_failures: list = field(default_factory=list)
-    fiber_failures: list = field(default_factory=list)  # (face, subtype mask)
-    fibers_checked: int = 0
+class Report:
+    """Outcome of a verification: each failure as {kind, where}, in check order."""
 
-    def first_failure(self):
-        for pool in (
-            self.support_failures,
-            self.composition_failures,
-            self.fiber_failures,
-        ):
-            if pool:
-                return pool[0]
-        return None
+    ok: bool = True
+    failures: list = field(default_factory=list)
+
+    def fail(self, kind, where):
+        self.ok = False
+        self.failures.append({"kind": kind, "where": where})
+
+
+@dataclass
+class LabelingReport(Report):
+    """Failure kinds: support, composition, fiber (where: face, subtype mask)."""
+
+    fibers_checked: int = 0
 
 
 def _proper_submasks(tmask):
@@ -199,12 +196,12 @@ def verify_labeling(lab: EdgeLabeling) -> LabelingReport:
     for (src, dst), vec in lab.labels.items():
         for g in range(rank):
             if vec[g] and not (dst[0] >> g) & 1:
-                report.support_failures.append(((src, dst), g))
+                report.fail("support", ((src, dst), g))
 
     for a, b, ab in scwol.composable_pairs():
         la, lb, lab_vec = lab.labels[a], lab.labels[b], lab.labels[ab]
         if any((la[g] + lb[g]) % qs[g] != lab_vec[g] for g in range(rank)):
-            report.composition_failures.append((a, b))
+            report.fail("composition", (a, b))
 
     for face in scwol.vertices:
         tmask = face[0]
@@ -257,13 +254,7 @@ def verify_labeling(lab: EdgeLabeling) -> LabelingReport:
                     "projection criterion and coset listing disagree"
                 )
             if not bijective:
-                report.fiber_failures.append((face, umask))
-
-    report.ok = not (
-        report.support_failures
-        or report.composition_failures
-        or report.fiber_failures
-    )
+                report.fail("fiber", (face, umask))
     return report
 
 
@@ -273,37 +264,48 @@ def verify_labeling(lab: EdgeLabeling) -> LabelingReport:
 
 
 class AbelianCogAdapter:
-    """Adapter presenting a canonical complex of groups to check_covering.
+    """A complex of groups with standard abelian local groups, for check_covering.
 
-    Local group elements are canonical syllable tuples of the direct
-    product on the vertex's boundary type; monomorphisms along edges are
-    the natural inclusions and all twists vanish.
+    Vertices are scwol faces or residue chains; an edge is a (src, dst) pair
+    and composes with every edge leaving dst.  The local group at a vertex is
+    the direct product on its mask, with canonical syllable tuples as
+    elements; monomorphisms along edges are the natural inclusions and all
+    twists vanish.
     """
 
-    def __init__(self, cog):
-        self.cog = cog
-        self.building = cog.clump.building
+    def __init__(self, building, vertices, edges, local_mask):
+        self.building = building
+        self._vertices = vertices
+        self._edges = edges
+        self.local_mask = local_mask
+        self._in_edges = {}
+        out_edges = {}
+        for e in edges:
+            out_edges.setdefault(e[0], []).append(e)
+            self._in_edges.setdefault(e[1], []).append(e)
+        edge_set = set(edges)
         self._compose = {}
-        for a, b, ab in cog.scwol.composable_pairs():
-            self._compose[(a, b)] = ab
+        for b in edges:
+            for a in out_edges.get(b[1], ()):
+                ab = (b[0], a[1])
+                if ab not in edge_set:
+                    raise InternalError("missing composite edge")
+                self._compose[(a, b)] = ab
 
     def vertices(self):
-        return self.cog.scwol.vertices
+        return self._vertices
 
     def edges(self):
-        return self.cog.scwol.edges
+        return self._edges
 
     def in_edges(self, v):
-        return self.cog.scwol.in_edges.get(v, ())
+        return self._in_edges.get(v, ())
 
     def ends(self, a):
         return a
 
     def elements(self, v):
-        return self.building.subgroup(self.cog.local_masks[v])
-
-    def identity(self, v):
-        return ()
+        return self.building.subgroup(self.local_mask[v])
 
     def mult(self, v, x, y):
         return self.building.gp.mul(x, y)
@@ -318,26 +320,19 @@ class AbelianCogAdapter:
         return self._compose.get((a, b))
 
     def composable_pairs(self):
-        return list(self._compose.items())
+        return self._compose.items()
 
     def twist(self, a, b):
         return ()
 
 
 @dataclass
-class CoveringReport:
-    ok: bool = True
-    failures: list = field(default_factory=list)
+class CoveringReport(Report):
     sheet_counts: dict = field(default_factory=dict)
     sheet_count: int = 0
 
-    def fail(self, kind, where):
-        self.ok = False
-        self.failures.append({"kind": kind, "where": where})
 
-
-def check_covering(src, tgt, f_vertex, f_edge, phi_vertex, phi_edge,
-                   check_target=True) -> CoveringReport:
+def check_covering(src, tgt, f_vertex, f_edge, phi_vertex, phi_edge) -> CoveringReport:
     """Verify the covering axioms for a morphism of complexes of groups.
 
     ``src`` and ``tgt`` expose vertices/edges/local groups as in
@@ -350,38 +345,35 @@ def check_covering(src, tgt, f_vertex, f_edge, phi_vertex, phi_edge,
     """
     report = CoveringReport()
 
-    if check_target:
-        pairs = tgt.composable_pairs() if hasattr(tgt, "composable_pairs") else []
-        composed = {}
-        for (a, b), ab in pairs:
-            composed[(a, b)] = ab
-            ia, ta = tgt.ends(a)
-            ib, tb = tgt.ends(b)
-            tw = tgt.twist(a, b)
-            for x in tgt.elements(ib):
-                lhs = tgt.mult(
-                    ta, tgt.mult(ta, tw, tgt.psi(ab, x)), tgt.inv(ta, tw)
-                )
-                rhs = tgt.psi(a, tgt.psi(b, x))
-                if lhs != rhs:
-                    report.fail("target-twist", (a, b))
-                    break
-        # cocycle over composable triples
-        for (a, b), ab in composed.items():
-            for c in tgt.edges():
-                if (b, c) not in composed:
-                    continue
-                bc = composed[(b, c)]
-                ta = tgt.ends(a)[1]
-                lhs = tgt.mult(
-                    ta, tgt.psi(a, tgt.twist(b, c)), tgt.twist(a, bc)
-                )
-                rhs = tgt.mult(ta, tgt.twist(a, b), tgt.twist(ab, c))
-                if lhs != rhs:
-                    report.fail("target-cocycle", (a, b, c))
+    composed = {}
+    for (a, b), ab in tgt.composable_pairs():
+        composed[(a, b)] = ab
+        ia, ta = tgt.ends(a)
+        ib, tb = tgt.ends(b)
+        tw = tgt.twist(a, b)
+        for x in tgt.elements(ib):
+            lhs = tgt.mult(
+                ta, tgt.mult(ta, tw, tgt.psi(ab, x)), tgt.inv(ta, tw)
+            )
+            rhs = tgt.psi(a, tgt.psi(b, x))
+            if lhs != rhs:
+                report.fail("target-twist", (a, b))
+                break
+    # cocycle over composable triples
+    for (a, b), ab in composed.items():
+        for c in tgt.edges():
+            if (b, c) not in composed:
+                continue
+            bc = composed[(b, c)]
+            ta = tgt.ends(a)[1]
+            lhs = tgt.mult(
+                ta, tgt.psi(a, tgt.twist(b, c)), tgt.twist(a, bc)
+            )
+            rhs = tgt.mult(ta, tgt.twist(a, b), tgt.twist(ab, c))
+            if lhs != rhs:
+                report.fail("target-cocycle", (a, b, c))
 
     for v in src.vertices():
-        fv = f_vertex[v]
         images = [phi_vertex[v](x) for x in src.elements(v)]
         if len(set(images)) != len(images):
             report.fail("local-injectivity", v)
@@ -406,8 +398,7 @@ def check_covering(src, tgt, f_vertex, f_edge, phi_vertex, phi_edge,
                 report.fail("edge-diagram", a)
                 break
 
-    pairs = src.composable_pairs() if hasattr(src, "composable_pairs") else []
-    for (a, b), ab in pairs:
+    for (a, b), ab in src.composable_pairs():
         fa, fb, fab = f_edge[a], f_edge[b], f_edge[ab]
         if tgt.compose(fa, fb) != fab:
             report.fail("edge-composition", (a, b))
@@ -486,27 +477,31 @@ class Covering:
     covering_report: CoveringReport
 
 
+def _identity(x):
+    return x
+
+
 def build_covering(lab: EdgeLabeling) -> Covering:
     """Assemble and doubly verify the covering induced by a labeling."""
     building = lab.clump.building
     lreport = verify_labeling(lab)
     if not lreport.ok:
         raise VerificationError(
-            f"labeling properties failed at {lreport.first_failure()!r}",
+            f"labeling properties failed: {lreport.failures[0]!r}",
             report=lreport,
         )
     y0 = chamber_clump(building)
     src_cog = lab.clump.cog()
     tgt_cog = y0.cog()
-    src = AbelianCogAdapter(src_cog)
-    tgt = AbelianCogAdapter(tgt_cog)
+    src = AbelianCogAdapter(
+        building, src_cog.scwol.vertices, src_cog.scwol.edges, src_cog.local_masks
+    )
+    tgt = AbelianCogAdapter(
+        building, tgt_cog.scwol.vertices, tgt_cog.scwol.edges, tgt_cog.local_masks
+    )
     f_vertex = {v: (v[0], ()) for v in src.vertices()}
     f_edge = {a: ((a[0][0], ()), (a[1][0], ())) for a in src.edges()}
-
-    def make_phi(v):
-        return lambda x: x
-
-    phi_vertex = {v: make_phi(v) for v in src.vertices()}
+    phi_vertex = dict.fromkeys(src.vertices(), _identity)
     phi_edge = {
         a: building.gp.norm(
             tuple((g, e) for g, e in enumerate(lab.labels[a]) if e)

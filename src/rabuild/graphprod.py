@@ -141,55 +141,3 @@ def projection_to_W(sys: CoxeterSystem, g: ProductElement) -> WElement:
     """Forget exponents; canonical forms agree, so no rewriting is needed."""
     word = tuple(sys.generators[i] for i, _ in g.syllables)
     return WElement(sys, word)
-
-
-@dataclass(frozen=True)
-class DirectProductElement:
-    """Element of the abelian direct product of all the cyclic factors."""
-
-    group: GraphProduct
-    components: tuple  # exponent per generator index, length = rank
-
-    def __post_init__(self):
-        if len(self.components) != len(self.group.qs):
-            raise InputError("component vector has wrong length")
-
-    def component(self, s):
-        return self.components[self.group.system.index[s]]
-
-    def support_mask(self):
-        m = 0
-        for i, e in enumerate(self.components):
-            if e:
-                m |= 1 << i
-        return m
-
-
-def ds_identity(gp: GraphProduct) -> DirectProductElement:
-    return DirectProductElement(gp, (0,) * len(gp.qs))
-
-
-def ds_element(gp: GraphProduct, assignments) -> DirectProductElement:
-    comp = [0] * len(gp.qs)
-    for s, e in dict(assignments).items():
-        i = gp.system.index[s]
-        comp[i] = e % gp.qs[i]
-    return DirectProductElement(gp, tuple(comp))
-
-
-def ds_multiply(gp: GraphProduct, a: DirectProductElement, b: DirectProductElement) -> DirectProductElement:
-    if a.group != gp or b.group != gp:
-        raise InputError("elements belong to a different direct product")
-    comp = tuple(
-        (x + y) % q for x, y, q in zip(a.components, b.components, gp.qs)
-    )
-    return DirectProductElement(gp, comp)
-
-
-def project_components(g: DirectProductElement, letters) -> DirectProductElement:
-    """Zero every component outside ``letters``."""
-    mask = g.group.system.mask(letters)
-    comp = tuple(
-        e if (mask >> i) & 1 else 0 for i, e in enumerate(g.components)
-    )
-    return DirectProductElement(g.group, comp)

@@ -20,13 +20,12 @@ and to map sides to sides.  They feed four pipelines:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .building import Building, face_key, syllable_key
 from .clump import Clump, sheet_mirror_table, sheets, unfold, unfold_steps_to_ball
-from .coxeter import identity as w_identity, reduce as w_reduce
-from .covering import CoveringReport, check_covering
+from .coxeter import CoxeterSystem, identity as w_identity, reduce as w_reduce
+from .covering import AbelianCogAdapter, CoveringReport, check_covering
 from .errors import DomainError, InternalError, SizeCapError
 
 
@@ -35,28 +34,48 @@ from .errors import DomainError, InternalError, SizeCapError
 # ---------------------------------------------------------------------------
 
 
+RIGIDITY_RANK_CAP = 10
+
+
+def _commutation_automorphisms(sysm: CoxeterSystem, colours):
+    """Permutations of the generators preserving commutation and colours.
+
+    Backtracking over images in increasing order, so the permutations come
+    out in lexicographic order; a partial map is dropped as soon as one
+    image has the wrong colour or the wrong commutation with an earlier one.
+    """
+    rank = sysm.rank
+    if rank > RIGIDITY_RANK_CAP:
+        raise SizeCapError(
+            f"rank {rank} exceeds the automorphism search cap {RIGIDITY_RANK_CAP}"
+        )
+    comm = sysm.comm
+    out = []
+    perm = []
+
+    def extend(i):
+        if i == rank:
+            out.append(tuple(perm))
+            return
+        for image in range(rank):
+            if colours[image] != colours[i] or image in perm:
+                continue
+            if any(
+                ((comm[i] >> j) & 1) != ((comm[image] >> perm[j]) & 1)
+                for j in range(i)
+            ):
+                continue
+            perm.append(image)
+            extend(i + 1)
+            perm.pop()
+
+    extend(0)
+    return out
+
+
 def type_permutation_group(building: Building):
     """All permutations of the generators preserving both q and m."""
-    sysm = building.system
-    rank = sysm.rank
-    qs = building.gp.qs
-    out = []
-    for perm in itertools.permutations(range(rank)):
-        if any(qs[perm[i]] != qs[i] for i in range(rank)):
-            continue
-        ok = True
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                a = (sysm.comm[i] >> j) & 1
-                b = (sysm.comm[perm[i]] >> perm[j]) & 1
-                if a != b:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(perm)
-    return out
+    return _commutation_automorphisms(building.system, building.gp.qs)
 
 
 def permute_mask(perm, mask):
@@ -227,20 +246,6 @@ def automorphism_group_from_permutations(clump: Clump):
     ]
 
 
-def close_under_composition(autos):
-    elems = list(dict.fromkeys(autos))
-    changed = True
-    while changed:
-        changed = False
-        for a in list(elems):
-            for b in list(elems):
-                c = a.compose(b)
-                if c not in elems:
-                    elems.append(c)
-                    changed = True
-    return elems
-
-
 # ---------------------------------------------------------------------------
 # induced simple automorphisms of the complex of groups
 # ---------------------------------------------------------------------------
@@ -307,11 +312,6 @@ def permute_mask_from_map(vmap, mask):
     return out
 
 
-def apply_local_map(vmap, qs, vec_syllables):
-    """Apply a {gen -> gen} map to a canonical subgroup element."""
-    return tuple(sorted((vmap[g], e) for g, e in vec_syllables))
-
-
 # ---------------------------------------------------------------------------
 # quotient complexes of groups and their coverings
 # ---------------------------------------------------------------------------
@@ -371,12 +371,6 @@ class _Cells:
             edges = [((src,), (dst,)) for src, dst in scwol.edges]
             self.edges = tuple(sorted(edges, key=self._edge_key))
         self.local_mask = {c: cog.local_masks[self._group_face(c)] for c in self.cells}
-        self.out_edges = {}
-        self.in_edges = {}
-        for e in self.edges:
-            self.out_edges.setdefault(e[0], []).append(e)
-            self.in_edges.setdefault(e[1], []).append(e)
-        self._edge_set = set(self.edges)
 
     @staticmethod
     def _edge_key(e):
@@ -392,71 +386,6 @@ class _Cells:
     def _group_face(self, cell):
         return min(cell, key=face_key)
 
-    def group_face(self, cell):
-        return self._group_face(cell)
-
-    def compose(self, a, b):
-        """Composition of a: c -> d after b: e -> c."""
-        if a[0] != b[1]:
-            return None
-        e = (b[0], a[1])
-        return e if e in self._edge_set else None
-
-    def composable_pairs(self):
-        out = []
-        for b in self.edges:
-            for a in self.out_edges.get(b[1], ()):
-                ab = self.compose(a, b)
-                if ab is None:
-                    raise InternalError("missing composite edge")
-                out.append(((a, b), ab))
-        return out
-
-
-class _SourceAdapter:
-    """check_covering view of the (possibly subdivided) source cog."""
-
-    def __init__(self, cells: _Cells):
-        self.cells = cells
-        self.building = cells.building
-        self._pairs = cells.composable_pairs()
-
-    def vertices(self):
-        return self.cells.cells
-
-    def edges(self):
-        return self.cells.edges
-
-    def in_edges(self, v):
-        return self.cells.in_edges.get(v, ())
-
-    def ends(self, a):
-        return a
-
-    def elements(self, v):
-        return self.building.subgroup(self.cells.local_mask[v])
-
-    def identity(self, v):
-        return ()
-
-    def mult(self, v, x, y):
-        return self.building.gp.mul(x, y)
-
-    def inv(self, v, x):
-        return self.building.gp.inv(x)
-
-    def psi(self, a, x):
-        return x
-
-    def compose(self, a, b):
-        return self.cells.compose(a, b)
-
-    def composable_pairs(self):
-        return self._pairs
-
-    def twist(self, a, b):
-        return ()
-
 
 class QuotientCog:
     """Complex of groups induced on the orbit space of a cell action.
@@ -469,28 +398,33 @@ class QuotientCog:
     """
 
     def __init__(self, clump: Clump, autos, subdivide=None):
-        autos = close_under_composition(autos)
-        autos.sort(key=lambda h: h._key)
+        autos = sorted(set(autos), key=lambda h: h._key)
         self.autos = autos
         self.clump = clump
         self.building = clump.building
+        self._hindex = {h: i for i, h in enumerate(autos)}
+        self._comp = {}
+        self._inv = {}
+        for i, a in enumerate(autos):
+            self._inv[i] = self._index(a.inverse())
+            for j, b in enumerate(autos):
+                self._comp[(i, j)] = self._index(a.compose(b))
+        self._id = self._index(identity_automorphism(clump))
         if subdivide is None:
             subdivide = _action_has_inversions(clump, autos)
         self.subdivided = subdivide
         self.cells = _Cells(clump, subdivide)
         self.simple = {h: extend_action(clump, h) for h in autos}
-        self._hindex = {h: i for i, h in enumerate(autos)}
-        self._comp = {}
-        self._inv = {}
-        for i, a in enumerate(autos):
-            self._inv[i] = self._hindex[a.inverse()]
-            for j, b in enumerate(autos):
-                self._comp[(i, j)] = self._hindex[a.compose(b)]
-        self._id = next(i for i, h in enumerate(autos) if h.is_identity())
         self._cell_image_cache = {}
         self._build()
 
     # -- group action plumbing ------------------------------------------
+
+    def _index(self, h):
+        got = self._hindex.get(h)
+        if got is None:
+            raise DomainError("the automorphisms do not form a group")
+        return got
 
     def cell_image(self, hi, cell):
         got = self._cell_image_cache.get((hi, cell))
@@ -501,7 +435,7 @@ class QuotientCog:
         return got
 
     def local_map_at(self, hi, cell):
-        face = self.cells.group_face(cell)
+        face = self.cells._group_face(cell)
         return self.simple[self.autos[hi]].vertex_maps[face]
 
     def apply_local(self, hi, cell, x):
@@ -537,6 +471,7 @@ class QuotientCog:
         }
 
         # quotient edges: orbit of a cell edge, keyed by a canonical member
+        edge_set = set(cells.edges)
         edge_orbit = {}
         for e in cells.edges:
             images = sorted(
@@ -600,7 +535,7 @@ class QuotientCog:
                 if moved[0] != abar_bp[1]:
                     raise InternalError("transporter does not align edges")
                 comp = (abar_bp[0], moved[1])
-                if comp not in self.cells._edge_set:
+                if comp not in edge_set:
                     raise InternalError("missing composite of representative edges")
                 bb = self.edge_orbit[comp]
                 self.z_compose[(b, bp)] = bb
@@ -714,12 +649,17 @@ def _quotient_morphism(qc: QuotientCog):
     return f_vertex, f_edge, phi_vertex, phi_edge
 
 
+def _cells_adapter(cells: _Cells):
+    return AbelianCogAdapter(cells.building, cells.cells, cells.edges, cells.local_mask)
+
+
 def quotient_cog(clump: Clump, autos) -> QuotientResult:
     """Quotient complex of groups and the verified covering onto it."""
     qc = QuotientCog(clump, autos)
-    src = _SourceAdapter(qc.cells)
     f_vertex, f_edge, phi_vertex, phi_edge = _quotient_morphism(qc)
-    report = check_covering(src, qc, f_vertex, f_edge, phi_vertex, phi_edge)
+    report = check_covering(
+        _cells_adapter(qc.cells), qc, f_vertex, f_edge, phi_vertex, phi_edge
+    )
     return QuotientResult(qc, report, report.sheet_count)
 
 
@@ -737,15 +677,14 @@ def composed_quotient_covering(labeling, autos_on_chamber) -> CoveringReport:
     y0 = Clump(building, {()}, validate=False)
     qc = QuotientCog(y0, autos_on_chamber)
     src_cells = _Cells(clump, qc.subdivided)
-    src = _SourceAdapter(src_cells)
 
     def type_chain(cell):
         return tuple((f[0], ()) for f in cell)
 
     # unfolding covering over chains: labels attach by minimal faces
     def chain_label(e):
-        v_from = src_cells.group_face(e[0])
-        v_to = src_cells.group_face(e[1])
+        v_from = src_cells._group_face(e[0])
+        v_to = src_cells._group_face(e[1])
         if v_from == v_to:
             return ()
         vec = labeling.labels[(v_from, v_to)]
@@ -754,54 +693,31 @@ def composed_quotient_covering(labeling, autos_on_chamber) -> CoveringReport:
     fq_vertex, fq_edge, phiq_vertex, phiq_edge = _quotient_morphism(qc)
 
     f_vertex = {c: fq_vertex[type_chain(c)] for c in src_cells.cells}
+    phi_vertex = {c: phiq_vertex[type_chain(c)] for c in src_cells.cells}
     f_edge = {}
-    phi_vertex = {}
     phi_edge = {}
-    for c in src_cells.cells:
-        mid = type_chain(c)
-
-        def make(mid=mid):
-            inner = phiq_vertex[mid]
-            return lambda x: inner(x)
-
-        phi_vertex[c] = make()
     for e in src_cells.edges:
         mid_e = (type_chain(e[0]), type_chain(e[1]))
         f_edge[e] = fq_edge[mid_e]
         t_rep = f_vertex[e[1]]
         carried = phiq_vertex[mid_e[1]](chain_label(e))
         phi_edge[e] = qc.mult(t_rep, carried, phiq_edge[mid_e])
-    return check_covering(src, qc, f_vertex, f_edge, phi_vertex, phi_edge)
+    return check_covering(
+        _cells_adapter(src_cells), qc, f_vertex, f_edge, phi_vertex, phi_edge
+    )
 
 
 # ---------------------------------------------------------------------------
 # discreteness classification
 # ---------------------------------------------------------------------------
 
-RIGIDITY_RANK_CAP = 10
+
+def nerve_automorphisms(sysm: CoxeterSystem):
+    return _commutation_automorphisms(sysm, (0,) * sysm.rank)
 
 
-def nerve_automorphisms(building_or_system):
-    sysm = getattr(building_or_system, "system", building_or_system)
-    if sysm.rank > RIGIDITY_RANK_CAP:
-        raise SizeCapError(
-            f"rank {sysm.rank} exceeds the rigidity enumeration cap"
-        )
-    rank = sysm.rank
-    out = []
-    for perm in itertools.permutations(range(rank)):
-        if all(
-            ((sysm.comm[i] >> j) & 1) == ((sysm.comm[perm[i]] >> perm[j]) & 1)
-            for i in range(rank)
-            for j in range(i + 1, rank)
-        ):
-            out.append(perm)
-    return out
-
-
-def is_rigid(building_or_system) -> bool:
+def is_rigid(sysm: CoxeterSystem) -> bool:
     """No nontrivial nerve automorphism fixes a closed vertex star pointwise."""
-    sysm = getattr(building_or_system, "system", building_or_system)
     rank = sysm.rank
     autos = nerve_automorphisms(sysm)
     for perm in autos:

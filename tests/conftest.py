@@ -1,4 +1,5 @@
 import importlib.util
+import random
 import re
 import shlex
 import shutil
@@ -17,6 +18,31 @@ def hexagon_system():
     gens = [f"s{i}" for i in range(1, 7)]
     pairs = [(gens[i], gens[(i + 1) % 6]) for i in range(6)]
     return CoxeterSystem(gens, pairs)
+
+
+def corrupted_labeling(bld, seed=17):
+    """The radius-1 labeling with one side-type label component shifted.
+
+    Returns the labeling and the corrupted edge; the shift breaks the fiber
+    bijection at the edge's terminal face.
+    """
+    from rabuild.clump import unfold_steps_to_ball
+    from rabuild.covering import build_labeling
+
+    final, steps = unfold_steps_to_ball(bld, 1)
+    lab = build_labeling(bld, steps)
+    u_edges = [
+        (e, v)
+        for e, v in lab.labels.items()
+        if any(v) and bin(e[1][0]).count("1") == 1
+    ]
+    edge, vec = random.Random(seed).choice(sorted(u_edges))
+    g = next(i for i, x in enumerate(vec) if x)
+    bad = list(vec)
+    bad[g] = (bad[g] + 1) % bld.gp.qs[g]
+    lab.labels = dict(lab.labels)
+    lab.labels[edge] = tuple(bad)
+    return lab, edge
 
 
 def make_suite():

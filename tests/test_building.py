@@ -267,3 +267,21 @@ def test_ball_cache_roundtrip(tmp_path, d23):
     other = Building(CoxeterSystem(["s", "t"]), {"s": 3, "t": 3})
     with pytest.raises(InputError):
         load_ball_cache(path, other)
+
+
+@pytest.mark.parametrize(
+    "rewrite",
+    [
+        lambda data: "not json",
+        lambda data: "[1, 2]",
+        lambda data: json.dumps({k: v for k, v in data.items() if k != "radius"}),
+        lambda data: json.dumps(dict(data, chambers=["st"])),
+    ],
+    ids=["not-json", "not-an-object", "no-radius", "bad-chamber"],
+)
+def test_load_ball_cache_rejects_other_files(tmp_path, d23, rewrite):
+    path = tmp_path / "ball.json"
+    save_ball_cache(path, d23, 1, d23.ball_chambers(1))
+    path.write_text(rewrite(json.loads(path.read_text())))
+    with pytest.raises(InputError):
+        load_ball_cache(path, d23)

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from rabuild import covering
 from rabuild.cli import main, parse_config
 from rabuild.errors import InputError
+from tests.conftest import corrupted_labeling
 
 D23 = {
     "generators": ["s", "t"],
@@ -53,6 +55,11 @@ def test_parse_config_hexagon():
         {"relations": [["s", "t"], ["t", "s"]]},
         {"parameters": {"s": 2}},
         {"parameters": {"s": 2, "t": 3, "u": 2}},
+        {"caps": "x"},
+        {"caps": {"chambers": "lots"}},
+        {"caps": {"chambers": 0}},
+        {"caps": {"radius": -1}},
+        {"caps": {"radius": True}},
     ],
 )
 def test_parse_config_rejects(mutation):
@@ -160,6 +167,33 @@ def test_chamber_cap_exit_code(tmp_path, capsys):
         capsys, "ball", write(tmp_path, D23), "--radius", "3", "--cap-chambers", "3"
     )
     assert code == 3
+
+
+@pytest.mark.parametrize("command", ["index", "apartments", "witness"])
+def test_chamber_cap_flag_honoured(tmp_path, capsys, command):
+    code, _ = run(
+        capsys, command, write(tmp_path, D23), "--radius", "3", "--cap-chambers", "5"
+    )
+    assert code == 3
+
+
+def test_quotient_rank_over_search_cap_exit_code(tmp_path, capsys):
+    names = [f"g{i}" for i in range(11)]
+    cfg = {"generators": names, "parameters": {g: 2 for g in names}}
+    code, _ = run(capsys, "quotient", write(tmp_path, cfg), "--radius", "0")
+    assert code == 3
+
+
+def test_verification_failure_payload(tmp_path, capsys, monkeypatch):
+    lab, _ = corrupted_labeling(parse_config(json.dumps(D23)).building())
+    monkeypatch.setattr(covering, "build_labeling", lambda bld, steps: lab)
+    code, out = run(
+        capsys, "verify-covering", write(tmp_path, D23), "--radius", "1"
+    )
+    assert code == 4
+    data = json.loads(out)
+    assert data["kind"] == "VerificationError"
+    assert data["failures"] and data["failures"][0]["kind"] == "fiber"
 
 
 def test_missing_config_file(capsys):

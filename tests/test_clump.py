@@ -4,10 +4,7 @@ import pytest
 
 from rabuild.clump import (
     Clump,
-    ball_by_unfolding,
     chamber_clump,
-    load_clump,
-    save_clump,
     sheet_mirror_table,
     sheets,
     unfold,
@@ -140,12 +137,13 @@ def test_sheet_mirror_bijection(hex3):
 def test_ball_by_unfolding_matches_ball(suite):
     for name, bld, _ in suite:
         for n in (1, 2):
-            final, sides_used = ball_by_unfolding(bld, n)
+            final, steps = unfold_steps_to_ball(bld, n)
             assert final.chambers == bld.ball_chambers(n), name
 
 
 def test_ball_by_unfolding_d23(d23):
-    final, sides_used = ball_by_unfolding(d23, 1)
+    final, steps = unfold_steps_to_ball(d23, 1)
+    sides_used = [st.side for st in steps]
     assert len(sides_used) == 2
     assert len(final.chambers) == 4
 
@@ -199,12 +197,3 @@ def test_boundary_type_three_case_law(d23, d33, square23, hex3):
                     assert current.boundary_type_mask(lift) & bt_after == \
                         current.boundary_type_mask(lift)
             current = after
-
-
-def test_clump_serialization(tmp_path, d23):
-    final, steps = unfold_steps_to_ball(d23, 2)
-    path = tmp_path / "clump.json"
-    save_clump(path, final)
-    loaded = load_clump(path, d23)
-    assert loaded.chambers == final.chambers
-    assert len(loaded.provenance) == len(final.provenance)

@@ -1,4 +1,4 @@
-import random
+import pytest
 
 from rabuild.building import Building
 from rabuild.clump import chamber_clump, sheets, unfold_steps_to_ball
@@ -12,6 +12,8 @@ from rabuild.covering import (
     lattice_index,
     verify_labeling,
 )
+from rabuild.errors import VerificationError
+from tests.conftest import corrupted_labeling
 
 
 def test_label_initial_zero(d23):
@@ -91,24 +93,22 @@ def test_labelings_verify_across_suite(suite_traces):
 
 def test_fault_injection_detected(d23):
     # flipping one label's side-type component breaks the fiber bijections
-    final, steps = unfold_steps_to_ball(d23, 1)
-    lab = build_labeling(d23, steps)
-    rng = random.Random(17)
-    u_edges = [
-        (e, v)
-        for e, v in lab.labels.items()
-        if any(v) and bin(e[1][0]).count("1") == 1
-    ]
-    edge, vec = rng.choice(sorted(u_edges))
-    g = next(i for i, x in enumerate(vec) if x)
-    mutated = dict(lab.labels)
-    bad = list(vec)
-    bad[g] = (bad[g] + 1) % d23.gp.qs[g]
-    mutated[edge] = tuple(bad)
-    lab.labels = mutated
+    lab, _ = corrupted_labeling(d23)
     report = verify_labeling(lab)
     assert not report.ok
-    assert report.fiber_failures
+    assert any(f["kind"] == "fiber" for f in report.failures)
+
+
+def test_corrupted_labeling_report_names_the_face(d23):
+    lab, edge = corrupted_labeling(d23)
+    with pytest.raises(VerificationError) as info:
+        build_covering(lab)
+    report = info.value.report
+    assert not report.ok
+    first = report.failures[0]
+    assert first["kind"] == "fiber"
+    face, umask = first["where"]
+    assert face == edge[1] and umask == edge[0][0]
 
 
 def test_covering_sheet_counts(d23, square23, suite_traces):

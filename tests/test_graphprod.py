@@ -7,11 +7,7 @@ from rabuild.errors import InputError
 from rabuild.graphprod import (
     GraphProduct,
     ProductElement,
-    ds_element,
-    ds_identity,
-    ds_multiply,
     gp_multiply,
-    project_components,
     projection_to_W,
 )
 
@@ -139,43 +135,6 @@ def test_davis_specialization_homomorphism():
         lhs = projection_to_W(sysm, x * y)
         rhs = w_multiply(sysm, projection_to_W(sysm, x), projection_to_W(sysm, y))
         assert lhs == rhs
-
-
-def test_direct_product_ops():
-    sysm = CoxeterSystem(["s", "t", "u"], [("s", "t")])
-    gp = GraphProduct(sysm, {"s": 2, "t": 3, "u": 4})
-    zero = ds_identity(gp)
-    assert ds_multiply(gp, zero, zero) == zero
-    x = ds_element(gp, {"s": 1})
-    y = ds_element(gp, {"s": 1})
-    assert ds_multiply(gp, x, y) == zero
-    t = ds_element(gp, {"t": 1})
-    t2 = ds_element(gp, {"t": 2})
-    assert ds_multiply(gp, t, t2) == zero
-
-
-def test_projection_component_laws():
-    rng = random.Random(12)
-    sysm = CoxeterSystem(["s", "t", "u"])
-    gp = GraphProduct(sysm, {"s": 2, "t": 3, "u": 4})
-
-    def rand_ds():
-        return ds_element(
-            gp, {s: rng.randrange(gp.q(s)) for s in sysm.generators}
-        )
-
-    for _ in range(100):
-        a, b = rand_ds(), rand_ds()
-        letters = [s for s in sysm.generators if rng.random() < 0.5]
-        lhs = project_components(ds_multiply(gp, a, b), letters)
-        rhs = ds_multiply(
-            gp, project_components(a, letters), project_components(b, letters)
-        )
-        assert lhs == rhs
-        assert project_components(a, []) == ds_identity(gp)
-        assert project_components(a, sysm.generators) == a
-        again = project_components(project_components(a, letters), letters)
-        assert again == project_components(a, letters)
 
 
 def test_serialization_round_trip(gp23):

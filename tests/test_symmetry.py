@@ -6,7 +6,7 @@ import pytest
 from rabuild.building import Building
 from rabuild.clump import chamber_clump, unfold_steps_to_ball
 from rabuild.coxeter import CoxeterSystem
-from rabuild.errors import DomainError
+from rabuild.errors import DomainError, SizeCapError
 from rabuild import symmetry as sym
 from tests.conftest import hexagon_system
 
@@ -24,6 +24,39 @@ def test_type_permutation_respects_q():
     bld = Building(CoxeterSystem(["a", "b", "c"]), {"a": 2, "b": 2, "c": 3})
     perms = sym.type_permutation_group(bld)
     assert len(perms) == 2  # only a<->b swap
+
+
+def test_type_permutation_search_matches_enumeration():
+    # the pruned search against filtering all rank! permutations, order included
+    rng = random.Random(23)
+    for _ in range(40):
+        rank = rng.randint(1, 6)
+        names = [f"x{i}" for i in range(rank)]
+        pairs = [
+            p for p in itertools.combinations(names, 2) if rng.random() < 0.5
+        ]
+        sysm = CoxeterSystem(names, pairs)
+        bld = Building(sysm, {s: rng.choice((2, 3)) for s in names})
+        expected = [
+            perm
+            for perm in itertools.permutations(range(rank))
+            if all(bld.gp.qs[perm[i]] == bld.gp.qs[i] for i in range(rank))
+            and all(
+                ((sysm.comm[i] >> j) & 1) == ((sysm.comm[perm[i]] >> perm[j]) & 1)
+                for i in range(rank)
+                for j in range(rank)
+            )
+        ]
+        assert sym.type_permutation_group(bld) == expected
+
+
+def test_automorphism_search_cap():
+    names = [f"x{i}" for i in range(sym.RIGIDITY_RANK_CAP + 1)]
+    sysm = CoxeterSystem(names)
+    with pytest.raises(SizeCapError):
+        sym.nerve_automorphisms(sysm)
+    with pytest.raises(SizeCapError):
+        sym.type_permutation_group(Building(sysm, {s: 2 for s in names}))
 
 
 # -- ball automorphisms ------------------------------------------------------
@@ -103,6 +136,14 @@ def test_quotient_trivial_group(d33):
     assert res.report.ok
     assert res.sheet_count == 1
     assert not res.quotient.subdivided
+
+
+def test_quotient_rejects_non_group(d33):
+    ball = d33.ball(1)
+    swap = sym.from_type_permutation(ball, (1, 0))
+    with pytest.raises(DomainError):
+        sym.quotient_cog(ball, [swap])  # swap after swap is missing
+    assert sym.quotient_cog(ball, [sym.identity_automorphism(ball), swap]).report.ok
 
 
 def test_quotient_chamber_full_group(d33, hex3):
