@@ -1,7 +1,15 @@
 """Compare the compiled syllable kernel against the pure-Python fallback.
 
-Times the primitive operations on random words and the ball enumeration
-that sits on top of them.  Run from the repository root:
+Times three cases under each backend:
+
+- primitives: multiply, inverse and strip on random 12-syllable words;
+- pipeline calls: what ball growth, residues and scwols actually ask of the
+  kernel, over the 12,061 chambers of the hexagon_q3 radius-3 ball: every
+  one-syllable right-multiply and every panel strip of each chamber, and
+  its inverse;
+- the radius-2 ball enumeration that sits on top of them.
+
+Run from the repository root:
 
     python3 benchmarks/bench_kernel.py
 """
@@ -43,6 +51,17 @@ def bench_primitives(impl, words, qs, comm, tmask):
     return time.perf_counter() - t0, acc
 
 
+def bench_pipeline(impl, chambers, qs, comm):
+    t0 = time.perf_counter()
+    acc = 0
+    for c in chambers:
+        for g in range(len(qs)):
+            acc += len(impl.multiply(c, ((g, 1),), qs, comm))
+            acc += len(impl.strip_coset(c, 1 << g, qs, comm))
+        acc += len(impl.inverse(c, qs, comm))
+    return time.perf_counter() - t0, acc
+
+
 def bench_ball(backend_env, n):
     # re-import under the chosen backend by toggling the selection env var
     import importlib
@@ -78,18 +97,27 @@ def main():
     if len(impls) < 2:
         print("compiled kernel not built; only the python backend is available")
 
-    print(f"{'backend':<10}{'primitives (s)':>16}{'ball(2) of 685 (s)':>22}")
+    chambers = sorted(bld.ball_chambers(3))
+    assert len(chambers) == 12061
+
+    print(
+        f"{'backend':<10}{'primitives (s)':>16}{'pipeline calls (s)':>20}"
+        f"{'ball(2) of 685 (s)':>22}"
+    )
     results = {}
     for impl in impls:
         t_prim, acc = bench_primitives(impl, words, qs, comm, tmask)
+        t_pipe, acc = bench_pipeline(impl, chambers, qs, comm)
         t_ball, size = bench_ball("1" if impl.BACKEND == "python" else "", 2)
         assert size == 685
-        results[impl.BACKEND] = (t_prim, t_ball)
-        print(f"{impl.BACKEND:<10}{t_prim:>16.3f}{t_ball:>22.3f}")
+        results[impl.BACKEND] = (t_prim, t_pipe, t_ball)
+        print(f"{impl.BACKEND:<10}{t_prim:>16.3f}{t_pipe:>20.3f}{t_ball:>22.3f}")
     if len(results) == 2:
-        sp = results["python"][0] / results["c"][0]
-        sb = results["python"][1] / results["c"][1]
-        print(f"\nspeedup: primitives x{sp:.1f}, ball enumeration x{sb:.1f}")
+        sp, sc, sb = (p / c for p, c in zip(results["python"], results["c"]))
+        print(
+            f"\nspeedup: primitives x{sp:.1f}, pipeline calls x{sc:.1f}, "
+            f"ball enumeration x{sb:.1f}"
+        )
     # both backends must agree on everything they compute
     sample = random_words(rng, qs, 200, 10)
     for w, v in zip(sample, sample[1:]):

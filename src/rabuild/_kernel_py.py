@@ -5,12 +5,43 @@ Elements of a graph product of cyclic groups are stored as tuples of
 syllables with the same generator can see each other across a block of
 commuting syllables, and *canonical* when it is additionally the
 lexicographically least shuffle of its reduced form (generators compared by
-index).  Canonical words are unique per group element, so tuple equality is
-element equality.
+index): the lexicographic, or Anisimov-Knuth, normal form of the trace.
+Canonical words are unique per group element, so tuple equality is element
+equality.
 
 Every function takes the group data positionally: ``qs`` is a tuple of
 cyclic orders (all >= 2) and ``comm`` a tuple of bitmasks, bit ``j`` of
 ``comm[i]`` set iff generators ``i != j`` commute.
+
+One primitive does all the work.  ``_append`` right-multiplies a canonical
+syllable list by one syllable ``(g, e)`` in a single right-to-left scan:
+
+- if a syllable of ``g`` is visible from the right end (everything after it
+  commutes with ``g``), the exponents merge, and the syllable is deleted
+  when the sum is 0 mod q;
+- otherwise the scan stops at the last syllable that does not commute with
+  ``g``, and ``(g, e)`` is inserted after it, before the first later
+  syllable with a larger generator index.
+
+Both cases keep the form canonical.  The canonical form is the greedy
+least-available linearization of the syllables' dependence order.  A new
+syllable has no successor in that order, so it joins the available set
+after its last predecessor and the greedy choice takes it at the first
+larger index.  A right-visible syllable has no successor either, so deleting
+it removes one greedy step and leaves every other step as it was.
+``normalize``, ``multiply`` and ``inverse`` are folds of ``_append`` from
+the empty word, so they accept arbitrary words, and each costs one scan of
+at most the output length per input syllable.
+
+``strip_coset`` normalizes once and then makes one right-to-left pass: a
+syllable with its generator in the mask is dropped when no kept syllable to
+its right blocks it.  Each dropped syllable is right-visible at the moment
+it goes, so by the argument above the result is canonical without a
+re-sort.
+
+See Hermiller & Meier, "Algorithms and geometry for graph products of
+groups", J. Algebra 171 (1995), and Diekert & Rozenberg (eds.), *The Book
+of Traces* (1995), on the lexicographic normal form of traces.
 
 The compiled kernel in ``_speedups.pyx`` implements the same API; this
 module is the semantic reference and the import-time fallback.
@@ -19,93 +50,74 @@ module is the semantic reference and the import-time fallback.
 BACKEND = "python"
 
 
-def _reduce(syls, qs, comm):
-    """Merge same-generator syllables visible across commuting blocks."""
-    syls = [(g, e % qs[g]) for g, e in syls if e % qs[g]]
-    changed = True
-    while changed:
-        changed = False
-        n = len(syls)
-        for i in range(n):
-            gi = syls[i][0]
-            for j in range(i + 1, n):
-                gj = syls[j][0]
-                if gj == gi:
-                    e = (syls[i][1] + syls[j][1]) % qs[gi]
-                    del syls[j]
-                    if e:
-                        syls[i] = (gi, e)
-                    else:
-                        del syls[i]
-                    changed = True
-                    break
-                if not (comm[gi] >> gj) & 1:
-                    break
-            if changed:
-                break
-    return syls
-
-
-def _canonicalize(syls, comm):
-    """Greedy least-available linearization of the dependence order."""
-    rem = list(syls)
-    out = []
-    while rem:
-        best = -1
-        for k in range(len(rem)):
-            gk = rem[k][0]
-            ok = True
-            for i in range(k):
-                gi = rem[i][0]
-                if gi == gk or not (comm[gi] >> gk) & 1:
-                    ok = False
-                    break
-            if ok and (best < 0 or gk < rem[best][0]):
-                best = k
-        out.append(rem[best])
-        del rem[best]
-    return tuple(out)
+def _append(out, g, e, qs, comm):
+    """Right-multiply the canonical syllable list ``out`` by ``(g, e)``."""
+    q = qs[g]
+    e %= q
+    if not e:
+        return
+    cg = comm[g]
+    i = len(out) - 1
+    while i >= 0:
+        h, f = out[i]
+        if h == g:
+            e = (f + e) % q
+            if e:
+                out[i] = (g, e)
+            else:
+                del out[i]
+            return
+        if not (cg >> h) & 1:
+            break
+        i -= 1
+    # out[i] is the last syllable that does not commute with g (i = -1: none)
+    i += 1
+    n = len(out)
+    while i < n and out[i][0] < g:
+        i += 1
+    out.insert(i, (g, e))
 
 
 def normalize(word, qs, comm):
     """Canonical form of an arbitrary syllable word."""
-    return _canonicalize(_reduce(list(word), qs, comm), comm)
+    out = []
+    for g, e in word:
+        _append(out, g, e, qs, comm)
+    return tuple(out)
 
 
 def multiply(a, b, qs, comm):
-    return normalize(tuple(a) + tuple(b), qs, comm)
+    out = []
+    for g, e in a:
+        _append(out, g, e, qs, comm)
+    for g, e in b:
+        _append(out, g, e, qs, comm)
+    return tuple(out)
 
 
 def inverse(a, qs, comm):
-    return normalize([(g, qs[g] - e) for g, e in reversed(a)], qs, comm)
+    out = []
+    for g, e in reversed(a):
+        _append(out, g, -e, qs, comm)
+    return tuple(out)
 
 
 def strip_coset(a, tmask, qs, comm):
     """Least element of the right coset of ``a`` by the subgroup on ``tmask``.
 
-    Repeatedly deletes right-visible syllables whose generator lies in the
-    mask; removable syllables commute with everything after them, so the
-    word stays reduced throughout.
+    Drops, right to left, each syllable whose generator lies in the mask and
+    which no kept syllable to its right blocks; such a syllable commutes
+    with everything after it, so the word stays reduced and canonical.
     """
-    syls = list(normalize(a, qs, comm))
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(syls) - 1, -1, -1):
-            g = syls[i][0]
-            if not (tmask >> g) & 1:
-                continue
-            visible = True
-            for j in range(i + 1, len(syls)):
-                gj = syls[j][0]
-                if gj == g or not (comm[g] >> gj) & 1:
-                    visible = False
-                    break
-            if visible:
-                del syls[i]
-                changed = True
-                break
-    return _canonicalize(syls, comm)
+    kept = 0
+    out = []
+    for g, e in reversed(normalize(a, qs, comm)):
+        if (tmask >> g) & 1 and not kept & ~comm[g]:
+            continue
+        kept |= 1 << g
+        out.append((g, e))
+    out.reverse()
+    return tuple(out)
 
 
 def support_mask(a):

@@ -223,9 +223,12 @@ def save_ball_cache(path, building: Building, n: int, chambers):
             for c in sorted(chambers, key=syllable_key)
         ],
     }
-    with open(path, "w") as fh:
-        json.dump(data, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    try:
+        with open(path, "w") as fh:
+            json.dump(data, fh, sort_keys=True, indent=1)
+            fh.write("\n")
+    except OSError as exc:
+        raise InputError(f"cannot write ball cache {path!r}: {exc}") from exc
 
 
 def load_ball_cache(path, building: Building):

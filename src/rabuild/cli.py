@@ -44,6 +44,11 @@ class SystemConfig:
         return Building(sysm, self.parameters, chamber_cap=self.chamber_cap)
 
 
+def _check_cap(name, value, least):
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise InputError(f"{name} = {value!r}, need an integer >= {least}")
+
+
 def parse_config(text: str) -> SystemConfig:
     try:
         data = json.loads(text)
@@ -91,9 +96,8 @@ def parse_config(text: str) -> SystemConfig:
         raise InputError("'caps' must be an object")
     radius_cap = caps.get("radius", 6)
     chamber_cap = caps.get("chambers", DEFAULT_CHAMBER_CAP)
-    for name, value, least in (("radius", radius_cap, 0), ("chambers", chamber_cap, 1)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < least:
-            raise InputError(f"caps.{name} = {value!r}, need an integer >= {least}")
+    _check_cap("caps.radius", radius_cap, 0)
+    _check_cap("caps.chambers", chamber_cap, 1)
     return SystemConfig(gens, [list(p) for p in rels], dict(params), radius_cap, chamber_cap)
 
 
@@ -161,8 +165,12 @@ def cmd_ball(cfg: SystemConfig, args) -> int:
     if args.dot:
         from .cog import scwol_to_dot
 
-        with open(args.dot, "w") as fh:
-            fh.write(scwol_to_dot(ball.cog()))
+        text = scwol_to_dot(ball.cog())
+        try:
+            with open(args.dot, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write DOT file {args.dot!r}: {exc}") from exc
         payload["dot"] = args.dot
     emit(payload)
     return 0
@@ -339,6 +347,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.cap_chambers is not None:
+            _check_cap("--cap-chambers", args.cap_chambers, 1)
             cfg.chamber_cap = args.cap_chambers
         return COMMANDS[args.command](cfg, args)
     except RabuildError as exc:

@@ -46,24 +46,24 @@ def scwol_of(clump) -> Scwol:
     building = clump.building
     gp = building.gp
     masks = building.spherical_masks
-    face_chambers = {}
-    for c in clump.chambers:
-        for tmask in masks:
-            face = (tmask, gp.strip(c, tmask))
-            face_chambers.setdefault(face, []).append(c)
-    for face, members in face_chambers.items():
-        members.sort(key=syllable_key)
-        face_chambers[face] = tuple(members)
     pairs = [
         (t1, t2)
         for t1 in masks
         for t2 in masks
         if t1 != t2 and (t1 & t2) == t1
     ]
+    face_chambers = {}
     edges = set()
     for c in clump.chambers:
+        # one strip per (chamber, type); the edges reuse the same faces
+        faces = {tmask: (tmask, gp.strip(c, tmask)) for tmask in masks}
+        for face in faces.values():
+            face_chambers.setdefault(face, []).append(c)
         for t1, t2 in pairs:
-            edges.add(((t1, gp.strip(c, t1)), (t2, gp.strip(c, t2))))
+            edges.add((faces[t1], faces[t2]))
+    for face, members in face_chambers.items():
+        members.sort(key=syllable_key)
+        face_chambers[face] = tuple(members)
     vertices = tuple(sorted(face_chambers, key=face_key))
     edges = tuple(sorted(edges, key=lambda e: (face_key(e[0]), face_key(e[1]))))
     out_edges = {}

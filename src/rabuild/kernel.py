@@ -1,7 +1,9 @@
 """Kernel selection: compiled extension if built, pure Python otherwise.
 
 Set ``RABUILD_PURE=1`` in the environment to force the Python kernel (used
-by the benchmark and the cross-implementation tests).
+by ``benchmarks/bench_kernel.py`` to time ball enumeration under each
+backend).  The cross-implementation tests do not use it: they build the
+compiled kernel from the committed C source and call both modules directly.
 """
 
 import os

@@ -87,6 +87,17 @@ def test_ball_and_cache(tmp_path, capsys):
     assert cache.exists()
 
 
+@pytest.mark.parametrize("flag", ["--cache", "--dot"])
+def test_ball_unwritable_output_exit_code(tmp_path, capsys, flag):
+    target = str(tmp_path / "missing" / "out")
+    code, out = run(
+        capsys, "ball", write(tmp_path, D23), "--radius", "1", flag, target
+    )
+    assert code == 2
+    data = json.loads(out)
+    assert data["kind"] == "InputError" and target in data["error"]
+
+
 def test_index(tmp_path, capsys):
     code, out = run(capsys, "index", write(tmp_path, D23), "--radius", "1")
     assert code == 0
@@ -167,6 +178,15 @@ def test_chamber_cap_exit_code(tmp_path, capsys):
         capsys, "ball", write(tmp_path, D23), "--radius", "3", "--cap-chambers", "3"
     )
     assert code == 3
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_chamber_cap_flag_validated(tmp_path, capsys, cap):
+    code, out = run(
+        capsys, "ball", write(tmp_path, D23), "--radius", "1", "--cap-chambers", cap
+    )
+    assert code == 2
+    assert json.loads(out)["error"] == f"--cap-chambers = {cap}, need an integer >= 1"
 
 
 @pytest.mark.parametrize("command", ["index", "apartments", "witness"])

@@ -1,4 +1,8 @@
-"""Kernel correctness: both implementations, normal-form laws, oracles."""
+"""Kernel correctness: both implementations, normal-form laws, oracles.
+
+``reference_normalize`` and ``reference_strip_coset`` keep the earlier
+merge-then-re-sort kernel as an independent oracle for ``_kernel_py``.
+"""
 
 import itertools
 import random
@@ -22,11 +26,112 @@ def random_system(rng, rank=None):
     return qs, tuple(comm)
 
 
-def random_word(rng, qs, length):
+def random_word(rng, qs, length, wild=False):
+    """Random syllables; ``wild`` exponents run from -q to 2q, else 1 to q-1."""
     return tuple(
-        (g, rng.randint(1, qs[g] - 1))
+        (g, rng.randint(-qs[g], 2 * qs[g]) if wild else rng.randint(1, qs[g] - 1))
         for g in (rng.randrange(len(qs)) for _ in range(length))
     )
+
+
+def _reference_reduce(syls, qs, comm):
+    """Merge same-generator syllables visible across commuting blocks."""
+    syls = [(g, e % qs[g]) for g, e in syls if e % qs[g]]
+    changed = True
+    while changed:
+        changed = False
+        n = len(syls)
+        for i in range(n):
+            gi = syls[i][0]
+            for j in range(i + 1, n):
+                gj = syls[j][0]
+                if gj == gi:
+                    e = (syls[i][1] + syls[j][1]) % qs[gi]
+                    del syls[j]
+                    if e:
+                        syls[i] = (gi, e)
+                    else:
+                        del syls[i]
+                    changed = True
+                    break
+                if not (comm[gi] >> gj) & 1:
+                    break
+            if changed:
+                break
+    return syls
+
+
+def _reference_canonicalize(syls, comm):
+    """Greedy least-available linearization of the dependence order."""
+    rem = list(syls)
+    out = []
+    while rem:
+        best = -1
+        for k in range(len(rem)):
+            gk = rem[k][0]
+            ok = True
+            for i in range(k):
+                gi = rem[i][0]
+                if gi == gk or not (comm[gi] >> gk) & 1:
+                    ok = False
+                    break
+            if ok and (best < 0 or gk < rem[best][0]):
+                best = k
+        out.append(rem[best])
+        del rem[best]
+    return tuple(out)
+
+
+def reference_normalize(word, qs, comm):
+    """The oracle: reduce by merging, then re-sort from scratch."""
+    return _reference_canonicalize(_reference_reduce(list(word), qs, comm), comm)
+
+
+def reference_strip_coset(a, tmask, qs, comm):
+    """The oracle: delete right-visible in-mask syllables until none is left."""
+    syls = list(reference_normalize(a, qs, comm))
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(syls) - 1, -1, -1):
+            g = syls[i][0]
+            if not (tmask >> g) & 1:
+                continue
+            visible = True
+            for j in range(i + 1, len(syls)):
+                gj = syls[j][0]
+                if gj == g or not (comm[g] >> gj) & 1:
+                    visible = False
+                    break
+            if visible:
+                del syls[i]
+                changed = True
+                break
+    return _reference_canonicalize(syls, comm)
+
+
+def test_kernel_matches_reference():
+    # every rank 1-7 with every tmask, words of 0-20 syllables, exponents
+    # from -q to 2q (so 0, negative and >= q appear), 300 cases per rank
+    rng = random.Random(23)
+    for rank in range(1, 8):
+        for k in range(300):
+            qs, comm = random_system(rng, rank)
+            w = random_word(rng, qs, rng.randint(0, 20), wild=True)
+            v = random_word(rng, qs, rng.randint(0, 20), wild=True)
+            tmask = k % (1 << rank)
+            n = reference_normalize(w, qs, comm)
+            assert _kernel_py.normalize(w, qs, comm) == n
+            assert _kernel_py.multiply(w, v, qs, comm) == reference_normalize(
+                w + v, qs, comm
+            )
+            assert _kernel_py.inverse(w, qs, comm) == reference_normalize(
+                [(g, -e) for g, e in reversed(w)], qs, comm
+            )
+            stripped = reference_strip_coset(w, tmask, qs, comm)
+            assert _kernel_py.strip_coset(w, tmask, qs, comm) == stripped
+            # already-canonical input, the pipelines' case
+            assert _kernel_py.strip_coset(n, tmask, qs, comm) == stripped
 
 
 def test_backends_available(compiled_kernel):
