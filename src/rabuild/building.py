@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 from . import coxeter
@@ -79,9 +80,22 @@ class Building:
         return mask in self._spherical_set
 
     def subgroup(self, tmask):
-        """Elements of G_T, cached per type mask."""
+        """Elements of G_T, cached per type mask.
+
+        A subgroup with more elements than the chamber cap is refused before
+        any element is built.  The radius-1 ball holds every maximal residue
+        at the base chamber, so such a subgroup never fits in a capped ball.
+        """
         got = self._subgroup_cache.get(tmask)
         if got is None:
+            order = math.prod(
+                q for g, q in enumerate(self.gp.qs) if (tmask >> g) & 1
+            )
+            if order > self.chamber_cap:
+                raise SizeCapError(
+                    f"subgroup of type {sorted(self.system.unmask(tmask))} has "
+                    f"order {order}, over the chamber cap {self.chamber_cap}"
+                )
             got = tuple(
                 sorted(self.gp.subgroup_elements(tmask), key=syllable_key)
             )

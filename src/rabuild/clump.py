@@ -46,19 +46,29 @@ class Clump:
             raise DomainError("chamber set is not gallery-connected")
 
     def _gallery_connected(self):
+        """Walk the clump panel by panel: two chambers are adjacent exactly
+        when they share a panel, so the walk costs one strip per chamber and
+        type, whatever the panel orders are.  The panel sizes are the mirror
+        counts, which are kept."""
         if not self.chambers:
             return False
         gp = self.building.gp
         rank = len(gp.qs)
+        keys = {}
+        panels = {}  # (gen, panel representative) -> clump chambers on it
+        for c in self.chambers:
+            keys[c] = [(g, gp.strip(c, 1 << g)) for g in range(rank)]
+            for key in keys[c]:
+                panels.setdefault(key, []).append(c)
+        if self._mirror_counts is None:
+            self._mirror_counts = {k: len(v) for k, v in panels.items()}
         start = next(iter(self.chambers))
         seen = {start}
         stack = [start]
         while stack:
-            c = stack.pop()
-            for g in range(rank):
-                for e in range(1, gp.qs[g]):
-                    nb = gp.mul(c, ((g, e),))
-                    if nb in self.chambers and nb not in seen:
+            for key in keys[stack.pop()]:
+                for nb in panels.pop(key, ()):
+                    if nb not in seen:
                         seen.add(nb)
                         stack.append(nb)
         return len(seen) == len(self.chambers)
@@ -308,12 +318,15 @@ def unfold_steps_to_ball(building: Building, n: int, cap=None, rng=None):
                     "pending side does not extend to a unique side"
                 )
             side = located.pop()
-            after = unfold(current, side)
-            if len(after) > cap:
+            # each mirror is a boundary panel: it gains q - 1 chambers
+            size = len(current) + len(side.mirrors) * (
+                building.gp.qs[side.gen] - 1
+            )
+            if size > cap:
                 raise SizeCapError(
-                    f"unfolding exceeded chamber cap {cap}",
-                    partial_count=len(after),
+                    f"unfolding exceeded chamber cap {cap}", partial_count=size
                 )
+            after = unfold(current, side)
             steps.append(UnfoldStep(current, side, after))
             current = after
     return current, steps

@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
+import tempfile
+import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rabuild import covering
-from rabuild.cli import main, parse_config
+from rabuild.cli import SystemConfig, main, parse_config
 from rabuild.errors import InputError
 from tests.conftest import corrupted_labeling
 
@@ -197,6 +204,42 @@ def test_chamber_cap_flag_honoured(tmp_path, capsys, command):
     assert code == 3
 
 
+def test_huge_panel_order_is_refused_before_it_is_built(tmp_path, capsys):
+    cfg = {"generators": ["s", "t"], "parameters": {"s": 10**30, "t": 3}}
+    path = write(tmp_path, cfg)
+    for command, radius, expected in [
+        ("ball", "1", 3),
+        ("unfold-trace", "1", 3),
+        ("ball", "0", 0),
+    ]:
+        start = time.perf_counter()
+        code, _ = run(capsys, command, path, "--radius", radius)
+        assert code == expected, command
+        assert time.perf_counter() - start < 1.0, command
+
+
+def test_subgroup_over_cap_is_not_built(tmp_path, capsys, monkeypatch):
+    built = []
+    make = SystemConfig.building
+
+    def recording(self):
+        built.append(make(self))
+        return built[-1]
+
+    monkeypatch.setattr(SystemConfig, "building", recording)
+    cfg = {
+        "generators": ["s", "t"],
+        "relations": [["s", "t"]],
+        "parameters": {"s": 400, "t": 400},
+    }
+    code, out = run(
+        capsys, "ball", write(tmp_path, cfg), "--radius", "1", "--cap-chambers", "10"
+    )
+    assert code == 3
+    assert "order 160000" in json.loads(out)["error"]
+    assert built and built[0]._subgroup_cache == {}
+
+
 def test_quotient_rank_over_search_cap_exit_code(tmp_path, capsys):
     names = [f"g{i}" for i in range(11)]
     cfg = {"generators": names, "parameters": {g: 2 for g in names}}
@@ -219,3 +262,94 @@ def test_verification_failure_payload(tmp_path, capsys, monkeypatch):
 def test_missing_config_file(capsys):
     code, _ = run(capsys, "info", "/nonexistent/config.json")
     assert code == 2
+
+
+# Config JSON in valid and malformed shapes.  Names come from a small pool so
+# that unknown and duplicate generators, and relations between them, occur.
+NAMES = st.sampled_from(["s", "t", "u", "v"])
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=3)
+)
+Q = st.one_of(
+    st.integers(-1, 6), st.integers(2, 10**30), st.booleans(),
+    st.floats(allow_nan=False), st.text(max_size=3),
+)
+CAP = st.one_of(st.integers(-2, 60), st.integers(0, 10**30), JUNK)
+CONFIG = st.fixed_dictionaries(
+    {},
+    optional={
+        "generators": st.one_of(st.lists(NAMES, max_size=4), JUNK),
+        "relations": st.one_of(
+            st.lists(st.one_of(st.lists(NAMES, max_size=3), JUNK), max_size=4),
+            JUNK,
+        ),
+        "parameters": st.one_of(st.dictionaries(NAMES, Q, max_size=4), JUNK),
+        "caps": st.one_of(
+            st.fixed_dictionaries({}, optional={"radius": CAP, "chambers": CAP}),
+            JUNK,
+        ),
+    },
+)
+# Well-formed configs: distinct generators, commuting pairs of distinct
+# generators, a valid q for each and optional valid caps.
+VALID = st.lists(NAMES, min_size=1, max_size=4, unique=True).flatmap(
+    lambda gens: st.fixed_dictionaries(
+        {
+            "generators": st.just(gens),
+            "relations": st.lists(
+                st.permutations(gens).map(lambda p: list(p[:2])),
+                max_size=3,
+                unique_by=frozenset,
+            )
+            if len(gens) > 1
+            else st.just([]),
+            "parameters": st.fixed_dictionaries(
+                {g: st.integers(2, 5) | st.integers(2, 10**30) for g in gens}
+            ),
+        },
+        optional={
+            "caps": st.fixed_dictionaries(
+                {},
+                optional={"radius": st.integers(0, 4), "chambers": st.integers(1, 60)},
+            )
+        },
+    )
+)
+MALFORMED = st.one_of(
+    st.one_of(CONFIG, st.lists(st.integers(), max_size=2), JUNK).map(json.dumps),
+    st.text(max_size=10),
+)
+# Two examples in three are well-formed, so that most commands run to the end.
+CONFIG_TEXT = st.sampled_from([VALID.map(json.dumps)] * 2 + [MALFORMED]).flatmap(
+    lambda strategy: strategy
+)
+
+# witness, apartments and quotient are left out: their work is not yet
+# bounded by the chamber cap (a 29-chamber ball has 216 apartment fragments,
+# and witness builds every ordered pair of them).
+FUZZED_COMMANDS = [
+    "info", "ball", "classify", "index", "unfold-trace", "label", "verify-covering",
+]
+
+
+@pytest.mark.parametrize("command", FUZZED_COMMANDS)
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    text=CONFIG_TEXT,
+    radius=st.integers(-2, 3),
+    cap=st.integers(-1, 50),
+    seed=st.integers(0, 3),
+)
+def test_cli_fuzz_exits_with_a_documented_code(text, command, radius, cap, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(text)
+        argv = [
+            command, str(path), f"--radius={radius}", f"--cap-chambers={cap}",
+            f"--seed={seed}",
+        ]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            code = main(argv)
+    assert code in {0, 2, 3, 4, 5}

@@ -1,17 +1,13 @@
-"""Kernel correctness: both implementations, normal-form laws, oracles.
+"""Kernel correctness: normal-form laws and oracles.
 
 ``reference_normalize`` and ``reference_strip_coset`` keep the earlier
-merge-then-re-sort kernel as an independent oracle for ``_kernel_py``.
+merge-then-re-sort kernel as an independent oracle for ``rabuild.kernel``.
 """
 
 import itertools
 import random
-import sys
-from pathlib import Path
 
-from rabuild import _kernel_py, kernel
-
-from conftest import SPEEDUPS, stale_speedups_line
+from rabuild import kernel
 
 
 def random_system(rng, rank=None):
@@ -121,63 +117,25 @@ def test_kernel_matches_reference():
             v = random_word(rng, qs, rng.randint(0, 20), wild=True)
             tmask = k % (1 << rank)
             n = reference_normalize(w, qs, comm)
-            assert _kernel_py.normalize(w, qs, comm) == n
-            assert _kernel_py.multiply(w, v, qs, comm) == reference_normalize(
+            assert kernel.normalize(w, qs, comm) == n
+            assert kernel.multiply(w, v, qs, comm) == reference_normalize(
                 w + v, qs, comm
             )
-            assert _kernel_py.inverse(w, qs, comm) == reference_normalize(
+            assert kernel.inverse(w, qs, comm) == reference_normalize(
                 [(g, -e) for g, e in reversed(w)], qs, comm
             )
             stripped = reference_strip_coset(w, tmask, qs, comm)
-            assert _kernel_py.strip_coset(w, tmask, qs, comm) == stripped
+            assert kernel.strip_coset(w, tmask, qs, comm) == stripped
             # already-canonical input, the pipelines' case
-            assert _kernel_py.strip_coset(n, tmask, qs, comm) == stripped
+            assert kernel.strip_coset(n, tmask, qs, comm) == stripped
 
 
-def test_backends_available(compiled_kernel):
-    names = {m.BACKEND for m in kernel.implementations()}
-    assert "python" in names
-    # the compiled kernel, built by conftest from the committed C source
-    assert compiled_kernel.BACKEND == "c"
-
-
-def test_compiled_kernel_is_isolated(compiled_kernel):
-    # building it changes neither the package's kernel nor src/
-    assert sys.modules.get("rabuild._speedups") is not compiled_kernel
-    assert compiled_kernel not in kernel.implementations()
-    assert kernel.normalize is not compiled_kernel.normalize
-    assert SPEEDUPS.parent not in Path(compiled_kernel.__file__).parents
-
-
-def test_stale_speedups_line():
-    pyx = ["x = 1", "y = 2"]
-    block = '/* "rabuild/_speedups.pyx":{}\n * {}\n * {}             # <<<<<<<<<<<<<<\n*/\n'
-    c_text = block.format(2, "x = 1", "y = 2")
-    assert stale_speedups_line(c_text, pyx) is None
-    assert stale_speedups_line(c_text + block.format(1, "", "x = 3"), pyx) == 1
-    assert stale_speedups_line(block.format(3, "y = 2", "z = 3"), pyx) == 3
-    assert stale_speedups_line("", pyx) == 0
-
-
-def test_implementations_agree(compiled_kernel):
-    rng = random.Random(7)
-    impls = [_kernel_py, compiled_kernel]
-    assert {impl.BACKEND for impl in impls} == {"python", "c"}
-    for _ in range(300):
-        qs, comm = random_system(rng)
-        w = random_word(rng, qs, rng.randint(0, 10))
-        v = random_word(rng, qs, rng.randint(0, 10))
-        outs = [impl.normalize(w, qs, comm) for impl in impls]
-        assert len(set(outs)) == 1
-        outs = [impl.multiply(w, v, qs, comm) for impl in impls]
-        assert len(set(outs)) == 1
-        outs = [impl.inverse(w, qs, comm) for impl in impls]
-        assert len(set(outs)) == 1
-        tmask = rng.randrange(1 << len(qs))
-        outs = [impl.strip_coset(w, tmask, qs, comm) for impl in impls]
-        assert len(set(outs)) == 1
-        outs = [impl.support_mask(impl.normalize(w, qs, comm)) for impl in impls]
-        assert len(set(outs)) == 1
+def test_public_functions_call_no_other():
+    # a tracer wrapping the public API in this module's namespace would count
+    # a nested call as a second unit of kernel work
+    public = {"normalize", "multiply", "inverse", "strip_coset", "support_mask"}
+    for name in public:
+        assert not set(getattr(kernel, name).__code__.co_names) & public, name
 
 
 def test_normalize_idempotent():
