@@ -184,13 +184,13 @@ def cmd_unfold_trace(cfg: SystemConfig, args) -> int:
     direct = bld.ball_chambers(args.radius)
     trace = []
     for st in steps:
-        part = sheets(st.before, st.side)
+        part = sheets(st.after)
         trace.append(
             {
                 "type": bld.system.generators[st.side.gen],
                 "mirrors": len(st.side.mirrors),
                 "sheets": len(part.blocks),
-                "new_chambers": len(st.after.chambers) - len(st.before.chambers),
+                "new_chambers": len(part.new_chambers),
                 "chambers_after": len(st.after.chambers),
             }
         )

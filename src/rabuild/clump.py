@@ -7,8 +7,12 @@ rank-two faces), and unfolding along a side adjoins every chamber of every
 panel in the side.  The new chambers split into *sheets*: components under
 adjacency in the remaining types.
 
-Chambers are raw syllable tuples throughout; derived data (mirror counts,
-boundary, sides) is cached lazily on the immutable chamber set.
+Chambers are raw syllable tuples throughout.  A clump built from a chamber
+set computes its derived data (mirror counts, sides, scwol) from its
+chambers when first asked.  A clump made by ``unfold`` takes its parent's
+derived data over and updates it for the new chambers only, so a step costs
+work in proportion to the chambers it adds; the parent rebuilds its own from
+its chambers if it is asked again.
 """
 
 from __future__ import annotations
@@ -26,6 +30,149 @@ class Side:
     gen: int  # generator index (the side's type)
     mirrors: tuple  # sorted panel representatives (raw syllable tuples)
 
+    def __hash__(self):
+        # the least mirror names the side; hashing every mirror costs O(|side|)
+        return hash((self.gen, self.mirrors[0]))
+
+
+class Unfolding:
+    """What an unfolding added to the clump it made.
+
+    A plain class: a dataclass would cost a millisecond at every import.
+    """
+
+    __slots__ = ("side", "chambers", "lift", "faces", "created", "edges")
+
+    def __init__(self, side, lift, faces, created, edges):
+        self.side = side  # the side of the old clump that was unfolded
+        self.chambers = frozenset(lift)  # the new chambers
+        self.lift = lift  # new chamber -> the old chamber on its side mirror
+        self.faces = faces  # face of a new chamber -> the new chambers on it
+        self.created = created  # faces of new chambers the old clump lacked
+        self.edges = edges  # scwol edges that the old clump lacked
+
+
+class _Sides:
+    """Boundary mirrors grouped into sides, kept up to date as mirrors change.
+
+    Two boundary mirrors of type g are adjacent when they lie in one
+    {g, c}-coset for a type c commuting with g, and a side is a component.
+    A table carried along unfoldings keeps a coset index, ``cosets``, of the
+    mirrors ever put in each such coset; a mirror that has left the boundary
+    is skipped when read, since a panel never returns to the boundary once it
+    has gained chambers.  A table that is not carried has no index: it would
+    take more memory than the sides themselves.
+    """
+
+    def __init__(self, building):
+        self.building = building
+        comm = building.system.comm
+        rank = len(comm)
+        self.of_mirror = [{} for _ in range(rank)]  # per type: rep -> Side
+        self.by_least = {}  # (gen, least mirror) -> Side, one entry per side
+        self.cosets = None  # per type: (pair mask, coset rep) -> reps
+        self.pair_masks = [
+            [(1 << g) | (1 << c) for c in range(rank) if (comm[g] >> c) & 1]
+            for g in range(rank)
+        ]
+
+    def indexed(self):
+        """This table, with its coset index built if it had none."""
+        if self.cosets is None:
+            strip = self.building.gp.strip
+            self.cosets = [{} for _ in self.of_mirror]
+            for g, table in enumerate(self.of_mirror):
+                index = self.cosets[g]
+                for rep in table:
+                    for mask in self.pair_masks[g]:
+                        key = (mask, strip(rep, mask))
+                        index[key] = index.get(key, ()) + (rep,)
+        return self
+
+    def update(self, removed, added):
+        """Take the ``removed`` mirrors off the boundary and put ``added`` on.
+
+        Both are (gen, rep) pairs.  Sides that lose a mirror are dissolved.
+        Their other mirrors and the added ones are joined again, to each other
+        and to the sides they meet; every other side stays as it is.
+        """
+        by_type = {}
+        for g, rep in removed:
+            by_type.setdefault(g, ([], []))[0].append(rep)
+        for g, rep in added:
+            by_type.setdefault(g, ([], []))[1].append(rep)
+        for g, (gone, new) in by_type.items():
+            self._update_type(g, gone, new)
+
+    def _update_type(self, g, removed, added):
+        of_mirror = self.of_mirror[g]
+        index = None if self.cosets is None else self.cosets[g]
+        strip = self.building.gp.strip
+        broken = {}
+        for rep in removed:
+            side = of_mirror.pop(rep)
+            broken[side.mirrors[0]] = side
+        dirty = dict.fromkeys(added, True)  # rep -> whether it is new
+        for least, side in broken.items():
+            del self.by_least[(g, least)]
+            for m in side.mirrors:
+                if m in of_mirror:
+                    dirty[m] = False
+        # union-find over the dirty mirrors and the intact sides they meet,
+        # an intact side standing in as its least mirror
+        parent = {}
+        met = {}
+
+        def find(x):
+            root = x
+            while root in parent:
+                root = parent[root]
+            while x != root:
+                parent[x], x = root, parent[x]
+            return root
+
+        for mask in self.pair_masks[g]:
+            groups = {}
+            for rep in dirty:
+                groups.setdefault(strip(rep, mask), []).append(rep)
+            for coset, members in groups.items():
+                if index is not None:
+                    known = index.get((mask, coset), ())
+                    new = tuple(rep for rep in members if dirty[rep])
+                    if new:
+                        index[(mask, coset)] = known + new
+                    members += [rep for rep in known if rep not in dirty]
+                first = None
+                for rep in members:
+                    if rep not in dirty:
+                        side = of_mirror.get(rep)
+                        if side is None:
+                            continue  # no longer a boundary mirror
+                        rep = side.mirrors[0]
+                        met[rep] = side
+                    if first is None:
+                        first = rep
+                        continue
+                    a, b = find(first), find(rep)
+                    if a != b:
+                        parent[a] = b
+        groups = {}
+        for unit in list(dirty) + list(met):
+            groups.setdefault(find(unit), []).append(unit)
+        for units in groups.values():
+            reps = []
+            for unit in units:
+                side = met.get(unit)
+                if side is None:
+                    reps.append(unit)
+                else:
+                    del self.by_least[(g, unit)]
+                    reps.extend(side.mirrors)
+            side = Side(g, tuple(sorted(reps, key=syllable_key)))
+            self.by_least[(g, side.mirrors[0])] = side
+            for rep in side.mirrors:
+                of_mirror[rep] = side
+
 
 @dataclass(frozen=True)
 class SheetPartition:
@@ -38,9 +185,12 @@ class Clump:
     def __init__(self, building: Building, chambers, validate=True):
         self.building = building
         self.chambers = frozenset(chambers)
+        self.unfolding = None  # the Unfolding that made this clump, if any
         self._mirror_counts = None
-        self._sides = None
+        self._side_table = None  # _Sides
+        self._sides = None  # sorted list of the sides
         self._scwol = None
+        self._scwol_read = False
         self._cog = None
         if validate and not self._gallery_connected():
             raise DomainError("chamber set is not gallery-connected")
@@ -81,8 +231,7 @@ class Clump:
 
     # -- mirrors and boundary ---------------------------------------------
 
-    def mirror_counts(self):
-        """(gen, panel representative) -> number of clump chambers on it."""
+    def _counts(self):
         if self._mirror_counts is None:
             gp = self.building.gp
             counts = {}
@@ -93,10 +242,14 @@ class Clump:
             self._mirror_counts = counts
         return self._mirror_counts
 
+    def mirror_counts(self):
+        """(gen, panel representative) -> number of clump chambers on it."""
+        return dict(self._counts())
+
     def boundary_mirrors(self):
         """Panels carrying exactly one chamber of the clump, sorted."""
         return sorted(
-            (k for k, n in self.mirror_counts().items() if n == 1),
+            (k for k, n in self._counts().items() if n == 1),
             key=lambda k: (k[0], syllable_key(k[1])),
         )
 
@@ -106,7 +259,7 @@ class Clump:
         return not self.boundary_mirrors()
 
     def panel_count(self, g, rep):
-        return self.mirror_counts().get((g, rep), 0)
+        return self._counts().get((g, rep), 0)
 
     # -- vertex (face) queries ----------------------------------------------
 
@@ -134,10 +287,14 @@ class Clump:
         """Types s in the face's type with EVERY incident s-panel boundary."""
         return self._boundary_type(face, all)
 
-    def boundary_type(self, face):
-        return self.building.system.unmask(self.boundary_type_mask(face))
-
     # -- sides ---------------------------------------------------------------
+
+    def _side_index(self):
+        if self._side_table is None:
+            self._side_table = _Sides(self.building)
+            boundary = [k for k, n in self._counts().items() if n == 1]
+            self._side_table.update((), boundary)
+        return self._side_table
 
     def sides(self):
         """Boundary mirrors split into type-connected components.
@@ -146,58 +303,25 @@ class Clump:
         rank-two face, i.e. they have the same {u,c}-coset for some c
         commuting with u.
         """
-        if self._sides is not None:
-            return self._sides
-        gp = self.building.gp
-        sysm = self.building.system
-        rank = len(gp.qs)
-        by_type = {}
-        for g, rep in self.boundary_mirrors():
-            by_type.setdefault(g, []).append(rep)
-        sides = []
-        for g in sorted(by_type):
-            reps = sorted(by_type[g], key=syllable_key)
-            parent = {r: r for r in reps}
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for c in range(rank):
-                if c == g or not (sysm.comm[g] >> c) & 1:
-                    continue
-                pair_mask = (1 << g) | (1 << c)
-                groups = {}
-                for r in reps:
-                    groups.setdefault(gp.strip(r, pair_mask), []).append(r)
-                for members in groups.values():
-                    root = members[0]
-                    for other in members[1:]:
-                        parent[find(other)] = find(root)
-            comps = {}
-            for r in reps:
-                comps.setdefault(find(r), []).append(r)
-            for members in comps.values():
-                sides.append(Side(g, tuple(sorted(members, key=syllable_key))))
-        sides.sort(key=lambda k: (k.gen, syllable_key(k.mirrors[0])))
-        self._sides = sides
-        return sides
+        if self._sides is None:
+            self._sides = sorted(
+                self._side_index().by_least.values(),
+                key=lambda k: (k.gen, syllable_key(k.mirrors[0])),
+            )
+        return self._sides
 
     def side_of_mirror(self, g, rep):
-        for side in self.sides():
-            if side.gen == g and rep in side.mirrors:
-                return side
-        return None
+        """The side holding the boundary mirror, or None."""
+        return self._side_index().of_mirror[g].get(rep)
 
-    # -- derived complexes (lazy; see rabuild.cog) ----------------------------
+    # -- derived complexes (see rabuild.cog) ----------------------------------
 
     def scwol(self):
         if self._scwol is None:
             from .cog import scwol_of
 
             self._scwol = scwol_of(self)
+        self._scwol_read = True
         return self._scwol
 
     def cog(self):
@@ -207,6 +331,26 @@ class Clump:
             self._cog = canonical_cog(self)
         return self._cog
 
+    def _hand_on(self):
+        """Mirror counts, sides, face table and edge set for an unfolding.
+
+        They move to the new clump, which updates them in place, and this
+        clump rebuilds its own from its chambers if it is asked again.  A
+        scwol that has been read keeps its face table and edge set, and the
+        new clump gets copies, so that no reader sees them change.
+        """
+        from .cog import scwol_of
+
+        counts, sides = self._counts(), self._side_index().indexed()
+        scwol = self._scwol if self._scwol is not None else scwol_of(self)
+        faces, edges = scwol.face_chambers, scwol.edge_set
+        if self._scwol_read:
+            faces, edges = dict(faces), set(edges)
+        else:
+            self._scwol = None
+        self._mirror_counts = self._side_table = None
+        return counts, sides, faces, edges
+
 
 def chamber_clump(building: Building) -> Clump:
     """The radius-zero ball: a single chamber."""
@@ -214,24 +358,64 @@ def chamber_clump(building: Building) -> Clump:
 
 
 def unfold(clump: Clump, side: Side) -> Clump:
-    """Adjoin every chamber of every panel of the side."""
-    if side not in clump.sides():
+    """Adjoin every chamber of every panel of the side.
+
+    The new clump takes the old one's derived data over (see
+    ``Clump._hand_on``) and updates it for the new chambers: one strip per
+    new chamber and spherical type for the face table and the edges, panel
+    counts from the new chambers' panels, and sides from the mirrors that
+    leave or join the boundary.
+    """
+    found = clump.side_of_mirror(side.gen, side.mirrors[0])
+    if found != side:
         raise DomainError("not a side of this clump")
-    gp = clump.building.gp
-    new = set(clump.chambers)
+    from .cog import Scwol, add_chambers
+
+    building = clump.building
+    gp = building.gp
+    u = side.gen
+    lift = {}
     for rep in side.mirrors:
-        for e in range(gp.qs[side.gen]):
-            new.add(gp.mul(rep, ((side.gen, e),)))
-    return Clump(clump.building, new, validate=False)
+        panel = [gp.mul(rep, ((u, e),)) for e in range(gp.qs[u])]
+        old = [c for c in panel if c in clump.chambers]
+        if len(old) != 1:
+            raise InternalError("side mirror without a unique clump chamber")
+        for c in panel:
+            if c != old[0]:
+                lift[c] = old[0]
+    counts, sides, faces, edges = clump._hand_on()
+    added, created, new_edges = add_chambers(building, faces, edges, lift)
+    removed, joined = [], []
+    for (tmask, rep), members in added.items():
+        if not tmask or tmask & (tmask - 1):
+            continue  # not a panel
+        key = (tmask.bit_length() - 1, rep)
+        before = counts.get(key, 0)
+        counts[key] = before + len(members)
+        if before == 1:
+            removed.append(key)
+        elif before == 0 and len(members) == 1:
+            joined.append(key)
+    sides.update(removed, joined)
+    grown = Unfolding(side, lift, added, created, new_edges)
+    child = Clump(building, clump.chambers | grown.chambers, validate=False)
+    child.unfolding = grown
+    child._mirror_counts, child._side_table = counts, sides
+    child._scwol = Scwol(faces, edges)
+    return child
 
 
-def sheets(clump: Clump, side: Side) -> SheetPartition:
-    """Partition the new chambers of an unfolding by non-side adjacency."""
-    unfolded = unfold(clump, side)
-    new_chambers = unfolded.chambers - clump.chambers
-    gp = clump.building.gp
-    rank = len(gp.qs)
-    parent = {c: c for c in new_chambers}
+def sheets(clump: Clump) -> SheetPartition:
+    """Partition the chambers the clump's unfolding added by non-side adjacency.
+
+    New chambers sharing a panel of a type other than the side's are in one
+    sheet; the panels are read from the unfolding's faces.
+    """
+    grown = clump.unfolding
+    if grown is None:
+        raise DomainError("clump was not made by an unfolding")
+    u = grown.side.gen
+    parent = {c: c for c in grown.chambers}
 
     def find(x):
         while parent[x] != x:
@@ -239,25 +423,21 @@ def sheets(clump: Clump, side: Side) -> SheetPartition:
             x = parent[x]
         return x
 
-    groups = {}
-    for c in new_chambers:
-        for g in range(rank):
-            if g == side.gen:
-                continue
-            groups.setdefault((g, gp.strip(c, 1 << g)), []).append(c)
-    for members in groups.values():
+    for (tmask, _), members in grown.faces.items():
+        if not tmask or tmask & (tmask - 1) or tmask == 1 << u:
+            continue  # only panels of the other types
         for other in members[1:]:
             a, b = find(members[0]), find(other)
             if a != b:
                 parent[a] = b
     blocks = {}
-    for c in new_chambers:
+    for c in grown.chambers:
         blocks.setdefault(find(c), []).append(c)
     ordered = sorted(
         (frozenset(v) for v in blocks.values()),
         key=lambda blk: syllable_key(min(blk, key=syllable_key)),
     )
-    return SheetPartition(side, frozenset(new_chambers), tuple(ordered))
+    return SheetPartition(grown.side, grown.chambers, tuple(ordered))
 
 
 def sheet_mirror_table(clump: Clump, partition: SheetPartition):
@@ -311,13 +491,13 @@ def unfold_steps_to_ball(building: Building, n: int, cap=None, rng=None):
             ]
             if not alive:
                 continue
-            located = {current.side_of_mirror(orig.gen, m) for m in alive}
-            located.discard(None)
-            if len(located) != 1:
+            side = current.side_of_mirror(orig.gen, alive[0])
+            if side is None or any(
+                current.side_of_mirror(orig.gen, m) is not side for m in alive
+            ):
                 raise InternalError(
                     "pending side does not extend to a unique side"
                 )
-            side = located.pop()
             # each mirror is a boundary panel: it gains q - 1 chambers
             size = len(current) + len(side.mirrors) * (
                 building.gp.qs[side.gen] - 1

@@ -6,6 +6,10 @@ chain.  The canonical complex of groups puts the direct product of the
 cyclic groups named by a vertex's boundary type at that vertex, with
 natural inclusions along edges and no twisting.
 
+One helper, ``add_chambers``, puts chambers into a face table and an edge
+set.  ``scwol_of`` runs it on a whole clump; ``clump.unfold`` runs it on the
+new chambers of an unfolding, against the table it carries forward.
+
 A clump is accepted as admissible when the local development at every
 vertex of maximal spherical type is complete: the chambers on the vertex
 form a full subproduct of the residue, constant in the boundary
@@ -18,18 +22,44 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .building import face_key, syllable_key
 from .errors import DomainError, InternalError
 
 
-@dataclass(frozen=True)
 class Scwol:
-    vertices: tuple  # faces (tmask, rep), sorted
-    edges: tuple  # (src, dst) pairs, sorted
-    face_chambers: dict  # face -> sorted tuple of chambers on its residue
-    out_edges: dict  # face -> tuple of edges with that initial vertex
-    in_edges: dict  # face -> tuple of edges with that terminal vertex
+    """The scwol of a clump: its faces, and the inclusions between them.
+
+    ``face_chambers`` maps each face to the sorted tuple of clump chambers on
+    it, and ``edge_set`` holds the edges.  The sorted views (``vertices``,
+    ``edges``, ``out_edges``, ``in_edges``) are built once, when first read.
+    """
+
+    def __init__(self, face_chambers, edge_set):
+        self.face_chambers = face_chambers
+        self.edge_set = edge_set
+
+    @cached_property
+    def vertices(self):
+        return tuple(sorted(self.face_chambers, key=face_key))
+
+    @cached_property
+    def edges(self):
+        """Sorted by (face_key(src), face_key(dst)), through vertex positions."""
+        rank = {face: i for i, face in enumerate(self.vertices)}
+        n = len(rank)
+        return tuple(sorted(self.edge_set, key=lambda e: rank[e[0]] * n + rank[e[1]]))
+
+    @cached_property
+    def out_edges(self):
+        """face -> tuple of edges with that initial vertex"""
+        return _edges_by(self.edges, 0)
+
+    @cached_property
+    def in_edges(self):
+        """face -> tuple of edges with that terminal vertex"""
+        return _edges_by(self.edges, 1)
 
     def composable_pairs(self):
         """(a, b) with i(a) = t(b), and their composition."""
@@ -37,43 +67,58 @@ class Scwol:
             for a in self.out_edges.get(b[1], ()):
                 yield a, b, (b[0], a[1])
 
-    def has_edge(self, e):
-        src, dst = e
-        return e in self.out_edges.get(src, ())
+
+def _edges_by(edges, end):
+    out = {}
+    for e in edges:
+        out.setdefault(e[end], []).append(e)
+    return {k: tuple(v) for k, v in out.items()}
 
 
-def scwol_of(clump) -> Scwol:
-    building = clump.building
+def add_chambers(building, face_chambers, edge_set, chambers):
+    """Put chambers into a face table and an edge set, in place.
+
+    One strip per chamber and spherical type; the edges reuse the same
+    faces.  Only the faces of the given chambers are touched.  Returns the
+    chambers added to each touched face, the faces that were not in the
+    table before, and the edges that were not in the set before.
+    """
     gp = building.gp
     masks = building.spherical_masks
     pairs = [
-        (t1, t2)
-        for t1 in masks
-        for t2 in masks
+        (i, j)
+        for i, t1 in enumerate(masks)
+        for j, t2 in enumerate(masks)
         if t1 != t2 and (t1 & t2) == t1
     ]
-    face_chambers = {}
-    edges = set()
-    for c in clump.chambers:
-        # one strip per (chamber, type); the edges reuse the same faces
-        faces = {tmask: (tmask, gp.strip(c, tmask)) for tmask in masks}
-        for face in faces.values():
-            face_chambers.setdefault(face, []).append(c)
-        for t1, t2 in pairs:
-            edges.add((faces[t1], faces[t2]))
-    for face, members in face_chambers.items():
-        members.sort(key=syllable_key)
-        face_chambers[face] = tuple(members)
-    vertices = tuple(sorted(face_chambers, key=face_key))
-    edges = tuple(sorted(edges, key=lambda e: (face_key(e[0]), face_key(e[1]))))
-    out_edges = {}
-    in_edges = {}
-    for e in edges:
-        out_edges.setdefault(e[0], []).append(e)
-        in_edges.setdefault(e[1], []).append(e)
-    out_edges = {k: tuple(v) for k, v in out_edges.items()}
-    in_edges = {k: tuple(v) for k, v in in_edges.items()}
-    return Scwol(vertices, edges, face_chambers, out_edges, in_edges)
+    added = {}
+    new_edges = []
+    for c in chambers:
+        faces = [(tmask, gp.strip(c, tmask)) for tmask in masks]
+        for face in faces:
+            added.setdefault(face, []).append(c)
+        for i, j in pairs:
+            edge = (faces[i], faces[j])
+            if edge not in edge_set:
+                edge_set.add(edge)
+                new_edges.append(edge)
+    created = set()
+    for face, members in added.items():
+        old = face_chambers.get(face)
+        if old is None:
+            created.add(face)
+            ordered = sorted(members, key=syllable_key)
+        else:
+            ordered = sorted(old + tuple(members), key=syllable_key)
+        face_chambers[face] = tuple(ordered)
+    return added, created, new_edges
+
+
+def scwol_of(clump) -> Scwol:
+    """The scwol of a whole clump, built from its chambers alone."""
+    face_chambers, edge_set = {}, set()
+    add_chambers(clump.building, face_chambers, edge_set, clump.chambers)
+    return Scwol(face_chambers, edge_set)
 
 
 @dataclass(frozen=True)

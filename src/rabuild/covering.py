@@ -55,50 +55,36 @@ def label_unfold(prev: EdgeLabeling, step: UnfoldStep) -> EdgeLabeling:
     that when its terminal face lies on the side, the side-type component
     is replaced by the constant assigned to the sheet of the chambers
     carrying the edge.
+
+    Only the edges the unfolding created are visited, and ``prev.labels`` is
+    extended in place: the result owns it, and ``prev`` is used up.
     """
     if step.before is not prev.clump and step.before.chambers != prev.clump.chambers:
         raise InternalError("labeling does not match the unfolding step")
+    grown = step.after.unfolding
+    if grown is None or grown.side != step.side:
+        raise InternalError("step was not made by unfolding its side")
     building = step.before.building
     gp = building.gp
     u = step.side.gen
     qu = gp.qs[u]
-    prev_scwol = step.before.scwol()
-    new_scwol = step.after.scwol()
-    old_faces = set(prev_scwol.vertices)
-    side_mirrors = set(step.side.mirrors)
-
-    new_chambers = step.after.chambers - step.before.chambers
-    lift_ch = {}
-    for c in new_chambers:
-        rep = gp.strip(c, 1 << u)
-        olds = [
-            gp.mul(rep, ((u, e),)) if e else rep for e in range(qu)
-        ]
-        olds = [p for p in olds if p in step.before.chambers]
-        if len(olds) != 1:
-            raise InternalError("new chamber without a unique panel companion")
-        lift_ch[c] = olds[0]
+    lifted_faces = {}
 
     def lift_face(face):
-        if face in old_faces:
+        if face not in grown.created:
             return face
-        lifted = {
-            building.face_of(lift_ch[c], face[0])
-            for c in new_scwol.face_chambers[face]
-        }
-        if len(lifted) != 1:
-            raise InternalError("inconsistent face lift")
-        return lifted.pop()
+        got = lifted_faces.get(face)
+        if got is None:
+            lifted = {
+                building.face_of(grown.lift[c], face[0])
+                for c in grown.faces[face]
+            }
+            if len(lifted) != 1:
+                raise InternalError("inconsistent face lift")
+            got = lifted_faces[face] = lifted.pop()
+        return got
 
-    def on_side(face):
-        if not (face[0] >> u) & 1:
-            return False
-        return any(
-            gp.strip(c, 1 << u) in side_mirrors
-            for c in new_scwol.face_chambers[face]
-        )
-
-    part = sheets(step.before, step.side)
+    part = sheets(step.after)
     sheet_of = {}
     for idx, blk in enumerate(part.blocks):
         for c in blk:
@@ -106,28 +92,34 @@ def label_unfold(prev: EdgeLabeling, step: UnfoldStep) -> EdgeLabeling:
 
     # Component already used at a chosen mirror of the side: the label of
     # the edge from the old chamber's center into the mirror's center.
-    k_u = min(side_mirrors, key=syllable_key)
-    psi0 = lift_ch[next(c for c in new_chambers if gp.strip(c, 1 << u) == k_u)]
+    k_u = min(step.side.mirrors, key=syllable_key)
+    psi0 = next(
+        c
+        for c in (gp.mul(k_u, ((u, e),)) for e in range(qu))
+        if c in step.before.chambers
+    )
     c_edge = ((0, psi0), (1 << u, k_u))
-    g_old = prev.labels[c_edge][u]
+    labels = prev.labels
+    g_old = labels[c_edge][u]
     free = [e for e in range(qu) if e != g_old]
     if len(free) != len(part.blocks):
         raise InternalError("sheet count does not match the cyclic order")
     sheet_component = dict(enumerate(free))
 
-    labels = dict(prev.labels)
-    for edge in new_scwol.edges:
+    # Every new edge joins two faces of a new chamber, whose u-panel is a
+    # mirror of the side: its terminal face is on the side exactly when its
+    # type contains u.
+    for edge in sorted(grown.edges, key=lambda e: (face_key(e[0]), face_key(e[1]))):
         if edge in labels:
-            continue
+            raise InternalError("new edge already labeled")
         src, dst = edge
-        lifted = (lift_face(src), lift_face(dst))
-        if not prev_scwol.has_edge(lifted):
+        base = labels.get((lift_face(src), lift_face(dst)))
+        if base is None:
             raise InternalError("edge lift is not an edge")
-        base = prev.labels[lifted]
-        if on_side(dst):
-            if src in old_faces or on_side(src):
+        if (dst[0] >> u) & 1:
+            if src not in grown.created or (src[0] >> u) & 1:
                 raise InternalError("side edge with unexpected initial face")
-            touched = {sheet_of[c] for c in new_scwol.face_chambers[src]}
+            touched = {sheet_of[c] for c in grown.faces[src]}
             if len(touched) != 1:
                 raise InternalError("edge reachable from two different sheets")
             vec = list(base)

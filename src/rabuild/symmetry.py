@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .building import Building, face_key, syllable_key
-from .clump import Clump, sheet_mirror_table, sheets, unfold, unfold_steps_to_ball
+from .clump import Clump, sheet_mirror_table, sheets, unfold_steps_to_ball
 from .coxeter import CoxeterSystem, identity as w_identity, reduce as w_reduce
 from .covering import AbelianCogAdapter, CoveringReport, check_covering
 from .errors import DomainError, InternalError, SizeCapError
@@ -161,11 +161,10 @@ class BallAutomorphism:
                 key=syllable_key,
             )
         )
-        gen = self.perm[side.gen]
-        for cand in self.clump.sides():
-            if cand.gen == gen and cand.mirrors == image_mirrors:
-                return cand
-        raise InternalError("image of a side is not a side")
+        cand = self.clump.side_of_mirror(self.perm[side.gen], image_mirrors[0])
+        if cand is None or cand.mirrors != image_mirrors:
+            raise InternalError("image of a side is not a side")
+        return cand
 
     def compose(self, other):
         """self after other (both on the same clump)."""
@@ -833,9 +832,6 @@ class ApartmentFragment:
     chambers: frozenset
     by_w: tuple  # sorted ((w word), chamber) pairs
 
-    def chamber_for(self, word):
-        return dict(self.by_w)[tuple(word)]
-
 
 APARTMENT_COUNT_CAP = 20000
 
@@ -939,21 +935,20 @@ def is_apartment_fragment(building, n, chambers) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def sheet_swap(clump_before: Clump, side, i: int, j: int) -> BallAutomorphism:
-    """Automorphism of the unfolding fixing the old clump and exchanging
-    two sheets through the mirror correspondence."""
-    part = sheets(clump_before, side)
+def sheet_swap(unfolded: Clump, i: int, j: int) -> BallAutomorphism:
+    """Automorphism of an unfolding fixing the old clump and exchanging two
+    of its sheets through the mirror correspondence."""
+    part = sheets(unfolded)
     nblocks = len(part.blocks)
     if i == j or not (0 <= i < nblocks and 0 <= j < nblocks):
         raise DomainError(f"invalid sheet indices {i},{j} among {nblocks}")
-    tables = sheet_mirror_table(clump_before, part)
-    after = unfold(clump_before, side)
-    mapping = {c: c for c in after.chambers}
-    for m in side.mirrors:
+    tables = sheet_mirror_table(unfolded, part)
+    mapping = {c: c for c in unfolded.chambers}
+    for m in part.side.mirrors:
         a, b = tables[i][m], tables[j][m]
         mapping[a], mapping[b] = b, a
-    rank = len(clump_before.building.gp.qs)
-    h = BallAutomorphism(after, mapping, tuple(range(rank)))
+    rank = len(unfolded.building.gp.qs)
+    h = BallAutomorphism(unfolded, mapping, tuple(range(rank)))
     problems = h.verify()
     if problems:
         raise InternalError(f"sheet swap is not an automorphism: {problems[0]}")
@@ -1070,19 +1065,15 @@ def transitivity_witness(
             continue
         if a & step.before.chambers != b & step.before.chambers:
             raise InternalError("fragments disagree before the current step")
-        part = sheets(step.before, step.side)
-        blocks_a = {
-            k for k, blk in enumerate(part.blocks) if blk & (a - step.before.chambers)
-        }
-        blocks_b = {
-            k for k, blk in enumerate(part.blocks) if blk & (b - step.before.chambers)
-        }
+        part = sheets(step.after)
+        blocks_a = {k for k, blk in enumerate(part.blocks) if blk & a}
+        blocks_b = {k for k, blk in enumerate(part.blocks) if blk & b}
         if len(blocks_a) != 1 or len(blocks_b) != 1:
             raise InternalError("fragment meets several sheets of one unfolding")
         ia, ib = blocks_a.pop(), blocks_b.pop()
         if ia == ib:
             raise InternalError("distinct fragments in the same sheet")
-        swap = sheet_swap(step.before, step.side, ia, ib)
+        swap = sheet_swap(step.after, ia, ib)
         g = extend_to_ball(dict(swap.mapping), ball)
         h = g.compose(h)
     final = frozenset(h.mapping[c] for c in frag1.chambers)

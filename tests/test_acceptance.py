@@ -53,9 +53,9 @@ def test_criterion_1_sheet_law(suite):
                     if not sides or len(cur.chambers) > 300:
                         break
                     side = rng.choice(sides)
-                    part = sheets(cur, side)
-                    assert len(part.blocks) == bld.gp.qs[side.gen] - 1
                     cur = unfold(cur, side)
+                    part = sheets(cur)
+                    assert len(part.blocks) == bld.gp.qs[side.gen] - 1
                     total += 1
                     systems_used.add(name)
         elapsed = time.monotonic() - t0

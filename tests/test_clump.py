@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from rabuild.building import syllable_key
 from rabuild.clump import (
     Clump,
+    Side,
     chamber_clump,
     sheet_mirror_table,
     sheets,
@@ -60,21 +62,21 @@ def test_boundary_mirrors_ball1(d23):
 def test_boundary_type_examples(d23):
     y0 = chamber_clump(d23)
     s_vertex = d23.face_of((), 1 << 0)
-    assert y0.boundary_type(s_vertex) == {"s"}
+    assert y0.boundary_type_mask(s_vertex) == d23.system.mask({"s"})
     # after unfolding along the t-side, the t-mirror is interior
     tside = [k for k in y0.sides() if k.gen == 1][0]
     u = unfold(y0, tside)
     t_vertex = d23.face_of((), 1 << 1)
-    assert u.boundary_type(t_vertex) == frozenset()
+    assert u.boundary_type_mask(t_vertex) == d23.system.mask(set())
     with pytest.raises(DomainError):
-        u.boundary_type(d23.face_of(((0, 1), (1, 1)), 1 << 0))
+        u.boundary_type_mask(d23.face_of(((0, 1), (1, 1)), 1 << 0))
 
 
 def test_fully_interior_vertex(square23):
     whole = square23.ball(1)
     for tmask in square23.spherical_masks:
         face = square23.face_of((), tmask)
-        assert whole.boundary_type(face) == frozenset()
+        assert whole.boundary_type_mask(face) == square23.system.mask(set())
 
 
 def test_sides_basic(d23, hex3):
@@ -120,15 +122,15 @@ def test_sheets_counts(d23, d33):
     for bld in (d23, d33):
         y0 = chamber_clump(bld)
         for side in y0.sides():
-            part = sheets(y0, side)
+            part = sheets(unfold(y0, side))
             assert len(part.blocks) == bld.gp.qs[side.gen] - 1
 
 
 def test_sheet_mirror_bijection(hex3):
     y1, steps = unfold_steps_to_ball(hex3, 1)
     for st in steps:
-        part = sheets(st.before, st.side)
-        tables = sheet_mirror_table(st.before, part)
+        part = sheets(st.after)
+        tables = sheet_mirror_table(st.after, part)
         for table in tables:
             assert set(table) == set(st.side.mirrors)
             assert len(set(table.values())) == len(st.side.mirrors)
@@ -197,3 +199,107 @@ def test_boundary_type_three_case_law(d23, d33, square23, hex3):
                     assert current.boundary_type_mask(lift) & bt_after == \
                         current.boundary_type_mask(lift)
             current = after
+
+
+def _sides_oracle(clump):
+    """Sides without the incremental index: boundary mirrors of type g
+    grouped by their {g, c}-cosets, c commuting with g, then joined."""
+    bld = clump.building
+    gp = bld.gp
+    counts = Clump(bld, clump.chambers).mirror_counts()
+    comps = {k: {k} for k, n in counts.items() if n == 1}
+    groups = {}
+    for g, rep in comps:
+        for c in range(len(gp.qs)):
+            if (bld.system.comm[g] >> c) & 1:
+                mask = (1 << g) | (1 << c)
+                groups.setdefault((g, mask, gp.strip(rep, mask)), []).append((g, rep))
+    for members in groups.values():
+        for other in members[1:]:
+            a, b = comps[members[0]], comps[other]
+            if a is not b:
+                a |= b
+                for k in b:
+                    comps[k] = a
+    found = {id(c): c for c in comps.values()}.values()
+    return sorted(
+        (
+            Side(min(c)[0], tuple(sorted((r for _, r in c), key=syllable_key)))
+            for c in found
+        ),
+        key=lambda s: (s.gen, syllable_key(s.mirrors[0])),
+    )
+
+
+def _assert_matches_rebuild(carried, scwol, name):
+    """Carried mirror counts, boundary, sides and scwol equal a rebuild."""
+    fresh = Clump(carried.building, carried.chambers)
+    assert carried.mirror_counts() == fresh.mirror_counts(), name
+    assert carried.boundary_mirrors() == fresh.boundary_mirrors(), name
+    assert carried.sides() == fresh.sides(), name
+    rebuilt = fresh.scwol()
+    assert scwol.edge_set == rebuilt.edge_set, name
+    for view in ("face_chambers", "vertices", "edges", "in_edges", "out_edges"):
+        assert getattr(scwol, view) == getattr(rebuilt, view), (name, view)
+
+
+def test_sides_match_coset_grouping(suite_traces):
+    for name, (final, steps) in suite_traces.items():
+        for clump in [st.after for st in steps[:8]] + [final]:
+            assert clump.sides() == _sides_oracle(clump), name
+
+
+@pytest.mark.parametrize("seed", [None, 5, 17])
+def test_carried_structure_matches_rebuild(suite, seed):
+    # Replay each suite trace, canonical or shuffled, and compare every
+    # unfolded clump with a clump rebuilt from its chambers.  The carried
+    # scwol is read through the private slot, so that the next unfold moves
+    # it on as a pipeline does; reading it through scwol() would make the
+    # next unfold copy it.  Rebuilding each clump of hex3 at radius 2 takes
+    # about 15 s on a 2-vCPU machine, so the shuffled orders stop hex3 at
+    # radius 1.
+    for name, bld, nmax in suite:
+        rng = None if seed is None else random.Random(seed)
+        n = 1 if seed is not None and name == "hex3" else nmax
+        final, steps = unfold_steps_to_ball(bld, n, rng=rng)
+        current = chamber_clump(bld)
+        for st in steps:
+            current = unfold(current, st.side)
+            assert current.chambers == st.after.chambers, name
+            _assert_matches_rebuild(current, current._scwol, name)
+        assert current.chambers == final.chambers
+
+
+def test_carried_structure_after_reads(d33, hex3):
+    # Once a clump's scwol has been read, unfolding it copies the carried
+    # data: the read scwol stays as it was, and the copy is updated.
+    for bld in (d33, hex3):
+        final, steps = unfold_steps_to_ball(bld, 1)
+        current = chamber_clump(bld)
+        for st in steps:
+            before = current.scwol()
+            faces, edges = dict(before.face_chambers), set(before.edge_set)
+            current = unfold(current, st.side)
+            assert before.face_chambers == faces and before.edge_set == edges
+            _assert_matches_rebuild(current, current.scwol(), bld)
+
+
+def test_unfolding_any_clump_matches_rebuild(suite):
+    # Small gallery-connected chamber sets that no unfolding sequence
+    # reaches: unfolding one of their sides can take mirrors of other sides
+    # off the boundary, which dissolves those sides and joins what is left.
+    rng = random.Random(3)
+    for name, bld, _ in suite:
+        ball = bld.ball_chambers(2)
+        gp = bld.gp
+        for _ in range(12):
+            chambers = {()}
+            for _ in range(rng.randint(1, 12)):
+                c = rng.choice(sorted(chambers, key=syllable_key))
+                g = rng.randrange(len(gp.qs))
+                d = gp.mul(c, ((g, rng.randrange(1, gp.qs[g])),))
+                if d in ball:
+                    chambers.add(d)
+            for side in Clump(bld, chambers).sides():
+                unfolded = unfold(Clump(bld, chambers), side)
+                _assert_matches_rebuild(unfolded, unfolded._scwol, name)

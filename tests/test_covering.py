@@ -52,8 +52,9 @@ def test_label_stability_and_u_only_changes(d33):
     final, steps = unfold_steps_to_ball(d33, 2)
     lab = label_initial(chamber_clump(d33))
     for st in steps:
+        old_labels = dict(lab.labels)  # label_unfold extends lab.labels in place
         new = label_unfold(lab, st)
-        for edge, vec in lab.labels.items():
+        for edge, vec in old_labels.items():
             assert new.labels[edge] == vec
         u = st.side.gen
         gp = d33.gp

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from rabuild.building import Building
-from rabuild.clump import chamber_clump, unfold_steps_to_ball
+from rabuild.clump import chamber_clump, unfold, unfold_steps_to_ball
 from rabuild.coxeter import CoxeterSystem
 from rabuild.errors import DomainError, SizeCapError
 from rabuild import symmetry as sym
@@ -341,13 +341,13 @@ def test_sheet_swap_rejects_single_sheet(d23):
     y0 = chamber_clump(d23)
     sside = [k for k in y0.sides() if k.gen == 0][0]  # q_s = 2
     with pytest.raises(DomainError):
-        sym.sheet_swap(y0, sside, 0, 1)
+        sym.sheet_swap(unfold(y0, sside), 0, 1)
 
 
 def test_sheet_swap_involution(d23):
     y0 = chamber_clump(d23)
     tside = [k for k in y0.sides() if k.gen == 1][0]  # q_t = 3
-    h = sym.sheet_swap(y0, tside, 0, 1)
+    h = sym.sheet_swap(unfold(y0, tside), 0, 1)
     assert h.verify() == []
     assert h.chamber_image(()) == ()
     assert h.compose(h).is_identity()
@@ -356,7 +356,7 @@ def test_sheet_swap_involution(d23):
 def test_sheet_swap_fixes_old_clump(d33):
     final, steps = unfold_steps_to_ball(d33, 1)
     st = steps[0]
-    h = sym.sheet_swap(st.before, st.side, 0, 1)
+    h = sym.sheet_swap(st.after, 0, 1)
     for c in st.before.chambers:
         assert h.chamber_image(c) == c
 
