@@ -113,13 +113,6 @@ class Building:
         tmask, rep = face
         return [self.gp.mul(rep, x) for x in self.subgroup(tmask)]
 
-    def adjacency_type(self, a, b):
-        """Generator index if the chambers are adjacent, else None."""
-        d = self.gp.delta(a, b)
-        if len(d) == 1:
-            return d[0][0]
-        return None
-
     def ball_chambers(self, n, cap=None):
         """Chamber set of the combinatorial ball of radius n (raw tuples)."""
         cap = self.chamber_cap if cap is None else cap

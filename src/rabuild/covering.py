@@ -351,11 +351,16 @@ def check_covering(src, tgt, f_vertex, f_edge, phi_vertex, phi_edge) -> Covering
             if lhs != rhs:
                 report.fail("target-twist", (a, b))
                 break
-    # cocycle over composable triples
+    # cocycle over composable triples; the pairs are indexed by their first
+    # edge, each c taken in the order of tgt.edges()
+    position = {e: i for i, e in enumerate(tgt.edges())}
+    after = {}
+    for b, c in composed:
+        after.setdefault(b, []).append(c)
+    for cs in after.values():
+        cs.sort(key=position.__getitem__)
     for (a, b), ab in composed.items():
-        for c in tgt.edges():
-            if (b, c) not in composed:
-                continue
+        for c in after.get(b, ()):
             bc = composed[(b, c)]
             ta = tgt.ends(a)[1]
             lhs = tgt.mult(

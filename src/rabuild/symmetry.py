@@ -144,13 +144,13 @@ class BallAutomorphism:
         if not members:
             raise DomainError("face is not incident to the clump")
         tmask = permute_mask(self.perm, face[0])
-        images = {
-            self.clump.building.face_of(self.mapping[c], tmask) for c in members
-        }
-        if len(images) != 1:
-            raise InternalError("chamber map does not induce a face map")
-        image = images.pop()
-        self._face_cache[face] = image
+        strip = self.clump.building.gp.strip
+        reps = {strip(self.mapping[c], tmask) for c in members}
+        if len(reps) != 1:
+            raise InternalError(
+                f"chamber map does not induce a face map at face {face!r}"
+            )
+        image = self._face_cache[face] = (tmask, reps.pop())
         return image
 
     def side_image(self, side):
@@ -163,7 +163,10 @@ class BallAutomorphism:
         )
         cand = self.clump.side_of_mirror(self.perm[side.gen], image_mirrors[0])
         if cand is None or cand.mirrors != image_mirrors:
-            raise InternalError("image of a side is not a side")
+            raise InternalError(
+                f"image of a side is not a side at the side of type {side.gen} "
+                f"through mirror {side.mirrors[0]!r}"
+            )
         return cand
 
     def compose(self, other):
@@ -182,7 +185,16 @@ class BallAutomorphism:
         return BallAutomorphism(self.clump, mapping, tuple(inv))
 
     def verify(self):
-        """Structural problems, empty when this is an automorphism."""
+        """Structural problems, empty when this is an automorphism.
+
+        Panel by panel: a chamber bijection preserves s-adjacency, with s
+        carried to perm[s], exactly when each s-panel's chambers land in
+        one perm[s]-panel of the clump and no two panels land in the same
+        one.  The pass over the faces checks this for every face, panels
+        included, so no pair of chambers is compared.  (Injectivity also
+        follows from the rest by counting faces along the cycles of perm;
+        checking it names a collision where it first shows.)
+        """
         problems = []
         clump = self.clump
         if set(self.mapping) != clump.chambers or set(
@@ -190,22 +202,27 @@ class BallAutomorphism:
         ) != clump.chambers:
             problems.append("not a bijection of the clump's chambers")
             return problems
-        bld = clump.building
-        for c in clump.chambers:
-            for d in clump.chambers:
-                t = bld.adjacency_type(c, d)
-                ti = bld.adjacency_type(self.mapping[c], self.mapping[d])
-                expect = None if t is None else self.perm[t]
-                if ti != expect:
-                    problems.append(
-                        f"adjacency not preserved at {c!r},{d!r}"
-                    )
-                    return problems
+        faces = clump.scwol().face_chambers
+        preimage = {}
         try:
             for face in clump.scwol().vertices:
-                self.face_image(face)
+                image = self.face_image(face)
+                if image not in faces:
+                    problems.append(
+                        f"face {face!r} leaves the clump: its image {image!r} "
+                        "is not a face of the clump"
+                    )
+                    return problems
+                other = preimage.setdefault(image, face)
+                if other != face:
+                    problems.append(
+                        f"face map is not injective: faces {other!r} and "
+                        f"{face!r} share the image {image!r}"
+                    )
+                    return problems
         except InternalError as exc:
             problems.append(str(exc))
+            return problems
         try:
             for side in clump.sides():
                 self.side_image(side)
@@ -331,9 +348,10 @@ class _Cells:
     """Quotient base: scwol vertices, or residue chains when subdividing.
 
     A cell is a tuple of faces with strictly increasing types along scwol
-    edges; its local group is the local group of its smallest face.  An
-    edge goes from a chain to each proper nonempty subchain, so an element
-    fixing a cell fixes every edge out of it.
+    edges; its local group is the local group of its first, smallest face.
+    An edge goes from a chain to each proper nonempty subchain, so an
+    element fixing a cell fixes every edge out of it.  Each cell gets its
+    sort key (``key``) once.
     """
 
     def __init__(self, clump, subdivide):
@@ -342,20 +360,17 @@ class _Cells:
         cog = clump.cog()
         self.cog = cog
         scwol = cog.scwol
+        fkey = {f: face_key(f) for f in scwol.vertices}
         if subdivide:
-            children = {}
-            for src, dst in scwol.edges:
-                children.setdefault(src, []).append(dst)
             chains = []
             stack = [(v,) for v in scwol.vertices]
             while stack:
                 chain = stack.pop()
                 chains.append(chain)
-                for nxt in children.get(chain[-1], ()):
+                for _, nxt in scwol.out_edges.get(chain[-1], ()):
                     stack.append(chain + (nxt,))
-            self.cells = tuple(
-                sorted(chains, key=lambda ch: tuple(face_key(f) for f in ch))
-            )
+            self.key = {ch: tuple(fkey[f] for f in ch) for ch in chains}
+            self.cells = tuple(sorted(chains, key=self.key.__getitem__))
             edges = []
             for chain in self.cells:
                 n = len(chain)
@@ -364,26 +379,15 @@ class _Cells:
                 for bits in range(1, (1 << n) - 1):
                     sub = tuple(chain[i] for i in range(n) if (bits >> i) & 1)
                     edges.append((chain, sub))
-            self.edges = tuple(sorted(edges, key=self._edge_key))
         else:
             self.cells = tuple((v,) for v in scwol.vertices)
+            self.key = {c: (fkey[c[0]],) for c in self.cells}
             edges = [((src,), (dst,)) for src, dst in scwol.edges]
-            self.edges = tuple(sorted(edges, key=self._edge_key))
-        self.local_mask = {c: cog.local_masks[self._group_face(c)] for c in self.cells}
+        self.edges = tuple(sorted(edges, key=self.edge_key))
+        self.local_mask = {c: cog.local_masks[c[0]] for c in self.cells}
 
-    @staticmethod
-    def _edge_key(e):
-        return (
-            tuple(face_key(f) for f in e[0]),
-            tuple(face_key(f) for f in e[1]),
-        )
-
-    @staticmethod
-    def cell_key(c):
-        return tuple(face_key(f) for f in c)
-
-    def _group_face(self, cell):
-        return min(cell, key=face_key)
+    def edge_key(self, e):
+        return (self.key[e[0]], self.key[e[1]])
 
 
 class QuotientCog:
@@ -394,6 +398,11 @@ class QuotientCog:
     through the action of h on local coordinates.  Monomorphisms, twists
     and the covering data all come from fixed orbit-representative and
     transporter choices, every one canonical-least.
+
+    Automorphisms are referred to by their index in ``autos``.  Each cell's
+    images under all of them are computed once (``images``), and orbits,
+    stabilizers, transporters and representative edges are read off those
+    images and dictionaries built from them.
     """
 
     def __init__(self, clump: Clump, autos, subdivide=None):
@@ -413,8 +422,11 @@ class QuotientCog:
             subdivide = _action_has_inversions(clump, autos)
         self.subdivided = subdivide
         self.cells = _Cells(clump, subdivide)
-        self.simple = {h: extend_action(clump, h) for h in autos}
-        self._cell_image_cache = {}
+        self.simple = [extend_action(clump, h) for h in autos]
+        self.images = {
+            c: tuple(tuple(h.face_image(f) for f in c) for h in autos)
+            for c in self.cells.cells
+        }
         self._build()
 
     # -- group action plumbing ------------------------------------------
@@ -426,16 +438,10 @@ class QuotientCog:
         return got
 
     def cell_image(self, hi, cell):
-        got = self._cell_image_cache.get((hi, cell))
-        if got is None:
-            h = self.autos[hi]
-            got = tuple(h.face_image(f) for f in cell)
-            self._cell_image_cache[(hi, cell)] = got
-        return got
+        return self.images[cell][hi]
 
     def local_map_at(self, hi, cell):
-        face = self.cells._group_face(cell)
-        return self.simple[self.autos[hi]].vertex_maps[face]
+        return self.simple[hi].vertex_maps[cell[0]]
 
     def apply_local(self, hi, cell, x):
         """phi^h at the cell's group face, on a canonical subgroup element."""
@@ -446,44 +452,36 @@ class QuotientCog:
 
     def _build(self):
         cells = self.cells
-        nh = len(self.autos)
-        orbits = {}
-        for c in cells.cells:
-            images = sorted(
-                (self.cell_image(i, c) for i in range(nh)), key=_Cells.cell_key
-            )
-            orbits[c] = images[0]
-        self.rep_of = orbits
-        self.reps = tuple(
-            sorted(set(orbits.values()), key=_Cells.cell_key)
-        )
+        key = cells.key
+        images = self.images
+
+        # orbit representatives, transporters to them, stabilizers
+        self.rep_of = {}
         self.k_to_rep = {}
         for c in cells.cells:
-            self.k_to_rep[c] = min(
-                (i for i in range(nh) if self.cell_image(i, c) == orbits[c])
-            )
+            imgs = images[c]
+            rep = min(imgs, key=key.__getitem__)
+            self.rep_of[c] = rep
+            self.k_to_rep[c] = imgs.index(rep)
+        self.reps = tuple(sorted(set(self.rep_of.values()), key=key.__getitem__))
         self.stab = {
-            rep: tuple(
-                i for i in range(nh) if self.cell_image(i, rep) == rep
-            )
+            rep: tuple(i for i, x in enumerate(images[rep]) if x == rep)
             for rep in self.reps
         }
 
-        # quotient edges: orbit of a cell edge, keyed by a canonical member
+        # quotient edges: orbit of a cell edge, keyed by a canonical member;
+        # the representative edge of an orbit is its least member starting
+        # at the orbit representative of the orbit's initial vertices
         edge_set = set(cells.edges)
         edge_orbit = {}
+        least_from = {}
         for e in cells.edges:
-            images = sorted(
-                (
-                    (self.cell_image(i, e[0]), self.cell_image(i, e[1]))
-                    for i in range(nh)
-                ),
-                key=_Cells._edge_key,
-            )
-            edge_orbit[e] = images[0]
+            b = min(zip(images[e[0]], images[e[1]]), key=cells.edge_key)
+            edge_orbit[e] = b
+            least_from.setdefault((b, e[0]), e)
         self.edge_orbit = edge_orbit
         self.z_edges = tuple(
-            sorted(set(edge_orbit.values()), key=_Cells._edge_key)
+            sorted(set(edge_orbit.values()), key=cells.edge_key)
         )
 
         # representative edge with initial vertex at the orbit rep, and the
@@ -491,14 +489,9 @@ class QuotientCog:
         self.edge_rep = {}
         self.kappa = {}
         for b in self.z_edges:
-            cands = [
-                e
-                for e in cells.edges
-                if edge_orbit[e] == b and e[0] == self.rep_of[b[0]]
-            ]
-            if not cands:
+            abar = least_from.get((b, self.rep_of[b[0]]))
+            if abar is None:
                 raise InternalError("edge orbit misses its representative vertex")
-            abar = min(cands, key=_Cells._edge_key)
             self.edge_rep[b] = abar
             self.kappa[b] = self.k_to_rep[abar[1]]
 
@@ -521,9 +514,7 @@ class QuotientCog:
         self.z_compose = {}
         self.z_twist = {}
         for b in self.z_edges:
-            for bp in self.z_edges:
-                if self.z_ends[bp][1] != self.z_ends[b][0]:
-                    continue
+            for bp in self.z_in_edges.get(self.z_ends[b][0], ()):
                 abar_b = self.edge_rep[b]
                 abar_bp = self.edge_rep[bp]
                 kp_inv = self._inv[self.kappa[bp]]
@@ -682,8 +673,8 @@ def composed_quotient_covering(labeling, autos_on_chamber) -> CoveringReport:
 
     # unfolding covering over chains: labels attach by minimal faces
     def chain_label(e):
-        v_from = src_cells._group_face(e[0])
-        v_to = src_cells._group_face(e[1])
+        v_from = e[0][0]
+        v_to = e[1][0]
         if v_from == v_to:
             return ()
         vec = labeling.labels[(v_from, v_to)]
@@ -955,12 +946,45 @@ def sheet_swap(unfolded: Clump, i: int, j: int) -> BallAutomorphism:
     return h
 
 
+def _ball_panels(ball: Clump):
+    """chamber -> its panels' chamber sets in the ball, one per type."""
+    strip = ball.building.gp.strip
+    rank = len(ball.building.gp.qs)
+    keys = {c: [strip(c, 1 << t) for t in range(rank)] for c in ball.chambers}
+    members = {}
+    for c, reps in keys.items():
+        for t, rep in enumerate(reps):
+            members.setdefault((t, rep), set()).add(c)
+    return {
+        c: tuple(members[(t, rep)] for t, rep in enumerate(reps))
+        for c, reps in keys.items()
+    }
+
+
+def _panel_consistent(panels, mapping, used, perm, c, cand) -> bool:
+    """Whether mapping the unmapped c to the unused cand keeps adjacency.
+
+    For each type t, the images of the mapped chambers on c's t-panel must
+    be exactly the used chambers on cand's perm[t]-panel: then every
+    mapped chamber is t-adjacent to c exactly when its image is
+    perm[t]-adjacent to cand, and non-adjacent otherwise.
+    """
+    mine, theirs = panels[c], panels[cand]
+    for t, p in enumerate(perm):
+        images = {mapping[d] for d in mine[t] if d in mapping}
+        if images != {d for d in theirs[p] if d in used}:
+            return False
+    return True
+
+
 def extend_to_ball(partial: dict, ball: Clump, perm=None) -> BallAutomorphism:
     """Complete a partial chamber map to an automorphism of the ball.
 
     Depth-first search over the unassigned chambers, keeping full local
     consistency: a candidate image must reproduce the adjacency type (or
-    non-adjacency) with every chamber already mapped.
+    non-adjacency) with every chamber already mapped.  That is checked
+    panel by panel (``_panel_consistent``), never against each mapped
+    chamber in turn.
     """
     bld = ball.building
     rank = len(bld.gp.qs)
@@ -968,6 +992,7 @@ def extend_to_ball(partial: dict, ball: Clump, perm=None) -> BallAutomorphism:
     todo = sorted(ball.chambers - set(partial), key=syllable_key)
     mapping = dict(partial)
     used = set(mapping.values())
+    panels = _ball_panels(ball)
 
     neighbors = {}
     for c in ball.chambers:
@@ -991,14 +1016,7 @@ def extend_to_ball(partial: dict, ball: Clump, perm=None) -> BallAutomorphism:
             cand = bld.gp.mul(mapping[nb], ((perm[g], e),))
             if cand in used or cand not in ball.chambers:
                 continue
-            ok = True
-            for d, img in mapping.items():
-                t = bld.adjacency_type(c, d)
-                ti = bld.adjacency_type(cand, img)
-                if ti != (None if t is None else perm[t]):
-                    ok = False
-                    break
-            if ok:
+            if _panel_consistent(panels, mapping, used, perm, c, cand):
                 out.append(cand)
         return out
 

@@ -131,12 +131,6 @@ def test_admissibility_verdicts(d23, tree_product, suite):
     assert bad.variant_mismatches  # boundary-type readings disagree here
 
 
-def test_unfoldings_stay_admissible(suite_traces):
-    for name, (final, steps) in suite_traces.items():
-        for st in steps:
-            assert is_admissible(st.after).admissible, name
-
-
 def test_chamber_count_law(suite_traces):
     # at every vertex of an unfolded clump, the chambers on it number the
     # product of the parameters in the free (non-boundary) directions

@@ -396,3 +396,137 @@ def test_witness_all_pairs_d23_radius2(d23):
             image = frozenset(h.chamber_image(c) for c in f1.chambers)
             assert image == f2.chambers
             assert h.chamber_image(()) == ()
+
+
+# -- panel-wise checks against the pairwise oracles ---------------------------
+
+
+def _adjacency_preserved(h):
+    """The pairwise oracle: delta of every chamber pair against its image."""
+    gp = h.clump.building.gp
+
+    def adjacency(a, b):
+        d = gp.delta(a, b)
+        return d[0][0] if len(d) == 1 else None
+
+    for c in h.clump.chambers:
+        for d in h.clump.chambers:
+            t = adjacency(c, d)
+            if adjacency(h.mapping[c], h.mapping[d]) != (
+                None if t is None else h.perm[t]
+            ):
+                return False
+    return True
+
+
+def _transposed(h, c1, c2):
+    mapping = dict(h.mapping)
+    mapping[c1], mapping[c2] = mapping[c2], mapping[c1]
+    return sym.BallAutomorphism(h.clump, mapping, h.perm)
+
+
+def test_verify_matches_pairwise_adjacency_oracle(suite):
+    rng = random.Random(7)
+    agreed = {True: 0, False: 0}
+    named = None
+    for name, bld, _ in suite:
+        for n in (1, 2):
+            try:
+                chambers = bld.ball_chambers(n, cap=120)
+            except SizeCapError:
+                continue
+            ball = bld.ball(n)
+            order = sorted(chambers, key=lambda c: (len(c), c))
+            for h in sym.automorphism_group_from_permutations(ball):
+                maps = [h]
+                for _ in range(3):
+                    c1, c2 = rng.sample(order, 2)
+                    maps.append(_transposed(h, c1, c2))
+                # two outermost chambers of one panel: often still an
+                # automorphism
+                for leaf in order[-3:]:
+                    for e in range(1, bld.gp.qs[leaf[-1][0]]):
+                        mate = bld.gp.mul(leaf, ((leaf[-1][0], e),))
+                        if mate in chambers:
+                            maps.append(_transposed(h, leaf, mate))
+                for m in maps:
+                    expect = _adjacency_preserved(m)
+                    problems = m.verify()
+                    assert (problems == []) == expect, (name, n, problems)
+                    agreed[expect] += 1
+                    if problems and named is None:
+                        named = (m, problems[0])
+    assert agreed[True] >= 50 and agreed[False] >= 50, agreed
+    # a failure names its check and the face where it failed
+    m, message = named
+    assert message.startswith(
+        ("chamber map does not induce a face map", "face map is not injective")
+    )
+    assert any(repr(f) in message for f in m.clump.scwol().vertices)
+
+
+def test_verify_names_a_face_that_leaves_the_clump():
+    # swapping a and b breaks commutation with c: the {b, c}-face of the
+    # base chamber would go to the non-spherical type {a, c}
+    bld = Building(
+        CoxeterSystem(["a", "b", "c"], [("b", "c")]), {"a": 2, "b": 2, "c": 3}
+    )
+    h = sym.BallAutomorphism(chamber_clump(bld), {(): ()}, (1, 0, 2))
+    problems = h.verify()
+    assert len(problems) == 1
+    assert problems[0].startswith("face (6, ()) leaves the clump")
+
+
+def test_extend_to_ball_panel_filter_matches_pairwise_filter(d23, monkeypatch):
+    # the partial maps transitivity_witness hands to extend_to_ball, their
+    # growth towards the extension found, and random injective partial maps
+    # of the same balls, which need not extend at all
+    partials = []
+    original = sym.extend_to_ball
+
+    def recording(partial, ball, perm=None):
+        h = original(partial, ball, perm)
+        partials.append((dict(partial), h, ball))
+        return h
+
+    monkeypatch.setattr(sym, "extend_to_ball", recording)
+    frags = sym.apartments_through_base(d23, 2)
+    for f1 in frags:
+        for f2 in frags:
+            sym.transitivity_witness(d23, f1, f2, 2)
+    assert partials
+    gp = d23.gp
+    rng = random.Random(29)
+
+    def adjacency(a, b):
+        d = gp.delta(a, b)
+        return d[0][0] if len(d) == 1 else None
+
+    outcomes = {True: 0, False: 0}
+    for partial, h, ball in partials:
+        panels = sym._ball_panels(ball)
+        order = sorted(ball.chambers, key=lambda c: (len(c), c))
+        rest = [c for c in order if c not in partial]
+        states = []
+        for k in (0, len(rest) // 3, 2 * len(rest) // 3):
+            mapping = dict(partial)
+            mapping.update((c, h.mapping[c]) for c in rest[:k])
+            states.append(mapping)
+        for _ in range(4):
+            size = rng.randint(1, len(order) - 1)
+            states.append(dict(zip(rng.sample(order, size), rng.sample(order, size))))
+        for mapping in states:
+            used = set(mapping.values())
+            for c in ball.chambers - set(mapping):
+                for cand in ball.chambers - used:
+                    pairwise = all(
+                        adjacency(cand, img)
+                        == (None if adjacency(c, d) is None else h.perm[adjacency(c, d)])
+                        for d, img in mapping.items()
+                    )
+                    panelwise = sym._panel_consistent(
+                        panels, mapping, used, h.perm, c, cand
+                    )
+                    assert panelwise == pairwise
+                    outcomes[pairwise] += 1
+    assert outcomes[True] and outcomes[False], outcomes
