@@ -192,6 +192,7 @@ class Clump:
         self._scwol = None
         self._scwol_read = False
         self._cog = None
+        self._vertex_sides = None
         if validate and not self._gallery_connected():
             raise DomainError("chamber set is not gallery-connected")
 
@@ -263,19 +264,34 @@ class Clump:
 
     # -- vertex (face) queries ----------------------------------------------
 
+    def _panels_at(self, face):
+        """Per type g of the face: the clump's g-panels on it, as faces.
+
+        Read from the scwol: a g-panel on the face is the initial vertex of
+        an in-edge of type {g}, or the face itself when it is a g-panel.
+        """
+        scwol = self.scwol()
+        if not scwol.face_chambers.get(face):
+            raise DomainError("face is not incident to the clump")
+        tmask = face[0]
+        if tmask & (tmask - 1) == 0:
+            return {tmask.bit_length() - 1: [face]} if tmask else {}
+        out = {}
+        for src, _ in scwol.in_edges[face]:
+            t = src[0]
+            if t and t & (t - 1) == 0:
+                out.setdefault(t.bit_length() - 1, []).append(src)
+        return out
+
     def _boundary_type(self, face, reading):
         """Mask of the types g of the face for which ``reading`` (``any`` or
-        ``all``) holds over its incident g-panels being boundary panels."""
-        members = self.scwol().face_chambers.get(face)
-        if not members:
-            raise DomainError("face is not incident to the clump")
-        gp = self.building.gp
+        ``all``) holds over its incident g-panels being boundary panels.
+
+        A panel's chamber count is read from the face table."""
+        faces = self.scwol().face_chambers
         out = 0
-        for g in range(len(gp.qs)):
-            if not (face[0] >> g) & 1:
-                continue
-            panels = {gp.strip(c, 1 << g) for c in members}
-            if reading(self.panel_count(g, p) == 1 for p in panels):
+        for g, panels in self._panels_at(face).items():
+            if reading(len(faces[p]) == 1 for p in panels):
                 out |= 1 << g
         return out
 
@@ -313,6 +329,36 @@ class Clump:
     def side_of_mirror(self, g, rep):
         """The side holding the boundary mirror, or None."""
         return self._side_index().of_mirror[g].get(rep)
+
+    def vertex_sides(self):
+        """Scwol vertex -> {g: the side holding its boundary g-panels}.
+
+        One entry for each type g of the vertex's local group, the mask of
+        types with some boundary panel on the vertex.  Built once per clump.
+        """
+        if self._vertex_sides is None:
+            cog = self.cog()
+            faces = cog.scwol.face_chambers
+            table = {}
+            for face in cog.scwol.vertices:
+                mask = cog.local_masks[face]
+                at = table[face] = {}
+                for g, panels in self._panels_at(face).items():
+                    if not (mask >> g) & 1:
+                        continue
+                    owners = {
+                        self.side_of_mirror(g, p[1])
+                        for p in panels
+                        if len(faces[p]) == 1
+                    }
+                    owners.discard(None)
+                    if len(owners) != 1:
+                        raise InternalError(
+                            "boundary panels at a vertex span several sides"
+                        )
+                    at[g] = owners.pop()
+            self._vertex_sides = table
+        return self._vertex_sides
 
     # -- derived complexes (see rabuild.cog) ----------------------------------
 

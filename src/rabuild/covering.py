@@ -13,7 +13,8 @@ Property (3) is checked twice and independently: through the
 distinct-projection criterion and through brute-force coset listing; a
 disagreement aborts, since it would mean one of the implementations is
 wrong.  ``check_covering`` is the general verifier of the covering axioms
-and is also used by the symmetry quotients.
+and is also used by the symmetry quotients.  Both fiber checks list each
+coset once and examine every member of it.
 """
 
 from __future__ import annotations
@@ -174,8 +175,44 @@ def _proper_submasks(tmask):
     return out  # every proper subset, descending; includes 0
 
 
+def coset_projections(building, bmask, sub_mask, free):
+    """Each coset of G_{sub_mask} in G_{bmask}, projected onto the types in ``free``.
+
+    The cosets are listed by group products, each from the first element of
+    G_{bmask} it holds, and every member is projected: the members of a coset
+    must agree, or the listing aborts.  A projection is the tuple of exponents
+    of the free types, in increasing type order.
+    """
+    gp = building.gp
+    sub = building.subgroup(sub_mask)
+    gens = [g for g in range(len(gp.qs)) if (free >> g) & 1]
+    covered = set()
+    out = []
+    for gvec in building.subgroup(bmask):
+        if gvec in covered:
+            continue
+        coset = [gp.mul(gvec, s) for s in sub]
+        covered.update(coset)
+        keys = set()
+        for member in coset:
+            total = dict(member)
+            keys.add(tuple(total.get(g, 0) for g in gens))
+        if len(keys) != 1:
+            raise InternalError("coset image is not well-defined")
+        out.append(keys.pop())
+    return out
+
+
 def verify_labeling(lab: EdgeLabeling) -> LabelingReport:
-    """Support, multiplicativity, and the per-fiber coset bijections."""
+    """Support, multiplicativity, and the per-fiber coset bijections.
+
+    The brute-force side of property (3) lists the cosets of G_{B'} in G_B,
+    B and B' the local masks of a fiber's face and of an edge's initial
+    face, by group products, and projects each onto the free types T - U.
+    The listing depends on (B, B', T - U) alone, so it is made once per
+    mask triple in a call; every fiber edge then adds its label to the
+    projections.
+    """
     clump = lab.clump
     building = clump.building
     gp = building.gp
@@ -195,12 +232,16 @@ def verify_labeling(lab: EdgeLabeling) -> LabelingReport:
         if any((la[g] + lb[g]) % qs[g] != lab_vec[g] for g in range(rank)):
             report.fail("composition", (a, b))
 
+    listings = {}  # (B, B', T - U) -> coset_projections(...)
+
     for face in scwol.vertices:
         tmask = face[0]
         bmask = cog.local_masks[face]
-        in_edges = scwol.in_edges.get(face, ())
+        by_type = {}
+        for a in scwol.in_edges.get(face, ()):
+            by_type.setdefault(a[0][0], []).append(a)
         for umask in _proper_submasks(tmask):
-            fiber = [a for a in in_edges if a[0][0] == umask]
+            fiber = by_type.get(umask, ())
             report.fibers_checked += 1
 
             # criterion: pairwise distinct projections away from both the
@@ -213,32 +254,22 @@ def verify_labeling(lab: EdgeLabeling) -> LabelingReport:
             distinct = len(set(projections)) == len(projections)
 
             # brute force: list every coset image
+            free = tmask & ~umask
+            gens = [g for g in range(rank) if (free >> g) & 1]
             target_size = 1
-            for g in range(rank):
-                if (tmask >> g) & 1 and not (umask >> g) & 1:
-                    target_size *= qs[g]
+            for g in gens:
+                target_size *= qs[g]
             images = []
             for a in fiber:
-                sub_mask = cog.local_masks[a[0]]
-                sub = building.subgroup(sub_mask)
-                seen_cosets = set()
-                for gvec in building.subgroup(bmask):
-                    coset = frozenset(gp.mul(gvec, s) for s in sub)
-                    if coset in seen_cosets:
-                        continue
-                    seen_cosets.add(coset)
-                    lvec = lab.labels[a]
-                    keys = set()
-                    for member in coset:
-                        total = dict(member)
-                        merged = tuple(
-                            (total.get(g, 0) + lvec[g]) % qs[g] if (tmask >> g) & 1 and not (umask >> g) & 1 else 0
-                            for g in range(rank)
-                        )
-                        keys.add(merged)
-                    if len(keys) != 1:
-                        raise InternalError("coset image is not well-defined")
-                    images.append(keys.pop())
+                key = (bmask, cog.local_masks[a[0]], free)
+                projs = listings.get(key)
+                if projs is None:
+                    projs = listings[key] = coset_projections(building, *key)
+                lvec = lab.labels[a]
+                for proj in projs:
+                    images.append(
+                        tuple((x + lvec[g]) % qs[g] for x, g in zip(proj, gens))
+                    )
             bijective = len(set(images)) == len(images) and len(images) == target_size
 
             if distinct != bijective:
@@ -262,11 +293,13 @@ class AbelianCogAdapter:
     and composes with every edge leaving dst.  The local group at a vertex is
     the direct product on its mask, with canonical syllable tuples as
     elements; monomorphisms along edges are the natural inclusions and all
-    twists vanish.
+    twists vanish.  Every local group is a subgroup of the graph product, so
+    a product does not depend on the vertex, and each is computed once.
     """
 
     def __init__(self, building, vertices, edges, local_mask):
         self.building = building
+        self._products = {}
         self._vertices = vertices
         self._edges = edges
         self.local_mask = local_mask
@@ -299,8 +332,16 @@ class AbelianCogAdapter:
     def elements(self, v):
         return self.building.subgroup(self.local_mask[v])
 
+    def group(self, v):
+        """Vertices with equal keys have the same local group, with the same
+        multiplication."""
+        return self.local_mask[v]
+
     def mult(self, v, x, y):
-        return self.building.gp.mul(x, y)
+        got = self._products.get((x, y))
+        if got is None:
+            got = self._products[x, y] = self.building.gp.mul(x, y)
+        return got
 
     def inv(self, v, x):
         return self.building.gp.inv(x)
@@ -334,6 +375,10 @@ def check_covering(src, tgt, f_vertex, f_edge, phi_vertex, phi_edge) -> Covering
     per-edge commuting diagram, compatibility with composition, the target
     cog axioms, bijectivity of every fiber coset map, and vertexwise
     consistency of the sheet count.
+
+    The fiber check does work per coset: the cosets of a subgroup are
+    listed once per source local group (``src.group``), each target coset
+    once per target edge, and every member of every coset is mapped.
     """
     report = CoveringReport()
 
@@ -384,12 +429,11 @@ def check_covering(src, tgt, f_vertex, f_edge, phi_vertex, phi_edge) -> Covering
             continue
         fa = phi_edge[a]
         tv = f_vertex[ta]
+        fa_inv = tgt.inv(tv, fa)
         for x in src.elements(ia):
             lhs = phi_vertex[ta](src.psi(a, x))
             rhs = tgt.mult(
-                tv,
-                tgt.mult(tv, fa, tgt.psi(b, phi_vertex[ia](x))),
-                tgt.inv(tv, fa),
+                tv, tgt.mult(tv, fa, tgt.psi(b, phi_vertex[ia](x))), fa_inv
             )
             if lhs != rhs:
                 report.fail("edge-diagram", a)
@@ -410,29 +454,54 @@ def check_covering(src, tgt, f_vertex, f_edge, phi_vertex, phi_edge) -> Covering
         if lhs != rhs:
             report.fail("compatibility", (a, b))
 
-    # fiber coset bijections
+    # fiber coset bijections.  Cosets partition a group, so a source coset
+    # is listed once, from its first element, and every member of it is
+    # mapped.  The listing depends only on the local group and the subgroup
+    # psi_a(G_ia), and at a vertex the local map is applied once per
+    # element.  A target coset z.theta(G_ib) is built once per target edge
+    # b and recorded for each of its members.
+    listings = {}
+    target_cosets = {}
     for v in src.vertices():
         fv = f_vertex[v]
-        tv_elements = tgt.elements(fv)
+        group = src.group(v)
+        phi_v = phi_vertex[v]
+        phi_of = {}
+        fibers = {}
+        for a in src.in_edges(v):
+            fibers.setdefault(f_edge[a], []).append(a)
         for b in tgt.in_edges(fv):
-            ib, _ = tgt.ends(b)
-            theta_sub = [tgt.psi(b, y) for y in tgt.elements(ib)]
-            index = len(tv_elements) // len(theta_sub)
-            fiber = [a for a in src.in_edges(v) if f_edge[a] == b]
+            got = target_cosets.get(b)
+            if got is None:
+                theta_sub = [tgt.psi(b, y) for y in tgt.elements(tgt.ends(b)[0])]
+                got = target_cosets[b] = (theta_sub, {})
+            theta_sub, coset_of = got
+            index = len(tgt.elements(fv)) // len(theta_sub)
             image_cosets = []
-            for a in fiber:
-                ia = src.ends(a)[0]
-                sub = [src.psi(a, x) for x in src.elements(ia)]
-                seen = set()
-                for g in src.elements(v):
-                    coset = frozenset(src.mult(v, g, s) for s in sub)
-                    if coset in seen:
-                        continue
-                    seen.add(coset)
+            for a in fibers.get(b, ()):
+                sub = tuple(src.psi(a, x) for x in src.elements(src.ends(a)[0]))
+                cosets = listings.get((group, sub))
+                if cosets is None:
+                    covered = set()
+                    cosets = listings[group, sub] = []
+                    for g in src.elements(v):
+                        if g not in covered:
+                            coset = [src.mult(v, g, s) for s in sub]
+                            covered.update(coset)
+                            cosets.append(coset)
+                fa = phi_edge[a]
+                for coset in cosets:
                     imgs = set()
                     for member in coset:
-                        z = tgt.mult(fv, phi_vertex[v](member), phi_edge[a])
-                        imgs.add(frozenset(tgt.mult(fv, z, w) for w in theta_sub))
+                        x = phi_of.get(member)
+                        if x is None:
+                            x = phi_of[member] = phi_v(member)
+                        z = tgt.mult(fv, x, fa)
+                        image = coset_of.get(z)
+                        if image is None:
+                            image = frozenset(tgt.mult(fv, z, w) for w in theta_sub)
+                            coset_of.update(dict.fromkeys(image, image))
+                        imgs.add(image)
                     if len(imgs) != 1:
                         report.fail("fiber-welldef", (v, b, a))
                         imgs = {next(iter(imgs))}
@@ -478,18 +547,14 @@ def _identity(x):
     return x
 
 
-def build_covering(lab: EdgeLabeling) -> Covering:
-    """Assemble and doubly verify the covering induced by a labeling."""
-    building = lab.clump.building
-    lreport = verify_labeling(lab)
-    if not lreport.ok:
-        raise VerificationError(
-            f"labeling properties failed: {lreport.failures[0]!r}",
-            report=lreport,
-        )
-    y0 = chamber_clump(building)
-    src_cog = lab.clump.cog()
-    tgt_cog = y0.cog()
+def covering_morphism(src_cog, tgt_cog, labels):
+    """The projection of ``src_cog`` onto the one-chamber ``tgt_cog``.
+
+    Returned as ``check_covering``'s arguments: each face goes to the face
+    of its type at the base chamber, the local maps are inclusions, and an
+    edge's twisting element is its label.
+    """
+    building = src_cog.clump.building
     src = AbelianCogAdapter(
         building, src_cog.scwol.vertices, src_cog.scwol.edges, src_cog.local_masks
     )
@@ -500,12 +565,23 @@ def build_covering(lab: EdgeLabeling) -> Covering:
     f_edge = {a: ((a[0][0], ()), (a[1][0], ())) for a in src.edges()}
     phi_vertex = dict.fromkeys(src.vertices(), _identity)
     phi_edge = {
-        a: building.gp.norm(
-            tuple((g, e) for g, e in enumerate(lab.labels[a]) if e)
-        )
+        a: building.gp.norm(tuple((g, e) for g, e in enumerate(labels[a]) if e))
         for a in src.edges()
     }
-    creport = check_covering(src, tgt, f_vertex, f_edge, phi_vertex, phi_edge)
+    return src, tgt, f_vertex, f_edge, phi_vertex, phi_edge
+
+
+def build_covering(lab: EdgeLabeling) -> Covering:
+    """Assemble and doubly verify the covering induced by a labeling."""
+    lreport = verify_labeling(lab)
+    if not lreport.ok:
+        raise VerificationError(
+            f"labeling properties failed: {lreport.failures[0]!r}",
+            report=lreport,
+        )
+    src_cog = lab.clump.cog()
+    tgt_cog = chamber_clump(lab.clump.building).cog()
+    creport = check_covering(*covering_morphism(src_cog, tgt_cog, lab.labels))
     if not creport.ok:
         raise VerificationError(
             f"covering axioms failed: {creport.failures[0]!r}", report=creport

@@ -278,38 +278,26 @@ def extend_action(clump: Clump, h: BallAutomorphism) -> SimpleCogAutomorphism:
 
     At each boundary vertex the cyclic factor of type t is carried to the
     factor named by the type of the image of the side through the vertex.
+    The sides through the vertices do not depend on h and are read from
+    ``Clump.vertex_sides``; each side's image is found once.
     """
     cog = clump.cog()
+    qs = clump.building.gp.qs
+    sides_at = clump.vertex_sides()
+    image_gen = {}
     vertex_maps = {}
     for face in cog.scwol.vertices:
         mask = cog.local_masks[face]
         vmap = {}
-        for g in range(len(clump.building.gp.qs)):
-            if not (mask >> g) & 1:
-                continue
-            members = cog.scwol.face_chambers[face]
-            panels = {
-                clump.building.gp.strip(c, 1 << g)
-                for c in members
-            }
-            boundary_panels = [
-                p for p in panels if clump.panel_count(g, p) == 1
-            ]
-            owners = {clump.side_of_mirror(g, p) for p in boundary_panels}
-            owners.discard(None)
-            if len(owners) != 1:
-                raise InternalError(
-                    "boundary panels at a vertex span several sides"
-                )
-            side = owners.pop()
-            vmap[g] = h.side_image(side).gen
+        for g, side in sides_at[face].items():
+            u = image_gen.get(side)
+            if u is None:
+                u = image_gen[side] = h.side_image(side).gen
+            vmap[g] = u
         image_mask = cog.local_masks[h.face_image(face)]
         if permute_mask_from_map(vmap, mask) != image_mask:
             raise InternalError("local map does not hit the image local group")
-        if any(
-            clump.building.gp.qs[g] != clump.building.gp.qs[u]
-            for g, u in vmap.items()
-        ):
+        if any(qs[g] != qs[u] for g, u in vmap.items()):
             raise InternalError("local map does not preserve cyclic orders")
         vertex_maps[face] = vmap
     for src, dst in cog.scwol.edges:
@@ -582,6 +570,9 @@ class QuotientCog:
 
     def elements(self, v):
         return self.elements_at[v]
+
+    def group(self, v):
+        return v
 
     def psi(self, b, x):
         return self.theta(b, x)

@@ -303,3 +303,50 @@ def test_unfolding_any_clump_matches_rebuild(suite):
             for side in Clump(bld, chambers).sides():
                 unfolded = unfold(Clump(bld, chambers), side)
                 _assert_matches_rebuild(unfolded, unfolded._scwol, name)
+
+
+def _boundary_type_by_strips(clump, face, reading):
+    """The boundary type as it was read before the face table: every
+    chamber of the face stripped once per type, panel sizes from the mirror
+    counts."""
+    gp = clump.building.gp
+    members = clump.scwol().face_chambers[face]
+    out = 0
+    for g in range(len(gp.qs)):
+        if (face[0] >> g) & 1:
+            panels = {gp.strip(c, 1 << g) for c in members}
+            if reading(clump.panel_count(g, p) == 1 for p in panels):
+                out |= 1 << g
+    return out
+
+
+def _assert_boundary_types_match(clump, name):
+    for face in clump.scwol().vertices:
+        for reading, method in (
+            (any, clump.boundary_type_mask),
+            (all, clump.boundary_type_mask_all_variant),
+        ):
+            assert method(face) == _boundary_type_by_strips(clump, face, reading), (
+                name,
+                face,
+            )
+
+
+@pytest.mark.parametrize("seed", [None, 5, 17])
+def test_boundary_type_matches_strip_reading(suite, seed):
+    # Both readings at every face of every clump of each suite trace,
+    # canonical or shuffled, read while the clump's data is carried.  The
+    # 90 clumps of hex3 at radius 2 would take about 10 s on a 2-vCPU
+    # machine, so hex3 stops at radius 1 and only its canonical radius-2
+    # ball is read as well.
+    for name, bld, nmax in suite:
+        rng = None if seed is None else random.Random(seed)
+        n = 1 if name == "hex3" else nmax
+        final, steps = unfold_steps_to_ball(bld, n, rng=rng)
+        current = chamber_clump(bld)
+        _assert_boundary_types_match(current, name)
+        for st in steps:
+            current = unfold(current, st.side)
+            _assert_boundary_types_match(current, name)
+        if name == "hex3" and seed is None:
+            _assert_boundary_types_match(unfold_steps_to_ball(bld, nmax)[0], name)

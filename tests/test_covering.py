@@ -1,18 +1,25 @@
+import random
+
 import pytest
 
+from rabuild import covering
 from rabuild.building import Building
 from rabuild.clump import chamber_clump, sheets, unfold_steps_to_ball
 from rabuild.coxeter import CoxeterSystem
 from rabuild.covering import (
+    AbelianCogAdapter,
     build_covering,
     build_labeling,
+    check_covering,
+    coset_projections,
+    covering_morphism,
     covering_to_json,
     label_initial,
     label_unfold,
     lattice_index,
     verify_labeling,
 )
-from rabuild.errors import VerificationError
+from rabuild.errors import InternalError, VerificationError
 from tests.conftest import corrupted_labeling
 
 
@@ -138,3 +145,356 @@ def test_index_equals_chamber_count(suite_traces):
         lab = build_labeling(bld, prefix)
         cov = build_covering(lab)
         assert cov.sheet_count == len(lab.clump.chambers), name
+
+
+# -- the fiber checks against the quadratic listing -------------------------
+
+
+def _quadratic_fiber_images(lab, face, umask):
+    """The fiber's coset images, listed as verify_labeling once listed them.
+
+    For every fiber edge, a frozenset coset of G_{B'} is built for every
+    element of G_B, and every member of each new coset is projected onto
+    the free types T - U, label added.  Returns full-rank vectors.
+    """
+    clump = lab.clump
+    building = clump.building
+    gp = building.gp
+    qs = gp.qs
+    rank = len(qs)
+    cog = clump.cog()
+    tmask = face[0]
+    bmask = cog.local_masks[face]
+    fiber = [a for a in cog.scwol.in_edges.get(face, ()) if a[0][0] == umask]
+    images = []
+    for a in fiber:
+        sub = building.subgroup(cog.local_masks[a[0]])
+        seen = set()
+        for gvec in building.subgroup(bmask):
+            coset = frozenset(gp.mul(gvec, s) for s in sub)
+            if coset in seen:
+                continue
+            seen.add(coset)
+            lvec = lab.labels[a]
+            keys = set()
+            for member in coset:
+                total = dict(member)
+                keys.add(
+                    tuple(
+                        (total.get(g, 0) + lvec[g]) % qs[g]
+                        if (tmask >> g) & 1 and not (umask >> g) & 1
+                        else 0
+                        for g in range(rank)
+                    )
+                )
+            assert len(keys) == 1
+            images.append(keys.pop())
+    return fiber, images
+
+
+def _quadratic_fiber_failures(src, tgt, f_vertex, f_edge, phi_vertex, phi_edge):
+    """check_covering's fiber failures, found as it once found them: a
+    frozenset coset for every element and target cosets rebuilt for every
+    member."""
+    failures = []
+    for v in src.vertices():
+        fv = f_vertex[v]
+        tv_elements = tgt.elements(fv)
+        for b in tgt.in_edges(fv):
+            ib, _ = tgt.ends(b)
+            theta_sub = [tgt.psi(b, y) for y in tgt.elements(ib)]
+            index = len(tv_elements) // len(theta_sub)
+            fiber = [a for a in src.in_edges(v) if f_edge[a] == b]
+            image_cosets = []
+            for a in fiber:
+                ia = src.ends(a)[0]
+                sub = [src.psi(a, x) for x in src.elements(ia)]
+                seen = set()
+                for g in src.elements(v):
+                    coset = frozenset(src.mult(v, g, s) for s in sub)
+                    if coset in seen:
+                        continue
+                    seen.add(coset)
+                    imgs = set()
+                    for member in coset:
+                        z = tgt.mult(fv, phi_vertex[v](member), phi_edge[a])
+                        imgs.add(frozenset(tgt.mult(fv, z, w) for w in theta_sub))
+                    if len(imgs) != 1:
+                        failures.append({"kind": "fiber-welldef", "where": (v, b, a)})
+                        imgs = {next(iter(imgs))}
+                    image_cosets.append(imgs.pop())
+            if len(set(image_cosets)) != len(image_cosets) or len(image_cosets) != index:
+                failures.append({"kind": "fiber-bijection", "where": (v, b)})
+    return failures
+
+
+FIBER_KINDS = ("fiber-welldef", "fiber-bijection")
+
+
+def _compare_with_quadratic_listing(lab):
+    """Images and verdicts of both fiber checks against the quadratic
+    listing.  Returns the counts of failing and of bijective labeling
+    fibers, and whether check_covering found a fiber failure."""
+    clump = lab.clump
+    bld = clump.building
+    qs = bld.gp.qs
+    cog = clump.cog()
+    report = verify_labeling(lab)
+    expected = []
+    counts = [0, 0]
+    for face in cog.scwol.vertices:
+        tmask = face[0]
+        bmask = cog.local_masks[face]
+        for umask in covering._proper_submasks(tmask):
+            fiber, old = _quadratic_fiber_images(lab, face, umask)
+            free = tmask & ~umask
+            gens = [g for g in range(len(qs)) if (free >> g) & 1]
+            new = [
+                tuple((x + lab.labels[a][g]) % qs[g] for x, g in zip(proj, gens))
+                for a in fiber
+                for proj in coset_projections(bld, bmask, cog.local_masks[a[0]], free)
+            ]
+            assert new == [tuple(vec[g] for g in gens) for vec in old]
+            target = 1
+            for g in gens:
+                target *= qs[g]
+            bijective = len(set(old)) == len(old) == target
+            counts[bijective] += 1
+            if not bijective:
+                expected.append({"kind": "fiber", "where": (face, umask)})
+    assert report.fibers_checked == sum(counts)
+    assert [f for f in report.failures if f["kind"] == "fiber"] == expected
+    data = covering_morphism(cog, chamber_clump(bld).cog(), lab.labels)
+    found = [f for f in check_covering(*data).failures if f["kind"] in FIBER_KINDS]
+    assert found == _quadratic_fiber_failures(*data)
+    return counts, bool(found)
+
+
+def _corrupt(lab, rng):
+    """A copy of the labeling with one component of one label shifted.
+
+    The component is a type of the edge's terminal face, so the support
+    property still holds.
+    """
+    qs = lab.clump.building.gp.qs
+    edge = rng.choice(sorted(e for e in lab.labels if e[1][0]))
+    tmask = edge[1][0]
+    g = rng.choice([g for g in range(len(qs)) if (tmask >> g) & 1])
+    vec = list(lab.labels[edge])
+    vec[g] = (vec[g] + rng.randrange(1, qs[g])) % qs[g]
+    labels = dict(lab.labels)
+    labels[edge] = tuple(vec)
+    return covering.EdgeLabeling(lab.clump, labels, lab.steps)
+
+
+def test_fiber_checks_match_quadratic_listing(suite):
+    # Every clump of every suite trace up to radius 2 (hex3 to radius 1),
+    # then conftest's corrupted labeling and three random corruptions per
+    # system: the listings agree, and both verdicts occur.
+    rng = random.Random(41)
+    totals = [0, 0]
+    covering_failed = 0
+    for name, bld, nmax in suite:
+        n = 1 if name == "hex3" else min(nmax, 2)
+        final, steps = unfold_steps_to_ball(bld, n)
+        lab = label_initial(chamber_clump(bld))
+        for st in steps:
+            counts, failed = _compare_with_quadratic_listing(lab)
+            assert counts[0] == 0 and not failed, name
+            lab = label_unfold(lab, st)
+        _compare_with_quadratic_listing(lab)
+        one = build_labeling(bld, unfold_steps_to_ball(bld, 1)[1])
+        for bad in [corrupted_labeling(bld)[0]] + [_corrupt(one, rng) for _ in range(3)]:
+            counts, failed = _compare_with_quadratic_listing(bad)
+            totals[0] += counts[0]
+            totals[1] += counts[1]
+            covering_failed += failed
+    assert totals[0] and totals[1] and covering_failed
+
+
+def test_listing_disagreement_is_still_raised(d23, monkeypatch):
+    # The two sides of property (3) are independent: a listing that loses
+    # a coset contradicts the projection criterion.
+    lab = build_labeling(d23, unfold_steps_to_ball(d23, 1)[1])
+    listing = covering.coset_projections
+    monkeypatch.setattr(
+        covering, "coset_projections", lambda *key: listing(*key)[1:]
+    )
+    with pytest.raises(InternalError, match="criterion and coset listing disagree"):
+        verify_labeling(lab)
+
+
+def test_coset_projections_examine_every_member(square23):
+    # Cosets of G_{s,t} in itself projected onto {t}: the one coset's
+    # members disagree, which only a look at every member can see.
+    full = square23.system.mask({"s", "t"})
+    with pytest.raises(InternalError, match="not well-defined"):
+        coset_projections(square23, full, full, square23.system.mask({"t"}))
+    t_only = coset_projections(square23, full, square23.system.mask({"s"}), 1 << 1)
+    assert t_only == [(0,), (1,), (2,)]
+
+
+# -- check_covering's failure kinds -------------------------------------------
+
+
+def _covering_data(bld, n):
+    lab = build_labeling(bld, unfold_steps_to_ball(bld, n)[1])
+    return covering_morphism(lab.clump.cog(), chamber_clump(bld).cog(), lab.labels)
+
+
+def _kinds(report):
+    return {f["kind"] for f in report.failures}
+
+
+def test_fiber_bijection_failure_names_vertex_and_edge(d23):
+    src, tgt, f_vertex, f_edge, phi_vertex, phi_edge = _covering_data(d23, 1)
+    assert check_covering(src, tgt, f_vertex, f_edge, phi_vertex, phi_edge).ok
+    # two edges of one fiber given the same twisting element
+    v = next(
+        v for v in src.vertices()
+        if len({f_edge[a] for a in src.in_edges(v)}) < len(src.in_edges(v))
+    )
+    a, a2 = [
+        (a, a2)
+        for a in src.in_edges(v)
+        for a2 in src.in_edges(v)
+        if a != a2 and f_edge[a] == f_edge[a2] and phi_edge[a] != phi_edge[a2]
+    ][0]
+    doctored = dict(phi_edge)
+    doctored[a2] = phi_edge[a]
+    report = check_covering(src, tgt, f_vertex, f_edge, phi_vertex, doctored)
+    assert {"kind": "fiber-bijection", "where": (v, f_edge[a])} in report.failures
+    assert "fiber-welldef" not in _kinds(report)
+
+
+def test_fiber_welldef_failure_names_vertex_and_edges(d23, suite):
+    # On d23 every source coset is a single element (no type of rank two,
+    # so every in-edge comes from a face with a trivial local group), and a
+    # coset image cannot be ill-defined there.  The system "mixed" has a
+    # commuting pair b, c: at the {b, c}-face of the chamber a, the b-panel
+    # gives cosets of G_b in G_{b,c} with two members each.
+    src = _covering_data(d23, 1)[0]
+    assert all(
+        len(src.elements(a[0])) == 1 for v in src.vertices() for a in src.in_edges(v)
+    )
+    mixed = {name: bld for name, bld, _ in suite}["mixed"]
+    src, tgt, f_vertex, f_edge, phi_vertex, phi_edge = _covering_data(mixed, 1)
+    assert check_covering(src, tgt, f_vertex, f_edge, phi_vertex, phi_edge).ok
+    gp = mixed.gp
+    b, c = mixed.system.index["b"], mixed.system.index["c"]
+    v, a = next(
+        (v, a)
+        for v in src.vertices()
+        if src.local_mask[v] == (1 << b) | (1 << c)
+        for a in src.in_edges(v)
+        if src.local_mask[a[0]] == 1 << b
+    )
+
+    def not_a_homomorphism(x):
+        # moves the c-exponent by the b-exponent: injective, but the two
+        # members of a coset of G_b land in different cosets of G_b
+        exps = dict(x)
+        shift = exps.get(b, 0)
+        moved = dict(exps)
+        moved[c] = (exps.get(c, 0) + shift) % gp.qs[c]
+        return gp.norm(tuple((g, e) for g, e in sorted(moved.items()) if e))
+
+    doctored = dict(phi_vertex)
+    doctored[v] = not_a_homomorphism
+    report = check_covering(src, tgt, f_vertex, f_edge, doctored, phi_edge)
+    assert {"kind": "fiber-welldef", "where": (v, f_edge[a], a)} in report.failures
+    assert "local-injectivity" not in _kinds(report)
+
+
+class _DoctoredTarget(AbelianCogAdapter):
+    """A target adapter with some monomorphisms or twists replaced."""
+
+    def __init__(self, base, psi=(), twist=()):
+        self.__dict__.update(base.__dict__)
+        self._psi = dict(psi)
+        self._twist = dict(twist)
+
+    def psi(self, a, x):
+        f = self._psi.get(a)
+        return x if f is None else f(x)
+
+    def twist(self, a, b):
+        return self._twist.get((a, b), ())
+
+
+def _cube():
+    """Three commuting types x, y, z of orders 2, 2, 3: every type is
+    spherical, so the one-chamber scwol has chains of four vertices."""
+    sysm = CoxeterSystem(["x", "y", "z"], [("x", "y"), ("x", "z"), ("y", "z")])
+    return Building(sysm, {"x": 2, "y": 2, "z": 3})
+
+
+def _doctor(kind, bld, data):
+    """The covering data with one piece changed so that ``kind`` fails."""
+    src, tgt, f_vertex, f_edge, phi_vertex, phi_edge = data
+    gp = bld.gp
+    gx, gz = bld.system.index["x"], bld.system.index["z"]
+    x, y, z = (1 << bld.system.index[s] for s in "xyz")
+    face = {v[0]: v for v in tgt.vertices()}
+    edge = {(e[0][0], e[1][0]): e for e in tgt.edges()}
+    f_vertex, f_edge = dict(f_vertex), dict(f_edge)
+    phi_vertex, phi_edge = dict(phi_vertex), dict(phi_edge)
+    if kind == "target-twist":
+        # psi along the composite {z} -> {x, y, z} inverts instead of including
+        tgt = _DoctoredTarget(tgt, psi={edge[z, x | y | z]: gp.inv})
+    elif kind == "target-cocycle":
+        # one twist on the chain {} -> {x} -> {x, y} -> {x, y, z}
+        tgt = _DoctoredTarget(
+            tgt, twist={(edge[x | y, x | y | z], edge[x, x | y]): ((gz, 1),)}
+        )
+    elif kind in ("local-injectivity", "fiber-bijection", "sheet-consistency"):
+        phi_vertex[face[x | z]] = lambda g: ()
+    elif kind == "vertex-map":
+        f_edge[edge[0, x]] = edge[0, y]
+    elif kind == "edge-diagram":
+        phi_vertex[face[z]] = gp.inv
+    elif kind == "edge-composition":
+        f_edge[edge[0, x | y]] = edge[0, x | z]
+    elif kind == "compatibility":
+        phi_edge[edge[0, x | y]] = ((gx, 1),)
+    elif kind == "fiber-welldef":
+        # the x-exponent moves the z-exponent: the two members of a coset
+        # of G_x land in different cosets of G_x
+        def not_a_homomorphism(g):
+            exps = dict(g)
+            moved = (exps.get(gz, 0) + exps.get(gx, 0)) % 3
+            return gp.norm(((gx, exps.get(gx, 0)), (gz, moved)))
+
+        phi_vertex[face[x | z]] = not_a_homomorphism
+    elif kind == "sheet-divisibility":
+        # an image of 4 elements in a group of order 6
+        elements = bld.subgroup(x | z)
+        phi_vertex[face[x | z]] = lambda g: elements[min(elements.index(g), 3)]
+    return src, tgt, f_vertex, f_edge, phi_vertex, phi_edge
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "target-twist",
+        "target-cocycle",
+        "local-injectivity",
+        "vertex-map",
+        "edge-diagram",
+        "edge-composition",
+        "compatibility",
+        "fiber-welldef",
+        "fiber-bijection",
+        "sheet-divisibility",
+        "sheet-consistency",
+    ],
+)
+def test_every_covering_failure_kind_is_reachable(kind):
+    # The one-chamber covering of the cube onto itself, with one piece of
+    # its data doctored for each kind of failure.
+    bld = _cube()
+    y0 = chamber_clump(bld)
+    data = covering_morphism(y0.cog(), y0.cog(), label_initial(y0).labels)
+    assert check_covering(*data).ok
+    report = check_covering(*_doctor(kind, bld, data))
+    assert kind in _kinds(report), report.failures

@@ -127,6 +127,51 @@ def test_extend_action_composition_law(hex3):
             assert composed == a12.vertex_maps[face]
 
 
+def _vertex_maps_by_strips(clump, h):
+    """extend_action's local maps as they were found before the side table:
+    for every automorphism, each vertex's panels stripped from its chambers
+    and their sides looked up again."""
+    cog = clump.cog()
+    gp = clump.building.gp
+    vertex_maps = {}
+    for face in cog.scwol.vertices:
+        mask = cog.local_masks[face]
+        vmap = {}
+        for g in range(len(gp.qs)):
+            if not (mask >> g) & 1:
+                continue
+            panels = {gp.strip(c, 1 << g) for c in cog.scwol.face_chambers[face]}
+            owners = {
+                clump.side_of_mirror(g, p)
+                for p in panels
+                if clump.panel_count(g, p) == 1
+            }
+            owners.discard(None)
+            assert len(owners) == 1
+            vmap[g] = h.side_image(owners.pop()).gen
+        vertex_maps[face] = vmap
+    return vertex_maps
+
+
+def test_extend_action_matches_strip_reading(suite):
+    # Every type-permutation automorphism of the balls that quotient builds:
+    # each suite system at radius 0-2 (hex3 to radius 1, its radius-2 ball
+    # takes about 3 s) and free3 (the suite's tree_234) at radius 3.
+    cases = [
+        (name, bld, n)
+        for name, bld, _ in suite
+        for n in range(2 if name == "hex3" else 3)
+    ] + [(name, bld, 3) for name, bld, _ in suite if name == "free3"]
+    autos_seen = 0
+    for name, bld, n in cases:
+        ball = bld.ball(n)
+        for h in sym.automorphism_group_from_permutations(ball):
+            act = sym.extend_action(ball, h)
+            assert act.vertex_maps == _vertex_maps_by_strips(ball, h), (name, n)
+            autos_seen += 1
+    assert autos_seen > len(cases)
+
+
 # -- quotients ---------------------------------------------------------------
 
 
