@@ -1,14 +1,11 @@
 """The regular right-angled building as a chamber system.
 
-Chambers are canonical graph-product elements; a face of spherical type T
-is the right coset of the T-subgroup containing a chamber, keyed by its
-least element.  Galleries, W-distance, residues and combinatorial balls
-are all computed through the syllable kernel; nothing geometric is ever
-materialized.
-
-Internally chambers travel as raw syllable tuples and faces as
-``(type_mask, representative)`` pairs; the dataclass wrappers appear at the
-public API.
+Chambers are canonical graph-product elements, stored as syllable tuples;
+a face of spherical type T is the right coset of the T-subgroup containing
+a chamber, stored as ``(type_mask, least element)``.  The W-distance from a
+to b is the generator word of ``gp.delta(a, b)``.  Residues and
+combinatorial balls are computed through the syllable kernel; nothing
+geometric is ever materialized.
 """
 
 from __future__ import annotations
@@ -16,12 +13,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
 
 from . import coxeter
-from .coxeter import CoxeterSystem, WElement
+from .coxeter import CoxeterSystem
 from .errors import DomainError, InputError, SizeCapError
-from .graphprod import GraphProduct, ProductElement, projection_to_W
+from .graphprod import GraphProduct
 
 DEFAULT_CHAMBER_CAP = 200_000
 
@@ -36,31 +32,6 @@ def face_key(face):
     return (bin(tmask).count("1"), tmask, syllable_key(rep))
 
 
-@dataclass(frozen=True)
-class Face:
-    """Spherical residue: the chambers sharing one face of the building."""
-
-    building: "Building"
-    tmask: int
-    rep: tuple
-
-    @property
-    def types(self):
-        return self.building.system.unmask(self.tmask)
-
-    def chambers(self):
-        return [
-            ProductElement(self.building.gp, c)
-            for c in self.building.residue_chambers((self.tmask, self.rep))
-        ]
-
-
-@dataclass(frozen=True)
-class Gallery:
-    chambers: tuple  # ProductElement sequence
-    type_word: tuple  # generator names
-
-
 class Building:
     """Chamber system of given type and parameters."""
 
@@ -73,8 +44,6 @@ class Building:
         self.maximal_masks = tuple(system.mask(t) for t in self.poset.maximal())
         self._spherical_set = frozenset(self.spherical_masks)
         self._subgroup_cache = {}
-
-    # -- raw helpers ----------------------------------------------------
 
     def is_spherical_mask(self, mask):
         return mask in self._spherical_set
@@ -137,57 +106,12 @@ class Building:
                 break
         return frozenset(current)
 
-    # -- public chamber operations --------------------------------------
-
-    def identity_chamber(self):
-        return self.gp.identity()
-
-    def chamber(self, pairs):
-        return self.gp.element(pairs)
-
-    def w_distance(self, a: ProductElement, b: ProductElement) -> WElement:
-        if a.group != self.gp or b.group != self.gp:
-            raise InputError("chambers belong to a different building")
-        d = ProductElement(self.gp, self.gp.delta(a.syllables, b.syllables))
-        return projection_to_W(self.system, d)
-
-    def s_adjacent(self, a: ProductElement, b: ProductElement, s) -> bool:
-        if s not in self.system.index:
-            raise InputError(f"unknown generator {s!r}")
-        d = self.gp.delta(a.syllables, b.syllables)
-        return len(d) == 1 and d[0][0] == self.system.index[s]
-
-    def face(self, chamber: ProductElement, types) -> Face:
-        tmask = self.system.mask(types)
-        f = self.face_of(chamber.syllables, tmask)
-        return Face(self, f[0], f[1])
-
-    def intersects(self, a: ProductElement, b: ProductElement) -> bool:
-        """True iff the chambers share a face (spherical separation)."""
-        d = self.gp.delta(a.syllables, b.syllables)
-        mask = 0
-        for g, _ in d:
-            mask |= 1 << g
-        return self.is_spherical_mask(mask)
-
     def ball(self, n, cap=None):
         """Combinatorial ball of radius n, as a clump."""
         from .clump import Clump
 
         chambers = self.ball_chambers(n, cap=cap)
         return Clump(self, chambers)
-
-    def minimal_gallery(self, a: ProductElement, b: ProductElement) -> Gallery:
-        """Gallery from a to b whose type is the canonical word of delta(a,b)."""
-        d = self.gp.delta(a.syllables, b.syllables)
-        chambers = [a]
-        word = []
-        cur = a.syllables
-        for g, e in d:
-            cur = self.gp.mul(cur, ((g, e),))
-            chambers.append(ProductElement(self.gp, cur))
-            word.append(self.system.generators[g])
-        return Gallery(tuple(chambers), tuple(word))
 
     # -- serialization ---------------------------------------------------
 
@@ -213,7 +137,14 @@ class Building:
         return [[gens[g], e] for g, e in syls]
 
     def deserialize_chamber(self, pairs):
-        return self.gp.element(pairs).syllables
+        """Inverse of ``serialize_chamber``; the pairs must be in normal form."""
+        syls = self.gp.element(pairs)
+        for _, e in pairs:
+            if type(e) is not int:
+                raise InputError(f"exponent {e!r} is not an integer")
+        if self.serialize_chamber(syls) != [list(p) for p in pairs]:
+            raise InputError(f"chamber {pairs!r} is not in normal form")
+        return syls
 
     def __repr__(self):
         return f"Building({self.config_dict()})"
@@ -255,4 +186,7 @@ def load_ball_cache(path, building: Building):
         )
     except (TypeError, ValueError) as exc:
         raise InputError(f"malformed chamber in ball cache {path!r}: {exc}") from exc
-    return data["radius"], chambers
+    radius = data["radius"]
+    if type(radius) is not int or radius < 0:
+        raise InputError(f"ball cache radius {radius!r} is not an integer >= 0")
+    return radius, chambers

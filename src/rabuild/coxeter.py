@@ -2,16 +2,15 @@
 
 A system is a finite ordered generating set together with a symmetric
 relation map m taking each pair of distinct generators to 2 (commuting) or
-infinity (no relation).  Words are tuples of generator names; group
-elements are represented by their canonical reduced word (least shuffle of
-any reduced word under the configured generator order), which makes
-equality decidable by tuple comparison.
+infinity (no relation).  Words are tuples of generator names.  An element
+of W is its canonical reduced word, a tuple of names (the least shuffle of
+any reduced word under the configured generator order), so equality is
+tuple comparison.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from . import kernel
@@ -52,13 +51,6 @@ class CoxeterSystem:
     def rank(self):
         return len(self.generators)
 
-    def m(self, s, t):
-        """Coxeter matrix entry: 1 on the diagonal, else 2 or infinity."""
-        i, j = self.index[s], self.index[t]
-        if i == j:
-            return 1
-        return 2 if (self.comm[i] >> j) & 1 else math.inf
-
     def commutes(self, s, t):
         i, j = self.index[s], self.index[t]
         return i != j and (self.comm[i] >> j) & 1
@@ -74,16 +66,6 @@ class CoxeterSystem:
     def unmask(self, mask):
         return frozenset(s for s in self.generators if (mask >> self.index[s]) & 1)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, CoxeterSystem)
-            and self.generators == other.generators
-            and self.comm == other.comm
-        )
-
-    def __hash__(self):
-        return hash((self.generators, self.comm))
-
     def __repr__(self):
         pairs = sorted(
             (s, t)
@@ -98,57 +80,15 @@ class CoxeterSystem:
         return is_spherical(self, self.generators)
 
 
-@dataclass(frozen=True)
-class WElement:
-    """Group element in canonical reduced form."""
-
-    system: CoxeterSystem
-    word: tuple  # tuple of generator names
-
-    def __len__(self):
-        return len(self.word)
-
-    def __mul__(self, other):
-        return multiply(self.system, self, other)
-
-    def inverse(self):
-        sys = self.system
-        syls = tuple((sys.index[s], 1) for s in self.word)
-        inv = kernel.inverse(syls, sys._q2, sys.comm)
-        return WElement(sys, tuple(sys.generators[g] for g, _ in inv))
-
-    def is_identity(self):
-        return not self.word
-
-
-def reduce(sys: CoxeterSystem, word) -> WElement:
-    """Canonical reduced form of an arbitrary word over the generators."""
+def reduce(sys: CoxeterSystem, word) -> tuple:
+    """Canonical reduced word of an arbitrary word over the generators."""
     word = tuple(word)
     for s in word:
         if s not in sys.index:
             raise InputError(f"unknown generator {s!r}")
     syls = tuple((sys.index[s], 1) for s in word)
     norm = kernel.normalize(syls, sys._q2, sys.comm)
-    return WElement(sys, tuple(sys.generators[g] for g, _ in norm))
-
-
-def multiply(sys: CoxeterSystem, a: WElement, b: WElement) -> WElement:
-    if a.system != sys or b.system != sys:
-        raise InputError("elements belong to a different system")
-    return reduce(sys, a.word + b.word)
-
-
-def identity(sys: CoxeterSystem) -> WElement:
-    return WElement(sys, ())
-
-
-def support(sys: CoxeterSystem, g: WElement) -> frozenset:
-    """Letters of the canonical word (= letters of every reduced word)."""
-    return frozenset(g.word)
-
-
-def is_reduced(sys: CoxeterSystem, word) -> bool:
-    return len(reduce(sys, word).word) == len(word)
+    return tuple(sys.generators[g] for g, _ in norm)
 
 
 def is_spherical(sys: CoxeterSystem, letters) -> bool:
@@ -195,13 +135,3 @@ def spherical_poset(sys: CoxeterSystem, cap: int = SPHERICAL_ENUM_CAP) -> Spheri
     subsets = tuple(sorted(cliques, key=key))
     nerve = tuple(t for t in subsets if t)
     return SphericalPoset(sys, subsets, nerve)
-
-
-def nerve_graph(sys: CoxeterSystem):
-    """Vertices and edges of the nerve's 1-skeleton (the commutation graph)."""
-    edges = sorted(
-        (s, t)
-        for s, t in itertools.combinations(sys.generators, 2)
-        if sys.commutes(s, t)
-    )
-    return list(sys.generators), edges

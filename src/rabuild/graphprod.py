@@ -1,18 +1,16 @@
 """Graph product of finite cyclic groups over the commutation graph.
 
-Elements are canonical syllable sequences (generator, exponent) with
-exponents in [1, q_s); the generator sequence of a canonical element is a
-reduced word in the underlying Coxeter group, so forgetting exponents gives
-the projection onto W.  These elements double as the chambers of the
-building built in :mod:`rabuild.building`.
+Elements are canonical syllable tuples ``((generator index, exponent), ...)``
+with exponents in [1, q_s).  The generator sequence of a canonical element
+is the canonical reduced word of its image in the Coxeter group, so the
+projection onto W forgets the exponents and needs no rewriting.  These
+tuples double as the chambers of the building in :mod:`rabuild.building`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from . import coxeter, kernel
-from .coxeter import CoxeterSystem, WElement
+from . import kernel
+from .coxeter import CoxeterSystem
 from .errors import InputError
 
 
@@ -40,21 +38,9 @@ class GraphProduct:
     def q(self, s):
         return self.qs[self.system.index[s]]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GraphProduct)
-            and self.system == other.system
-            and self.qs == other.qs
-        )
-
-    def __hash__(self):
-        return hash((self.system, self.qs))
-
     def __repr__(self):
         qmap = {s: self.qs[i] for i, s in enumerate(self.system.generators)}
         return f"GraphProduct({self.system!r}, q={qmap})"
-
-    # -- raw-tuple arithmetic (hot path; elements as syllable tuples) --
 
     def mul(self, a, b):
         return kernel.multiply(a, b, self.qs, self.comm)
@@ -84,60 +70,11 @@ class GraphProduct:
             ]
         return [self.norm(e) for e in elems]
 
-    # -- wrapped API --
-
-    def identity(self):
-        return ProductElement(self, ())
-
-    def generator(self, s, e=1):
-        return self.element([(s, e)])
-
     def element(self, pairs):
-        """Build an element from (generator name, exponent) pairs."""
+        """Canonical syllable tuple of a word of (generator name, exponent) pairs."""
         syls = []
         for s, e in pairs:
             if s not in self.system.index:
                 raise InputError(f"unknown generator {s!r}")
             syls.append((self.system.index[s], e))
-        return ProductElement(self, self.norm(tuple(syls)))
-
-
-@dataclass(frozen=True)
-class ProductElement:
-    """Normal-form element of the graph product; also a chamber."""
-
-    group: GraphProduct
-    syllables: tuple  # ((gen index, exponent), ...), canonical
-
-    def __mul__(self, other):
-        return gp_multiply(self.group, self, other)
-
-    def inverse(self):
-        return ProductElement(self.group, self.group.inv(self.syllables))
-
-    def is_identity(self):
-        return not self.syllables
-
-    def pairs(self):
-        """Serialization form: [generator name, exponent] in canonical order."""
-        gens = self.group.system.generators
-        return [[gens[g], e] for g, e in self.syllables]
-
-    def support(self):
-        gens = self.group.system.generators
-        return frozenset(gens[g] for g, _ in self.syllables)
-
-    def __len__(self):
-        return len(self.syllables)
-
-
-def gp_multiply(gp: GraphProduct, a: ProductElement, b: ProductElement) -> ProductElement:
-    if a.group != gp or b.group != gp:
-        raise InputError("elements belong to a different graph product")
-    return ProductElement(gp, gp.mul(a.syllables, b.syllables))
-
-
-def projection_to_W(sys: CoxeterSystem, g: ProductElement) -> WElement:
-    """Forget exponents; canonical forms agree, so no rewriting is needed."""
-    word = tuple(sys.generators[i] for i, _ in g.syllables)
-    return WElement(sys, word)
+        return self.norm(tuple(syls))

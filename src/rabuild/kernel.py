@@ -124,13 +124,6 @@ def strip_coset(a, tmask, qs, comm):
     return tuple(out)
 
 
-def support_mask(a):
-    m = 0
-    for g, _ in a:
-        m |= 1 << g
-    return m
-
-
 def backend() -> str:
     """Name of the kernel implementation, as ``info`` reports it."""
     return BACKEND

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .building import Building, face_key, syllable_key
 from .clump import Clump, sheet_mirror_table, sheets, unfold_steps_to_ball
-from .coxeter import CoxeterSystem, identity as w_identity, reduce as w_reduce
+from .coxeter import CoxeterSystem, reduce as w_reduce
 from .covering import AbelianCogAdapter, CoveringReport, check_covering
 from .errors import DomainError, InternalError, SizeCapError
 
@@ -541,9 +541,6 @@ class QuotientCog:
             hi,
         )
 
-    def identity(self, rep):
-        return ((), self._id)
-
     def theta(self, b, x):
         """Monomorphism along a quotient edge."""
         g, h = x
@@ -777,7 +774,7 @@ def classify_discreteness(building: Building) -> DiscretenessVerdict:
 
 
 def w_ball(system, n):
-    """Elements of the thin chamber system within combinatorial radius n."""
+    """Canonical words of the thin chamber system within combinatorial radius n."""
     from . import coxeter
 
     poset = coxeter.spherical_poset(system)
@@ -788,14 +785,14 @@ def w_ball(system, n):
         for s in sorted(t, key=lambda s: system.index[s]):
             words += [w + [s] for w in words]
         subsets.append([tuple(w) for w in words])
-    current = {w_identity(system)}
-    frontier = [w_identity(system)]
+    current = {()}
+    frontier = [()]
     for _ in range(n):
         new = []
         for w in frontier:
             for words in subsets:
                 for word in words:
-                    cand = w_reduce(system, w.word + word)
+                    cand = w_reduce(system, w + word)
                     if cand not in current:
                         current.add(cand)
                         new.append(cand)
@@ -829,7 +826,7 @@ def apartments_through_base(building: Building, n: int, cap=APARTMENT_COUNT_CAP)
     gp = building.gp
     ball = building.ball(n)
     words = sorted(
-        (w.word for w in w_ball(sysm, n)),
+        w_ball(sysm, n),
         key=lambda w: (len(w), tuple(sysm.index[s] for s in w)),
     )
     windex = {w: k for k, w in enumerate(words)}
@@ -838,7 +835,7 @@ def apartments_through_base(building: Building, n: int, cap=APARTMENT_COUNT_CAP)
     for w in words:
         ds = []
         for s in sysm.generators:
-            shorter = w_reduce(sysm, w + (s,)).word
+            shorter = w_reduce(sysm, w + (s,))
             if len(shorter) < len(w) and shorter in windex:
                 ds.append((s, shorter))
         descents[w] = ds
@@ -892,7 +889,7 @@ def is_apartment_fragment(building, n, chambers) -> bool:
     chambers = frozenset(chambers)
     if () not in chambers:
         return False
-    words = {w.word for w in w_ball(building.system, n)}
+    words = w_ball(building.system, n)
     shadows = {}
     for c in chambers:
         w = tuple(building.system.generators[g] for g, _ in c)
@@ -903,7 +900,7 @@ def is_apartment_fragment(building, n, chambers) -> bool:
         return False
     for w, c in shadows.items():
         for s in building.system.generators:
-            ws = w_reduce(building.system, w + (s,)).word
+            ws = w_reduce(building.system, w + (s,))
             if ws not in shadows:
                 continue
             d = building.gp.delta(shadows[ws], c)

@@ -12,6 +12,15 @@ def hexagon_system():
     return CoxeterSystem(gens, pairs)
 
 
+def generator_word(system, syls):
+    """Image in W of a graph-product element: its generator names in order.
+
+    The generator sequence of a canonical syllable tuple is the canonical
+    reduced word of its image, so no rewriting is needed.
+    """
+    return tuple(system.generators[g] for g, _ in syls)
+
+
 def corrupted_labeling(bld, seed=17):
     """The radius-1 labeling with one side-type label component shifted.
 

@@ -20,10 +20,9 @@ from rabuild.clump import (
 )
 from rabuild.cog import is_admissible
 from rabuild.covering import build_covering, build_labeling, verify_labeling
-from rabuild.coxeter import CoxeterSystem, multiply as w_multiply
-from rabuild.graphprod import ProductElement, projection_to_W
+from rabuild.coxeter import CoxeterSystem, reduce as w_reduce
 from rabuild import symmetry as sym
-from tests.conftest import hexagon_system
+from tests.conftest import generator_word, hexagon_system
 
 
 @contextmanager
@@ -132,22 +131,19 @@ def test_criterion_6_davis_specialization():
             bld = Building(sysm, {g: 2 for g in sysm.generators})
             for n in range(4):
                 chambers = bld.ball_chambers(n)
-                words = {
-                    projection_to_W(sysm, ProductElement(bld.gp, c)).word: c
-                    for c in chambers
-                }
+                words = {generator_word(sysm, c): c for c in chambers}
                 assert len(words) == len(chambers)
-                assert set(words) == {w.word for w in sym.w_ball(sysm, n)}
+                assert set(words) == sym.w_ball(sysm, n)
             sample = sorted(bld.ball_chambers(2))
             rng = random.Random(11)
             for _ in range(60):
-                a = ProductElement(bld.gp, rng.choice(sample))
-                b = ProductElement(bld.gp, rng.choice(sample))
-                lhs = bld.w_distance(a, b)
-                rhs = w_multiply(
+                a = rng.choice(sample)
+                b = rng.choice(sample)
+                # graph-product kernel against the q = 2 W-kernel
+                lhs = generator_word(sysm, bld.gp.delta(a, b))
+                rhs = w_reduce(
                     sysm,
-                    projection_to_W(sysm, a).inverse(),
-                    projection_to_W(sysm, b),
+                    tuple(reversed(generator_word(sysm, a))) + generator_word(sysm, b),
                 )
                 assert lhs == rhs
 
@@ -281,10 +277,8 @@ def test_criterion_7_discreteness_trichotomy():
 
 def _fragment_oracle(bld, n):
     """Brute force: subsets of the ball that are distance-faithful sections."""
-    from rabuild.coxeter import reduce as w_reduce
-
     ball = sorted(bld.ball_chambers(n))
-    words = sorted(w.word for w in sym.w_ball(bld.system, n))
+    words = sorted(sym.w_ball(bld.system, n))
     found = []
     target_len = len(words)
     for subset in itertools.combinations(ball, target_len):
@@ -293,7 +287,7 @@ def _fragment_oracle(bld, n):
         shadows = {}
         ok = True
         for c in subset:
-            w = tuple(bld.system.generators[g] for g, _ in c)
+            w = generator_word(bld.system, c)
             if w in shadows:
                 ok = False
                 break
@@ -304,9 +298,7 @@ def _fragment_oracle(bld, n):
             if not ok:
                 break
             for w2, c2 in shadows.items():
-                d = bld.w_distance(
-                    ProductElement(bld.gp, c1), ProductElement(bld.gp, c2)
-                )
+                d = generator_word(bld.system, bld.gp.delta(c1, c2))
                 if d != w_reduce(bld.system, tuple(reversed(w1)) + w2):
                     ok = False
                     break

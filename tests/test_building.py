@@ -7,27 +7,40 @@ import pytest
 from rabuild.building import Building, load_ball_cache, save_ball_cache
 from rabuild.coxeter import CoxeterSystem, reduce as w_reduce
 from rabuild.errors import DomainError, InputError, SizeCapError
-from rabuild.graphprod import ProductElement
+from tests.conftest import generator_word
 
 
 def elem(bld, pairs):
     return bld.gp.element(pairs)
 
 
-def test_w_distance_examples(d23):
-    one = d23.identity_chamber()
+def distance_word(bld, a, b):
+    """W-distance from chamber a to chamber b, as a canonical word."""
+    return generator_word(bld.system, bld.gp.delta(a, b))
+
+
+def shares_face(bld, a, b):
+    """Chambers share a face iff the support of a^-1 b is spherical."""
+    mask = 0
+    for g, _ in bld.gp.delta(a, b):
+        mask |= 1 << g
+    return bld.is_spherical_mask(mask)
+
+
+def test_delta_word_examples(d23):
     g = elem(d23, [("t", 2), ("s", 1)])
-    assert d23.w_distance(g, g).is_identity()
-    assert d23.w_distance(one, elem(d23, [("s", 1)])).word == ("s",)
+    assert distance_word(d23, g, g) == ()
+    assert distance_word(d23, (), elem(d23, [("s", 1)])) == ("s",)
 
 
-def test_w_distance_symmetry(d23):
+def test_delta_word_symmetry(d23):
     rng = random.Random(1)
     chambers = sorted(d23.ball_chambers(2))
     for _ in range(60):
-        a = ProductElement(d23.gp, rng.choice(chambers))
-        b = ProductElement(d23.gp, rng.choice(chambers))
-        assert d23.w_distance(a, b) == d23.w_distance(b, a).inverse()
+        a = rng.choice(chambers)
+        b = rng.choice(chambers)
+        back = distance_word(d23, b, a)
+        assert distance_word(d23, a, b) == w_reduce(d23.system, reversed(back))
 
 
 def test_davis_distance_is_group_division():
@@ -36,24 +49,24 @@ def test_davis_distance_is_group_division():
     rng = random.Random(2)
     chambers = sorted(bld.ball_chambers(2))
     for _ in range(80):
-        a = ProductElement(bld.gp, rng.choice(chambers))
-        b = ProductElement(bld.gp, rng.choice(chambers))
-        lhs = bld.w_distance(a, b).word
-        rhs = tuple(
-            sysm.generators[g] for g, _ in bld.gp.delta(a.syllables, b.syllables)
+        a = rng.choice(chambers)
+        b = rng.choice(chambers)
+        lhs = distance_word(bld, a, b)
+        rhs = w_reduce(
+            sysm, tuple(reversed(generator_word(sysm, a))) + generator_word(sysm, b)
         )
         assert lhs == rhs
 
 
-def test_s_adjacent(d23):
-    one = d23.identity_chamber()
+def test_panel_adjacency_examples(d23):
+    # a and b are s-adjacent iff a^-1 b is one syllable of generator s
     s = elem(d23, [("s", 1)])
     st = elem(d23, [("s", 1), ("t", 1)])
-    assert d23.s_adjacent(one, s, "s")
-    assert not d23.s_adjacent(one, st, "s")
-    assert not d23.s_adjacent(one, one, "s")
+    assert d23.gp.delta((), s) == ((0, 1),)
+    assert d23.gp.delta((), st) == ((0, 1), (1, 1))
+    assert d23.gp.delta(st, st) == ()
     with pytest.raises(InputError):
-        d23.s_adjacent(one, s, "x")
+        elem(d23, [("x", 1)])
 
 
 def test_panel_sizes(d23):
@@ -70,23 +83,22 @@ def test_panel_sizes(d23):
 
 
 def test_face_examples(square23):
-    one = square23.identity_chamber()
     s = elem(square23, [("s", 1)])
-    f0 = square23.face(one, [])
-    assert f0.tmask == 0 and f0.rep == ()
-    assert square23.face(s, ["s"]) == square23.face(one, ["s"])
+    smask = square23.system.mask(["s"])
+    assert square23.face_of((), 0) == (0, ())
+    assert square23.face_of(s, smask) == square23.face_of((), smask)
+    free = Building(CoxeterSystem(["s", "t"]), {"s": 2, "t": 2})
     with pytest.raises(DomainError):
-        Building(CoxeterSystem(["s", "t"]), {"s": 2, "t": 2}).face(one, ["s", "t"])
+        free.face_of((), free.system.mask(["s", "t"]))
 
 
 def test_face_residue_size_oracle(square23):
     # oracle: close the coset under single-generator multiplication
     bld = square23
-    one = bld.identity_chamber()
     for letters in ([], ["s"], ["t"], ["s", "t"]):
-        face = bld.face(one, letters)
-        closure = {one.syllables}
-        frontier = [one.syllables]
+        face = bld.face_of((), bld.system.mask(letters))
+        closure = {()}
+        frontier = [()]
         while frontier:
             c = frontier.pop()
             for g in (bld.system.index[x] for x in letters):
@@ -95,7 +107,7 @@ def test_face_residue_size_oracle(square23):
                     if nb not in closure:
                         closure.add(nb)
                         frontier.append(nb)
-        assert set(bld.residue_chambers((face.tmask, face.rep))) == closure
+        assert set(bld.residue_chambers(face)) == closure
         expected = 1
         for x in letters:
             expected *= bld.gp.q(x)
@@ -103,13 +115,11 @@ def test_face_residue_size_oracle(square23):
 
 
 def test_intersects(d23, square23):
-    one = d23.identity_chamber()
     st = elem(d23, [("s", 1), ("t", 1)])
-    assert d23.intersects(one, one)
-    assert not d23.intersects(one, st)
-    onec = square23.identity_chamber()
+    assert shares_face(d23, (), ())
+    assert not shares_face(d23, (), st)
     stc = elem(square23, [("s", 1), ("t", 1)])
-    assert square23.intersects(onec, stc)
+    assert shares_face(square23, (), stc)
 
 
 def test_intersects_brute_force_oracle(d23):
@@ -124,7 +134,7 @@ def test_intersects_brute_force_oracle(d23):
         for tmask in bld.spherical_masks:
             if bld.gp.strip(a, tmask) == bld.gp.strip(b, tmask):
                 shared = True
-        got = bld.intersects(ProductElement(bld.gp, a), ProductElement(bld.gp, b))
+        got = shares_face(bld, a, b)
         assert got == shared
 
 
@@ -147,12 +157,7 @@ def test_ball_closure_property(d23):
         prev = d23.ball_chambers(n - 1)
         cur = d23.ball_chambers(n)
         for c in cur:
-            assert any(
-                d23.intersects(
-                    ProductElement(d23.gp, c), ProductElement(d23.gp, p)
-                )
-                for p in prev
-            )
+            assert any(shares_face(d23, c, p) for p in prev)
         # nothing missing: any chamber adjacent to prev is in cur
         for p in prev:
             for tmask in d23.maximal_masks:
@@ -187,22 +192,30 @@ def test_ball_cap(d23):
         d23.ball_chambers(4, cap=5)
 
 
-def test_minimal_gallery(d23):
-    one = d23.identity_chamber()
-    assert d23.minimal_gallery(one, one).type_word == ()
+def delta_gallery(bld, a, b):
+    """Chambers a = c_0, ..., c_k = b stepping by the syllables of a^-1 b."""
+    chambers = [a]
+    for syl in bld.gp.delta(a, b):
+        chambers.append(bld.gp.mul(chambers[-1], (syl,)))
+    return chambers
+
+
+def test_delta_spells_a_gallery(d23):
+    assert delta_gallery(d23, (), ()) == [()]
     s = elem(d23, [("s", 1)])
-    gal = d23.minimal_gallery(one, s)
-    assert gal.type_word == ("s",)
-    assert gal.chambers == (one, s)
+    assert delta_gallery(d23, (), s) == [(), s]
     rng = random.Random(5)
     chambers = sorted(d23.ball_chambers(2))
     for _ in range(50):
-        a = ProductElement(d23.gp, rng.choice(chambers))
-        b = ProductElement(d23.gp, rng.choice(chambers))
-        gal = d23.minimal_gallery(a, b)
-        assert gal.type_word == d23.w_distance(a, b).word
-        for i in range(len(gal.type_word)):
-            assert d23.s_adjacent(gal.chambers[i], gal.chambers[i + 1], gal.type_word[i])
+        a = rng.choice(chambers)
+        b = rng.choice(chambers)
+        gal = delta_gallery(d23, a, b)
+        assert gal[-1] == b
+        word = distance_word(d23, a, b)
+        assert len(gal) == len(word) + 1
+        for i, letter in enumerate(word):
+            step = d23.gp.delta(gal[i], gal[i + 1])
+            assert len(step) == 1 and step[0][0] == d23.system.index[letter]
 
 
 def test_gallery_types_reduce_to_distance(d23):
@@ -233,10 +246,7 @@ def test_gallery_types_reduce_to_distance(d23):
                     seen.add(nb)
                     queue.append((nb, word + [sysm.generators[g]]))
         assert found is not None
-        delta = bld.w_distance(
-            ProductElement(bld.gp, a), ProductElement(bld.gp, b)
-        )
-        assert w_reduce(sysm, found) == delta
+        assert w_reduce(sysm, found) == distance_word(bld, a, b)
 
 
 def test_link_join_structure(hex3):
@@ -276,8 +286,21 @@ def test_ball_cache_roundtrip(tmp_path, d23):
         lambda data: "[1, 2]",
         lambda data: json.dumps({k: v for k, v in data.items() if k != "radius"}),
         lambda data: json.dumps(dict(data, chambers=["st"])),
+        lambda data: json.dumps(dict(data, chambers=[[["t", 1.5]]])),
+        lambda data: json.dumps(dict(data, chambers=[[["s", True]]])),
+        lambda data: json.dumps(dict(data, chambers=[[], [["t", 3]]])),
+        lambda data: json.dumps(dict(data, radius="x")),
     ],
-    ids=["not-json", "not-an-object", "no-radius", "bad-chamber"],
+    ids=[
+        "not-json",
+        "not-an-object",
+        "no-radius",
+        "bad-chamber",
+        "float-exponent",
+        "bool-exponent",
+        "exponent-not-reduced",
+        "bad-radius",
+    ],
 )
 def test_load_ball_cache_rejects_other_files(tmp_path, d23, rewrite):
     path = tmp_path / "ball.json"

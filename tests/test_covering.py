@@ -83,7 +83,7 @@ def test_square_chamber_two_unfoldings():
     lab = build_labeling(bld, steps)
     assert verify_labeling(lab).ok
     gp = bld.gp
-    far = gp.element([("s", 1), ("u", 1)]).syllables
+    far = gp.element([("s", 1), ("u", 1)])
     corner = bld.face_of(far, bld.system.mask(["s", "u"]))
     center_edge = ((0, far), corner)
     assert lab.labels[center_edge] == (1, 1)

@@ -1,20 +1,9 @@
 import itertools
-import math
 import random
 
 import pytest
 
-from rabuild.coxeter import (
-    CoxeterSystem,
-    identity,
-    is_reduced,
-    is_spherical,
-    multiply,
-    nerve_graph,
-    reduce,
-    spherical_poset,
-    support,
-)
+from rabuild.coxeter import CoxeterSystem, is_spherical, reduce, spherical_poset
 from rabuild.errors import InputError, SizeCapError
 from tests.conftest import hexagon_system
 
@@ -29,25 +18,25 @@ def test_construction_validation():
     with pytest.raises(InputError):
         CoxeterSystem(["s", "t"], [("s", "s")])
     sysm = CoxeterSystem(["s", "t"], [("s", "t")])
-    assert sysm.m("s", "t") == 2
-    assert sysm.m("s", "s") == 1
+    assert sysm.commutes("s", "t")
+    assert not sysm.commutes("s", "s")
     free = CoxeterSystem(["s", "t"])
-    assert free.m("s", "t") == math.inf
+    assert not free.commutes("s", "t")
 
 
 def test_reduce_deletion():
     sysm = CoxeterSystem(["s", "t"])
-    assert reduce(sysm, ["s", "s"]).word == ()
+    assert reduce(sysm, ["s", "s"]) == ()
 
 
 def test_reduce_commute_then_delete():
     sysm = CoxeterSystem(["s", "t"], [("s", "t")])
-    assert reduce(sysm, ["s", "t", "s"]).word == ("t",)
+    assert reduce(sysm, ["s", "t", "s"]) == ("t",)
 
 
 def test_reduce_no_move_applies():
     sysm = CoxeterSystem(["s", "t"])
-    assert reduce(sysm, ["s", "t", "s"]).word == ("s", "t", "s")
+    assert reduce(sysm, ["s", "t", "s"]) == ("s", "t", "s")
 
 
 def test_reduce_rejects_unknown_letters():
@@ -60,9 +49,9 @@ def test_multiply_examples():
     sysm = CoxeterSystem(["s", "t"], [("s", "t")])
     s = reduce(sysm, ["s"])
     t = reduce(sysm, ["t"])
-    assert multiply(sysm, s, s) == identity(sysm)
-    assert multiply(sysm, s, t).word == ("s", "t")
-    assert multiply(sysm, t, s).word == ("s", "t")
+    assert reduce(sysm, s + s) == ()
+    assert reduce(sysm, s + t) == ("s", "t")
+    assert reduce(sysm, t + s) == ("s", "t")
 
 
 def random_word(rng, sysm, length):
@@ -74,14 +63,16 @@ def test_inverse_law():
     sysm = CoxeterSystem(["a", "b", "c", "d"], [("a", "b"), ("c", "d"), ("b", "c")])
     for _ in range(100):
         w = reduce(sysm, random_word(rng, sysm, rng.randint(0, 9)))
-        assert multiply(sysm, w, w.inverse()) == identity(sysm)
+        inverse = reduce(sysm, reversed(w))
+        assert reduce(sysm, w + inverse) == ()
+        assert reduce(sysm, inverse + w) == ()
 
 
 def test_support_examples():
     sysm = CoxeterSystem(["s", "t"])
-    assert support(sysm, identity(sysm)) == frozenset()
+    assert set(reduce(sysm, [])) == set()
     g = reduce(sysm, ["s", "t", "s"])
-    assert support(sysm, g) == {"s", "t"}
+    assert set(g) == {"s", "t"}
 
 
 def test_support_contained_in_letters():
@@ -89,7 +80,7 @@ def test_support_contained_in_letters():
     sysm = CoxeterSystem(["a", "b", "c"], [("a", "b")])
     for _ in range(200):
         w = random_word(rng, sysm, rng.randint(0, 10))
-        assert support(sysm, reduce(sysm, w)) <= set(w)
+        assert set(reduce(sysm, w)) <= set(w)
 
 
 def test_support_stable_under_padding():
@@ -111,7 +102,7 @@ def test_support_stable_under_padding():
             if a != b and sysm.commutes(a, b):
                 padded[k], padded[k + 1] = b, a
         assert reduce(sysm, padded) == g
-        assert support(sysm, g) <= set(padded)
+        assert set(g) <= set(padded)
 
 
 def test_confluence_under_random_moves():
@@ -148,8 +139,8 @@ def test_length_monotone():
     for _ in range(200):
         w = random_word(rng, sysm, rng.randint(0, 8))
         g = reduce(sysm, w)
-        assert len(g.word) <= len(w)
-        assert (len(g.word) == len(w)) == is_reduced(sysm, w)
+        assert len(g) <= len(w)
+        assert reduce(sysm, g) == g
 
 
 def test_is_spherical_basics():
@@ -163,13 +154,13 @@ def test_infinite_pair_by_growth():
     # oracle: the subgroup on a non-commuting pair keeps producing new
     # elements at every radius (infinite dihedral), so it is not finite
     sysm = CoxeterSystem(["s", "t"])
-    elements = {identity(sysm)}
-    frontier = [identity(sysm)]
+    elements = {()}
+    frontier = [()]
     for _ in range(6):
         new = []
         for w in frontier:
             for s in sysm.generators:
-                cand = multiply(sysm, w, reduce(sysm, [s]))
+                cand = reduce(sysm, w + (s,))
                 if cand not in elements:
                     elements.add(cand)
                     new.append(cand)
@@ -180,14 +171,13 @@ def test_infinite_pair_by_growth():
 
 
 def enumerate_special_subgroup(sysm, letters, cap=64):
-    gens = [reduce(sysm, [s]) for s in letters]
-    elements = {identity(sysm)}
-    frontier = [identity(sysm)]
+    elements = {()}
+    frontier = [()]
     while frontier and len(elements) <= cap:
         new = []
         for w in frontier:
-            for g in gens:
-                cand = multiply(sysm, w, g)
+            for s in letters:
+                cand = reduce(sysm, w + (s,))
                 if cand not in elements:
                     elements.add(cand)
                     new.append(cand)
@@ -239,7 +229,9 @@ def test_spherical_poset_hexagon():
     edges = [t for t in poset.nerve if len(t) == 2]
     assert len(vertices) == 6 and len(edges) == 6
     assert not [t for t in poset.nerve if len(t) > 2]
-    _, graph_edges = nerve_graph(sysm)
+    graph_edges = [
+        pair for pair in itertools.combinations(sysm.generators, 2) if sysm.commutes(*pair)
+    ]
     assert len(graph_edges) == 6
 
 

@@ -133,7 +133,7 @@ def test_kernel_matches_reference():
 def test_public_functions_call_no_other():
     # a tracer wrapping the public API in this module's namespace would count
     # a nested call as a second unit of kernel work
-    public = {"normalize", "multiply", "inverse", "strip_coset", "support_mask"}
+    public = {"normalize", "multiply", "inverse", "strip_coset"}
     for name in public:
         assert not set(getattr(kernel, name).__code__.co_names) & public, name
 
@@ -214,10 +214,3 @@ def test_strip_coset_is_least_coset_member():
         best = min(coset, key=lambda w: (len(w), w))
         assert kernel.strip_coset(a, tmask, qs, comm) == best
 
-
-def test_support_mask():
-    qs = (2, 3, 4)
-    comm = (0, 0, 0)
-    assert kernel.support_mask(()) == 0
-    w = kernel.normalize(((0, 1), (2, 3), (0, 1)), qs, comm)
-    assert kernel.support_mask(w) == 0b101

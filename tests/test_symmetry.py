@@ -8,7 +8,7 @@ from rabuild.clump import chamber_clump, unfold, unfold_steps_to_ball
 from rabuild.coxeter import CoxeterSystem
 from rabuild.errors import DomainError, SizeCapError
 from rabuild import symmetry as sym
-from tests.conftest import hexagon_system
+from tests.conftest import generator_word, hexagon_system
 
 
 # -- type permutations -------------------------------------------------------
@@ -73,8 +73,8 @@ def test_swap_automorphism_d33(d33):
     ball = d33.ball(1)
     h = sym.from_type_permutation(ball, (1, 0))
     assert h.verify() == []
-    s = d33.gp.element([("s", 1)]).syllables
-    t = d33.gp.element([("t", 1)]).syllables
+    s = d33.gp.element([("s", 1)])
+    t = d33.gp.element([("t", 1)])
     assert h.chamber_image(s) == t
     assert h.compose(h).is_identity()
     assert h.inverse() == h
@@ -329,7 +329,7 @@ def test_apartments_square(square23):
 def test_apartments_d23_radius1(d23):
     frags = sym.apartments_through_base(d23, 1)
     assert len(frags) == 2
-    s = d23.gp.element([("s", 1)]).syllables
+    s = d23.gp.element([("s", 1)])
     for f in frags:
         assert () in f.chambers and s in f.chambers
         assert len(f.chambers) == 3
@@ -339,9 +339,8 @@ def test_apartment_fragments_brute_force_oracle(square23):
     # enumerate all chamber subsets and keep the distance-faithful sections
     bld = square23
     ball = bld.ball_chambers(1)
-    words = sorted(w.word for w in sym.w_ball(bld.system, 1))
+    words = sorted(sym.w_ball(bld.system, 1))
     valid = []
-    from rabuild.graphprod import ProductElement
     from rabuild.coxeter import reduce as w_reduce
 
     for size in range(1, len(ball) + 1):
@@ -351,9 +350,7 @@ def test_apartment_fragments_brute_force_oracle(square23):
             shadows = {}
             ok = True
             for c in subset:
-                w = tuple(
-                    bld.system.generators[g] for g, _ in c
-                )
+                w = generator_word(bld.system, c)
                 if w in shadows:
                     ok = False
                     break
@@ -363,9 +360,7 @@ def test_apartment_fragments_brute_force_oracle(square23):
             # distance-faithful: delta of chambers matches the group division
             for w1, c1 in shadows.items():
                 for w2, c2 in shadows.items():
-                    d = bld.w_distance(
-                        ProductElement(bld.gp, c1), ProductElement(bld.gp, c2)
-                    )
+                    d = generator_word(bld.system, bld.gp.delta(c1, c2))
                     expect = w_reduce(
                         bld.system,
                         tuple(reversed(w1)) + w2,
@@ -414,7 +409,7 @@ def test_witness_identity(square23):
 
 def test_witness_rejects_non_fragment(d23):
     frags = sym.apartments_through_base(d23, 1)
-    s = d23.gp.element([("s", 1)]).syllables
+    s = d23.gp.element([("s", 1)])
     fake = sym.ApartmentFragment(d23, 1, frozenset({(), s}), ())
     with pytest.raises(DomainError):
         sym.transitivity_witness(d23, fake, frags[0], 1)
@@ -423,8 +418,8 @@ def test_witness_rejects_non_fragment(d23):
 def test_witness_square_swaps_t_panel(square23):
     frags = sym.apartments_through_base(square23, 1)
     h = sym.transitivity_witness(square23, frags[0], frags[1], 1)
-    t = square23.gp.element([("t", 1)]).syllables
-    t2 = square23.gp.element([("t", 2)]).syllables
+    t = square23.gp.element([("t", 1)])
+    t2 = square23.gp.element([("t", 2)])
     assert h.chamber_image(t) == t2
     assert h.chamber_image(()) == ()
     cert = h.to_json()
