@@ -106,11 +106,11 @@ class Building:
                 break
         return frozenset(current)
 
-    def ball(self, n, cap=None):
+    def ball(self, n):
         """Combinatorial ball of radius n, as a clump."""
         from .clump import Clump
 
-        chambers = self.ball_chambers(n, cap=cap)
+        chambers = self.ball_chambers(n)
         return Clump(self, chambers)
 
     # -- serialization ---------------------------------------------------

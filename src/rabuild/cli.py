@@ -52,7 +52,7 @@ def _check_cap(name, value, least):
 def parse_config(text: str) -> SystemConfig:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError("config must be a JSON object")
@@ -103,10 +103,11 @@ def parse_config(text: str) -> SystemConfig:
 
 def load_config(path: str) -> SystemConfig:
     try:
-        with open(path) as fh:
-            return parse_config(fh.read())
-    except OSError as exc:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read config {path!r}: {exc}") from exc
+    return parse_config(text)
 
 
 def emit(payload) -> None:

@@ -515,7 +515,7 @@ class UnfoldStep:
     after: Clump
 
 
-def unfold_steps_to_ball(building: Building, n: int, cap=None, rng=None):
+def unfold_steps_to_ball(building: Building, n: int, rng=None):
     """Reach the radius-n ball from one chamber by unfolding along sides.
 
     Layer by layer: enumerate the sides of the previous ball, unfold along
@@ -524,7 +524,7 @@ def unfold_steps_to_ball(building: Building, n: int, cap=None, rng=None):
     unfolding along it.  Returns the final clump and the list of steps.
     Sides are processed in canonical order; pass ``rng`` to shuffle them.
     """
-    cap = building.chamber_cap if cap is None else cap
+    cap = building.chamber_cap
     current = chamber_clump(building)
     steps = []
     for _ in range(n):

@@ -4,7 +4,9 @@ The scwol of a clump has one vertex per face of its chambers and an edge
 from a face to each face of strictly larger type on the same residue
 chain.  The canonical complex of groups puts the direct product of the
 cyclic groups named by a vertex's boundary type at that vertex, with
-natural inclusions along edges and no twisting.
+natural inclusions along edges and no twisting.  ``ComplexOfGroups`` holds
+every such complex, the base of a quotient included, and answers the
+covering checker's questions itself.
 
 One helper, ``add_chambers``, puts chambers into a face table and an edge
 set.  ``scwol_of`` runs it on a whole clump; ``clump.unfold`` runs it on the
@@ -29,43 +31,55 @@ from .errors import DomainError, InternalError
 
 
 class Scwol:
-    """The scwol of a clump: its faces, and the inclusions between them.
+    """A scwol: its vertices, and the edges between them.
 
-    ``face_chambers`` maps each face to the sorted tuple of clump chambers on
-    it, and ``edge_set`` holds the edges.  The sorted views (``vertices``,
-    ``edges``, ``out_edges``, ``in_edges``) are built once, when first read.
+    The vertices are the faces of a clump, or chains of its faces in the
+    subdivided base of a quotient.  ``face_chambers`` maps each vertex to the
+    sorted tuple of clump chambers on it, ``edge_set`` holds the edges as
+    (src, dst) pairs, and ``key`` orders the vertices.  The sorted views
+    (``vertices``, ``edges``, ``out_edges``, ``in_edges``) are built once,
+    when first read.
     """
 
-    def __init__(self, face_chambers, edge_set):
+    def __init__(self, face_chambers, edge_set, key=face_key):
         self.face_chambers = face_chambers
         self.edge_set = edge_set
+        self.key = key
 
     @cached_property
     def vertices(self):
-        return tuple(sorted(self.face_chambers, key=face_key))
+        return tuple(sorted(self.face_chambers, key=self.key))
 
     @cached_property
     def edges(self):
-        """Sorted by (face_key(src), face_key(dst)), through vertex positions."""
-        rank = {face: i for i, face in enumerate(self.vertices)}
+        """Sorted by (key(src), key(dst)), through vertex positions."""
+        rank = {v: i for i, v in enumerate(self.vertices)}
         n = len(rank)
         return tuple(sorted(self.edge_set, key=lambda e: rank[e[0]] * n + rank[e[1]]))
 
     @cached_property
     def out_edges(self):
-        """face -> tuple of edges with that initial vertex"""
+        """vertex -> tuple of edges with that initial vertex"""
         return _edges_by(self.edges, 0)
 
     @cached_property
     def in_edges(self):
-        """face -> tuple of edges with that terminal vertex"""
+        """vertex -> tuple of edges with that terminal vertex"""
         return _edges_by(self.edges, 1)
 
     def composable_pairs(self):
-        """(a, b) with i(a) = t(b), and their composition."""
+        """(a, b, ab) with i(a) = t(b), ab the composite of a after b.
+
+        A scwol holds the composite of every composable pair; an edge set
+        that lacks one is refused here.
+        """
+        edge_set = self.edge_set
         for b in self.edges:
             for a in self.out_edges.get(b[1], ()):
-                yield a, b, (b[0], a[1])
+                ab = (b[0], a[1])
+                if ab not in edge_set:
+                    raise InternalError("missing composite edge")
+                yield a, b, ab
 
 
 def _edges_by(edges, end):
@@ -121,13 +135,64 @@ def scwol_of(clump) -> Scwol:
     return Scwol(face_chambers, edge_set)
 
 
-@dataclass(frozen=True)
 class ComplexOfGroups:
-    """Simple complex of groups with standard abelian local groups."""
+    """Simple complex of groups with standard abelian local groups.
 
-    clump: object
-    scwol: Scwol
-    local_masks: dict  # face -> type mask of the local direct product
+    The local group at a vertex is the direct product on its mask, with
+    canonical syllable tuples as elements; monomorphisms along edges are the
+    natural inclusions and all twists vanish.  Every local group is a
+    subgroup of the graph product, so a product does not depend on the
+    vertex, and each is computed once.  The methods are the questions
+    ``covering.check_covering`` asks; they read the scwol's views.
+    """
+
+    def __init__(self, building, scwol: Scwol, local_masks):
+        self.building = building
+        self.scwol = scwol
+        self.local_masks = local_masks  # vertex -> type mask of its local group
+        self._products = {}
+
+    def vertices(self):
+        return self.scwol.vertices
+
+    def edges(self):
+        return self.scwol.edges
+
+    def in_edges(self, v):
+        return self.scwol.in_edges.get(v, ())
+
+    def ends(self, a):
+        return a
+
+    def elements(self, v):
+        return self.building.subgroup(self.local_masks[v])
+
+    def group(self, v):
+        """Vertices with equal keys have the same local group, with the same
+        multiplication."""
+        return self.local_masks[v]
+
+    def mult(self, v, x, y):
+        got = self._products.get((x, y))
+        if got is None:
+            got = self._products[x, y] = self.building.gp.mul(x, y)
+        return got
+
+    def inv(self, v, x):
+        return self.building.gp.inv(x)
+
+    def psi(self, a, x):
+        return x
+
+    def compose(self, a, b):
+        """The composite of the edges a after b, or None if i(a) != t(b)."""
+        return (b[0], a[1]) if a[0] == b[1] else None
+
+    def composable_pairs(self):
+        return self.scwol.composable_pairs()
+
+    def twist(self, a, b):
+        return ()
 
 
 def canonical_cog(clump) -> ComplexOfGroups:
@@ -141,7 +206,7 @@ def canonical_cog(clump) -> ComplexOfGroups:
                 "local groups do not include along an edge; "
                 "boundary types failed to nest"
             )
-    return ComplexOfGroups(clump, scwol, local)
+    return ComplexOfGroups(clump.building, scwol, local)
 
 
 @dataclass(frozen=True)
@@ -164,7 +229,7 @@ def local_development(cog: ComplexOfGroups, face) -> LocalDevelopment:
     Only vertices of maximal spherical type are supported; completeness at
     those suffices for the admissibility verdict.
     """
-    building = cog.clump.building
+    building = cog.building
     tmask, rep = face
     if tmask not in building.maximal_masks:
         raise DomainError("local development is only computed at maximal types")
@@ -274,79 +339,9 @@ def is_admissible(clump):
     return report
 
 
-@dataclass(frozen=True)
-class Presentation:
-    generators: tuple  # (name, order) pairs
-    commuting: tuple  # (name, name) pairs
-
-    def __str__(self):
-        gens = ", ".join(name for name, _ in self.generators)
-        rels = [f"{name}^{order}" for name, order in self.generators]
-        rels += [f"[{a},{b}]" for a, b in self.commuting]
-        return f"< {gens} | {', '.join(rels)} >"
-
-
-def presentation(cog: ComplexOfGroups) -> Presentation:
-    """Colimit presentation of the local groups along the scwol.
-
-    Local generators at different vertices are identified exactly when an
-    edge chain carries one into the other, so disconnected pieces of
-    boundary of the same type contribute distinct free factors.
-
-    The presentation equals the fundamental group only when the underlying
-    scwol is simply connected.  That holds for single chambers and for
-    combinatorial balls; for other clumps it is assumed, not checked.
-    """
-    building = cog.clump.building
-    gens_at = {
-        face: [g for g in range(len(building.gp.qs)) if (mask >> g) & 1]
-        for face, mask in cog.local_masks.items()
-    }
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for face, gens in gens_at.items():
-        for g in gens:
-            parent[(face, g)] = (face, g)
-    for src, dst in cog.scwol.edges:
-        for g in gens_at[src]:
-            a, b = find((src, g)), find((dst, g))
-            if a != b:
-                parent[a] = b
-    classes = {}
-    for node in parent:
-        classes.setdefault(find(node), []).append(node)
-    by_gen = {}
-    for root, members in classes.items():
-        g = root[1]
-        rep = min(members, key=lambda n: face_key(n[0]))
-        by_gen.setdefault(g, []).append((rep, root))
-    names = {}
-    gen_list = []
-    for g in sorted(by_gen):
-        entries = sorted(by_gen[g], key=lambda t: face_key(t[0][0]))
-        base = building.system.generators[g]
-        for k, (rep, root) in enumerate(entries):
-            name = base if len(entries) == 1 else f"{base}_{k}"
-            names[root] = name
-            gen_list.append((name, building.gp.qs[g]))
-    commuting = set()
-    for face, gens in gens_at.items():
-        for g, h in itertools.combinations(gens, 2):
-            a = names[find((face, g))]
-            b = names[find((face, h))]
-            commuting.add(tuple(sorted((a, b))))
-    return Presentation(tuple(sorted(gen_list)), tuple(sorted(commuting)))
-
-
 def scwol_to_dot(cog: ComplexOfGroups) -> str:
     """Graphviz rendering of the scwol with local-group labels."""
-    building = cog.clump.building
+    building = cog.building
     sysm = building.system
     lines = ["digraph scwol {"]
     ids = {}

@@ -13,8 +13,11 @@ Property (3) is checked twice and independently: through the
 distinct-projection criterion and through brute-force coset listing; a
 disagreement aborts, since it would mean one of the implementations is
 wrong.  ``check_covering`` is the general verifier of the covering axioms
-and is also used by the symmetry quotients.  Both fiber checks list each
-coset once and examine every member of it.
+and is also used by the symmetry quotients.  It reads the abelian complexes
+of groups (``cog.ComplexOfGroups``) as they are, with no adapter, and the
+quotient complex of groups (``symmetry.QuotientCog``) through the same
+questions.  Both fiber checks list each coset once and examine every member
+of it.
 """
 
 from __future__ import annotations
@@ -286,79 +289,6 @@ def verify_labeling(lab: EdgeLabeling) -> LabelingReport:
 # ---------------------------------------------------------------------------
 
 
-class AbelianCogAdapter:
-    """A complex of groups with standard abelian local groups, for check_covering.
-
-    Vertices are scwol faces or residue chains; an edge is a (src, dst) pair
-    and composes with every edge leaving dst.  The local group at a vertex is
-    the direct product on its mask, with canonical syllable tuples as
-    elements; monomorphisms along edges are the natural inclusions and all
-    twists vanish.  Every local group is a subgroup of the graph product, so
-    a product does not depend on the vertex, and each is computed once.
-    """
-
-    def __init__(self, building, vertices, edges, local_mask):
-        self.building = building
-        self._products = {}
-        self._vertices = vertices
-        self._edges = edges
-        self.local_mask = local_mask
-        self._in_edges = {}
-        out_edges = {}
-        for e in edges:
-            out_edges.setdefault(e[0], []).append(e)
-            self._in_edges.setdefault(e[1], []).append(e)
-        edge_set = set(edges)
-        self._compose = {}
-        for b in edges:
-            for a in out_edges.get(b[1], ()):
-                ab = (b[0], a[1])
-                if ab not in edge_set:
-                    raise InternalError("missing composite edge")
-                self._compose[(a, b)] = ab
-
-    def vertices(self):
-        return self._vertices
-
-    def edges(self):
-        return self._edges
-
-    def in_edges(self, v):
-        return self._in_edges.get(v, ())
-
-    def ends(self, a):
-        return a
-
-    def elements(self, v):
-        return self.building.subgroup(self.local_mask[v])
-
-    def group(self, v):
-        """Vertices with equal keys have the same local group, with the same
-        multiplication."""
-        return self.local_mask[v]
-
-    def mult(self, v, x, y):
-        got = self._products.get((x, y))
-        if got is None:
-            got = self._products[x, y] = self.building.gp.mul(x, y)
-        return got
-
-    def inv(self, v, x):
-        return self.building.gp.inv(x)
-
-    def psi(self, a, x):
-        return x
-
-    def compose(self, a, b):
-        return self._compose.get((a, b))
-
-    def composable_pairs(self):
-        return self._compose.items()
-
-    def twist(self, a, b):
-        return ()
-
-
 @dataclass
 class CoveringReport(Report):
     sheet_counts: dict = field(default_factory=dict)
@@ -368,10 +298,13 @@ class CoveringReport(Report):
 def check_covering(src, tgt, f_vertex, f_edge, phi_vertex, phi_edge) -> CoveringReport:
     """Verify the covering axioms for a morphism of complexes of groups.
 
-    ``src`` and ``tgt`` expose vertices/edges/local groups as in
-    AbelianCogAdapter; ``f_vertex``/``f_edge`` give the underlying scwol
-    morphism, ``phi_vertex`` the local maps (callables) and ``phi_edge``
-    the twisting elements of the morphism.  Checks: local injectivity, the
+    ``src`` and ``tgt`` answer the questions of ``cog.ComplexOfGroups``:
+    vertices, edges, their ends, local groups (elements, products, inverses),
+    monomorphisms ``psi``, composition and twists.  ``src`` is a
+    ``ComplexOfGroups``; ``tgt`` is one too, or a ``symmetry.QuotientCog``.
+    ``f_vertex``/``f_edge`` give the underlying scwol morphism,
+    ``phi_vertex`` the local maps (callables) and ``phi_edge`` the twisting
+    elements of the morphism.  Checks: local injectivity, the
     per-edge commuting diagram, compatibility with composition, the target
     cog axioms, bijectivity of every fiber coset map, and vertexwise
     consistency of the sheet count.
@@ -383,7 +316,7 @@ def check_covering(src, tgt, f_vertex, f_edge, phi_vertex, phi_edge) -> Covering
     report = CoveringReport()
 
     composed = {}
-    for (a, b), ab in tgt.composable_pairs():
+    for a, b, ab in tgt.composable_pairs():
         composed[(a, b)] = ab
         ia, ta = tgt.ends(a)
         ib, tb = tgt.ends(b)
@@ -439,7 +372,7 @@ def check_covering(src, tgt, f_vertex, f_edge, phi_vertex, phi_edge) -> Covering
                 report.fail("edge-diagram", a)
                 break
 
-    for (a, b), ab in src.composable_pairs():
+    for a, b, ab in src.composable_pairs():
         fa, fb, fab = f_edge[a], f_edge[b], f_edge[ab]
         if tgt.compose(fa, fb) != fab:
             report.fail("edge-composition", (a, b))
@@ -547,25 +480,19 @@ def _identity(x):
     return x
 
 
-def covering_morphism(src_cog, tgt_cog, labels):
-    """The projection of ``src_cog`` onto the one-chamber ``tgt_cog``.
+def covering_morphism(src, tgt, labels):
+    """The projection of the ``ComplexOfGroups`` ``src`` onto the one-chamber ``tgt``.
 
     Returned as ``check_covering``'s arguments: each face goes to the face
     of its type at the base chamber, the local maps are inclusions, and an
     edge's twisting element is its label.
     """
-    building = src_cog.clump.building
-    src = AbelianCogAdapter(
-        building, src_cog.scwol.vertices, src_cog.scwol.edges, src_cog.local_masks
-    )
-    tgt = AbelianCogAdapter(
-        building, tgt_cog.scwol.vertices, tgt_cog.scwol.edges, tgt_cog.local_masks
-    )
+    norm = src.building.gp.norm
     f_vertex = {v: (v[0], ()) for v in src.vertices()}
     f_edge = {a: ((a[0][0], ()), (a[1][0], ())) for a in src.edges()}
     phi_vertex = dict.fromkeys(src.vertices(), _identity)
     phi_edge = {
-        a: building.gp.norm(tuple((g, e) for g, e in enumerate(labels[a]) if e))
+        a: norm(tuple((g, e) for g, e in enumerate(labels[a]) if e))
         for a in src.edges()
     }
     return src, tgt, f_vertex, f_edge, phi_vertex, phi_edge

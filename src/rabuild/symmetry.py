@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .building import Building, face_key, syllable_key
 from .clump import Clump, sheet_mirror_table, sheets, unfold_steps_to_ball
 from .coxeter import CoxeterSystem, reduce as w_reduce
-from .covering import AbelianCogAdapter, CoveringReport, check_covering
+from .covering import CoveringReport, check_covering
 from .errors import DomainError, InternalError, SizeCapError
 
 
@@ -132,9 +132,6 @@ class BallAutomorphism:
                 )
             ],
         }
-
-    def chamber_image(self, c):
-        return self.mapping[c]
 
     def face_image(self, face):
         got = self._face_cache.get(face)
@@ -332,50 +329,45 @@ def _action_has_inversions(clump, autos):
     return False
 
 
-class _Cells:
-    """Quotient base: scwol vertices, or residue chains when subdividing.
+def _cell_cog(clump, subdivide):
+    """The quotient base, a ``cog.ComplexOfGroups``: scwol vertices, or
+    residue chains when subdividing.
 
     A cell is a tuple of faces with strictly increasing types along scwol
-    edges; its local group is the local group of its first, smallest face.
-    An edge goes from a chain to each proper nonempty subchain, so an
-    element fixing a cell fixes every edge out of it.  Each cell gets its
-    sort key (``key``) once.
+    edges, ordered by the tuple of its faces' ``face_key``s; its local group
+    is the local group of its first, smallest face, and so are its chambers.
+    An edge goes from a chain to each proper nonempty subchain, so an element
+    fixing a cell fixes every edge out of it.
     """
+    # imported on first use, as clump does: the CLI starts without cog
+    from .cog import ComplexOfGroups, Scwol
 
-    def __init__(self, clump, subdivide):
-        self.clump = clump
-        self.building = clump.building
-        cog = clump.cog()
-        self.cog = cog
-        scwol = cog.scwol
-        fkey = {f: face_key(f) for f in scwol.vertices}
-        if subdivide:
-            chains = []
-            stack = [(v,) for v in scwol.vertices]
-            while stack:
-                chain = stack.pop()
-                chains.append(chain)
-                for _, nxt in scwol.out_edges.get(chain[-1], ()):
-                    stack.append(chain + (nxt,))
-            self.key = {ch: tuple(fkey[f] for f in ch) for ch in chains}
-            self.cells = tuple(sorted(chains, key=self.key.__getitem__))
-            edges = []
-            for chain in self.cells:
-                n = len(chain)
-                if n == 1:
-                    continue
-                for bits in range(1, (1 << n) - 1):
-                    sub = tuple(chain[i] for i in range(n) if (bits >> i) & 1)
-                    edges.append((chain, sub))
-        else:
-            self.cells = tuple((v,) for v in scwol.vertices)
-            self.key = {c: (fkey[c[0]],) for c in self.cells}
-            edges = [((src,), (dst,)) for src, dst in scwol.edges]
-        self.edges = tuple(sorted(edges, key=self.edge_key))
-        self.local_mask = {c: cog.local_masks[c[0]] for c in self.cells}
-
-    def edge_key(self, e):
-        return (self.key[e[0]], self.key[e[1]])
+    cog = clump.cog()
+    scwol = cog.scwol
+    if subdivide:
+        chains = []
+        stack = [(v,) for v in scwol.vertices]
+        while stack:
+            chain = stack.pop()
+            chains.append(chain)
+            for _, nxt in scwol.out_edges.get(chain[-1], ()):
+                stack.append(chain + (nxt,))
+        edges = set()
+        for chain in chains:
+            n = len(chain)
+            for bits in range(1, (1 << n) - 1):
+                edges.add((chain, tuple(chain[i] for i in range(n) if (bits >> i) & 1)))
+    else:
+        chains = [(v,) for v in scwol.vertices]
+        edges = {((src,), (dst,)) for src, dst in scwol.edges}
+    cells = Scwol(
+        {c: scwol.face_chambers[c[0]] for c in chains},
+        edges,
+        key=lambda c: tuple(map(face_key, c)),
+    )
+    return ComplexOfGroups(
+        clump.building, cells, {c: cog.local_masks[c[0]] for c in chains}
+    )
 
 
 class QuotientCog:
@@ -393,7 +385,7 @@ class QuotientCog:
     images and dictionaries built from them.
     """
 
-    def __init__(self, clump: Clump, autos, subdivide=None):
+    def __init__(self, clump: Clump, autos):
         autos = sorted(set(autos), key=lambda h: h._key)
         self.autos = autos
         self.clump = clump
@@ -406,14 +398,12 @@ class QuotientCog:
             for j, b in enumerate(autos):
                 self._comp[(i, j)] = self._index(a.compose(b))
         self._id = self._index(identity_automorphism(clump))
-        if subdivide is None:
-            subdivide = _action_has_inversions(clump, autos)
-        self.subdivided = subdivide
-        self.cells = _Cells(clump, subdivide)
+        self.subdivided = _action_has_inversions(clump, autos)
+        self.cells = _cell_cog(clump, self.subdivided)
         self.simple = [extend_action(clump, h) for h in autos]
         self.images = {
             c: tuple(tuple(h.face_image(f) for f in c) for h in autos)
-            for c in self.cells.cells
+            for c in self.cells.vertices()
         }
         self._build()
 
@@ -439,19 +429,22 @@ class QuotientCog:
     # -- construction ------------------------------------------------------
 
     def _build(self):
-        cells = self.cells
-        key = cells.key
+        cells = self.cells.scwol
+        position = {c: i for i, c in enumerate(cells.vertices)}
         images = self.images
+
+        def edge_key(e):
+            return (position[e[0]], position[e[1]])
 
         # orbit representatives, transporters to them, stabilizers
         self.rep_of = {}
         self.k_to_rep = {}
-        for c in cells.cells:
+        for c in cells.vertices:
             imgs = images[c]
-            rep = min(imgs, key=key.__getitem__)
+            rep = min(imgs, key=position.__getitem__)
             self.rep_of[c] = rep
             self.k_to_rep[c] = imgs.index(rep)
-        self.reps = tuple(sorted(set(self.rep_of.values()), key=key.__getitem__))
+        self.reps = tuple(sorted(set(self.rep_of.values()), key=position.__getitem__))
         self.stab = {
             rep: tuple(i for i, x in enumerate(images[rep]) if x == rep)
             for rep in self.reps
@@ -460,16 +453,15 @@ class QuotientCog:
         # quotient edges: orbit of a cell edge, keyed by a canonical member;
         # the representative edge of an orbit is its least member starting
         # at the orbit representative of the orbit's initial vertices
-        edge_set = set(cells.edges)
         edge_orbit = {}
         least_from = {}
         for e in cells.edges:
-            b = min(zip(images[e[0]], images[e[1]]), key=cells.edge_key)
+            b = min(zip(images[e[0]], images[e[1]]), key=edge_key)
             edge_orbit[e] = b
             least_from.setdefault((b, e[0]), e)
         self.edge_orbit = edge_orbit
         self.z_edges = tuple(
-            sorted(set(edge_orbit.values()), key=cells.edge_key)
+            sorted(set(edge_orbit.values()), key=edge_key)
         )
 
         # representative edge with initial vertex at the orbit rep, and the
@@ -493,7 +485,7 @@ class QuotientCog:
         # local groups: (g, stab index) pairs at each representative
         self.elements_at = {}
         for rep in self.reps:
-            vecs = self.building.subgroup(self.cells.local_mask[rep])
+            vecs = self.cells.elements(rep)
             self.elements_at[rep] = tuple(
                 (g, i) for g in vecs for i in self.stab[rep]
             )
@@ -513,7 +505,7 @@ class QuotientCog:
                 if moved[0] != abar_bp[1]:
                     raise InternalError("transporter does not align edges")
                 comp = (abar_bp[0], moved[1])
-                if comp not in edge_set:
+                if comp not in cells.edge_set:
                     raise InternalError("missing composite of representative edges")
                 bb = self.edge_orbit[comp]
                 self.z_compose[(b, bp)] = bb
@@ -578,7 +570,7 @@ class QuotientCog:
         return self.z_compose.get((b, bp))
 
     def composable_pairs(self):
-        return [((b, bp), bb) for (b, bp), bb in self.z_compose.items()]
+        return [(b, bp, bb) for (b, bp), bb in self.z_compose.items()]
 
     def twist(self, b, bp):
         return self.z_twist[(b, bp)]
@@ -602,8 +594,8 @@ class QuotientResult:
 
 
 def _quotient_morphism(qc: QuotientCog):
-    f_vertex = {c: qc.rep_of[c] for c in qc.cells.cells}
-    f_edge = {e: qc.edge_orbit[e] for e in qc.cells.edges}
+    f_vertex = {c: qc.rep_of[c] for c in qc.cells.vertices()}
+    f_edge = {e: qc.edge_orbit[e] for e in qc.cells.edges()}
 
     def make_phi(c):
         k = qc.k_to_rep[c]
@@ -613,9 +605,9 @@ def _quotient_morphism(qc: QuotientCog):
 
         return phi
 
-    phi_vertex = {c: make_phi(c) for c in qc.cells.cells}
+    phi_vertex = {c: make_phi(c) for c in qc.cells.vertices()}
     phi_edge = {}
-    for e in qc.cells.edges:
+    for e in qc.cells.edges():
         b = qc.edge_orbit[e]
         delta = qc._comp[
             (
@@ -627,17 +619,11 @@ def _quotient_morphism(qc: QuotientCog):
     return f_vertex, f_edge, phi_vertex, phi_edge
 
 
-def _cells_adapter(cells: _Cells):
-    return AbelianCogAdapter(cells.building, cells.cells, cells.edges, cells.local_mask)
-
-
 def quotient_cog(clump: Clump, autos) -> QuotientResult:
     """Quotient complex of groups and the verified covering onto it."""
     qc = QuotientCog(clump, autos)
     f_vertex, f_edge, phi_vertex, phi_edge = _quotient_morphism(qc)
-    report = check_covering(
-        _cells_adapter(qc.cells), qc, f_vertex, f_edge, phi_vertex, phi_edge
-    )
+    report = check_covering(qc.cells, qc, f_vertex, f_edge, phi_vertex, phi_edge)
     return QuotientResult(qc, report, report.sheet_count)
 
 
@@ -654,7 +640,7 @@ def composed_quotient_covering(labeling, autos_on_chamber) -> CoveringReport:
     building = clump.building
     y0 = Clump(building, {()}, validate=False)
     qc = QuotientCog(y0, autos_on_chamber)
-    src_cells = _Cells(clump, qc.subdivided)
+    src_cells = _cell_cog(clump, qc.subdivided)
 
     def type_chain(cell):
         return tuple((f[0], ()) for f in cell)
@@ -670,19 +656,17 @@ def composed_quotient_covering(labeling, autos_on_chamber) -> CoveringReport:
 
     fq_vertex, fq_edge, phiq_vertex, phiq_edge = _quotient_morphism(qc)
 
-    f_vertex = {c: fq_vertex[type_chain(c)] for c in src_cells.cells}
-    phi_vertex = {c: phiq_vertex[type_chain(c)] for c in src_cells.cells}
+    f_vertex = {c: fq_vertex[type_chain(c)] for c in src_cells.vertices()}
+    phi_vertex = {c: phiq_vertex[type_chain(c)] for c in src_cells.vertices()}
     f_edge = {}
     phi_edge = {}
-    for e in src_cells.edges:
+    for e in src_cells.edges():
         mid_e = (type_chain(e[0]), type_chain(e[1]))
         f_edge[e] = fq_edge[mid_e]
         t_rep = f_vertex[e[1]]
         carried = phiq_vertex[mid_e[1]](chain_label(e))
         phi_edge[e] = qc.mult(t_rep, carried, phiq_edge[mid_e])
-    return check_covering(
-        _cells_adapter(src_cells), qc, f_vertex, f_edge, phi_vertex, phi_edge
-    )
+    return check_covering(src_cells, qc, f_vertex, f_edge, phi_vertex, phi_edge)
 
 
 # ---------------------------------------------------------------------------
@@ -815,7 +799,7 @@ class ApartmentFragment:
 APARTMENT_COUNT_CAP = 20000
 
 
-def apartments_through_base(building: Building, n: int, cap=APARTMENT_COUNT_CAP):
+def apartments_through_base(building: Building, n: int):
     """Every apartment fragment through the base chamber in the radius-n ball.
 
     A fragment assigns to each thin-ball element a chamber, adjacent in the
@@ -844,7 +828,7 @@ def apartments_through_base(building: Building, n: int, cap=APARTMENT_COUNT_CAP)
     assignment = {(): ()}
 
     def backtrack(k):
-        if len(results) > cap:
+        if len(results) > APARTMENT_COUNT_CAP:
             raise SizeCapError("apartment enumeration exceeded its cap")
         if k == len(words):
             results.append(dict(assignment))
@@ -965,8 +949,9 @@ def _panel_consistent(panels, mapping, used, perm, c, cand) -> bool:
     return True
 
 
-def extend_to_ball(partial: dict, ball: Clump, perm=None) -> BallAutomorphism:
-    """Complete a partial chamber map to an automorphism of the ball.
+def extend_to_ball(partial: dict, ball: Clump) -> BallAutomorphism:
+    """Complete a partial chamber map to a type-preserving automorphism of
+    the ball.
 
     Depth-first search over the unassigned chambers, keeping full local
     consistency: a candidate image must reproduce the adjacency type (or
@@ -976,7 +961,7 @@ def extend_to_ball(partial: dict, ball: Clump, perm=None) -> BallAutomorphism:
     """
     bld = ball.building
     rank = len(bld.gp.qs)
-    perm = tuple(range(rank)) if perm is None else tuple(perm)
+    perm = tuple(range(rank))
     todo = sorted(ball.chambers - set(partial), key=syllable_key)
     mapping = dict(partial)
     used = set(mapping.values())

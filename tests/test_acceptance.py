@@ -318,9 +318,9 @@ def test_criterion_8_strong_transitivity(square23, d23):
                 for f2 in frags:
                     h = sym.transitivity_witness(bld, f1, f2, n)
                     assert h.verify() == []
-                    image = frozenset(h.chamber_image(c) for c in f1.chambers)
+                    image = frozenset(h.mapping[c] for c in f1.chambers)
                     assert image == f2.chambers
-                    assert h.chamber_image(()) == ()
+                    assert h.mapping[()] == ()
         square_frags = sym.apartments_through_base(square23, 1)
         assert len(square_frags) == 2  # (q_s - 1)(q_t - 1)
 

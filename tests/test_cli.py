@@ -264,6 +264,19 @@ def test_missing_config_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "blob",
+    [b"\xff\xfe{", b"[" * 200_000],
+    ids=["not-utf8", "nested-too-deep"],
+)
+def test_undecodable_config_exit_code(tmp_path, capsys, blob):
+    path = tmp_path / "config.json"
+    path.write_bytes(blob)
+    code, out = run(capsys, "info", str(path))
+    assert code == 2
+    assert json.loads(out)["kind"] == "InputError"
+
+
 # Config JSON in valid and malformed shapes.  Names come from a small pool so
 # that unknown and duplicate generators, and relations between them, occur.
 NAMES = st.sampled_from(["s", "t", "u", "v"])

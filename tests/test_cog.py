@@ -1,13 +1,15 @@
 import pytest
 
-from rabuild.clump import Clump, chamber_clump, unfold_steps_to_ball
+from rabuild.clump import Clump, chamber_clump
 from rabuild.cog import (
+    ComplexOfGroups,
+    Scwol,
     is_admissible,
     local_development,
-    presentation,
     scwol_to_dot,
 )
-from rabuild.errors import DomainError
+from rabuild.covering import check_covering, covering_morphism
+from rabuild.errors import DomainError, InternalError
 
 
 def l_clump(tree_product):
@@ -67,6 +69,21 @@ def test_scwol_axioms(d23, hex3):
         for a, b, ab in scwol.composable_pairs():
             assert ab in scwol.edges
             assert ab[0] == b[0] and ab[1] == a[1]
+
+
+def test_missing_composite_edge_is_refused(square23):
+    # the one-chamber scwol of two commuting types without its edge from the
+    # base chamber to the {s, t}-face: {s} -> {s, t} after {} -> {s} has no
+    # composite
+    cog = chamber_clump(square23).cog()
+    top = (square23.system.mask(["s", "t"]), ())
+    edges = {e for e in cog.scwol.edge_set if e != ((0, ()), top)}
+    broken = ComplexOfGroups(
+        square23, Scwol(cog.scwol.face_chambers, edges), cog.local_masks
+    )
+    labels = dict.fromkeys(edges, (0, 0))
+    with pytest.raises(InternalError, match="missing composite edge"):
+        check_covering(*covering_morphism(broken, cog, labels))
 
 
 def test_canonical_cog_single_chamber(hex3):
@@ -191,34 +208,6 @@ def test_center_uniqueness_after_unfolding(suite_traces):
                     if e[0][0] == free_mask
                 ]
                 assert len(below) == 1, name
-
-
-def test_presentation_free_product(d23):
-    pres = presentation(chamber_clump(d23).cog())
-    assert pres.generators == (("s", 2), ("t", 3))
-    assert pres.commuting == ()
-
-
-def test_presentation_commuting_pair(square23):
-    pres = presentation(chamber_clump(square23).cog())
-    assert pres.generators == (("s", 2), ("t", 3))
-    assert pres.commuting == (("s", "t"),)
-
-
-def test_presentation_hexagon(hex3):
-    pres = presentation(chamber_clump(hex3).cog())
-    assert len(pres.generators) == 6
-    assert all(order == 3 for _, order in pres.generators)
-    assert len(pres.commuting) == 6  # the commutation cycle
-
-
-def test_presentation_splits_disconnected_boundary(d23):
-    # radius-1 ball of the (2,3) tree: three disjoint boundary pieces
-    final, _ = unfold_steps_to_ball(d23, 1)
-    pres = presentation(final.cog())
-    orders = sorted(order for _, order in pres.generators)
-    assert orders == [2, 2, 3]
-    assert pres.commuting == ()
 
 
 def test_dot_export(d23):

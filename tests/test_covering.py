@@ -6,8 +6,8 @@ from rabuild import covering
 from rabuild.building import Building
 from rabuild.clump import chamber_clump, sheets, unfold_steps_to_ball
 from rabuild.coxeter import CoxeterSystem
+from rabuild.cog import ComplexOfGroups
 from rabuild.covering import (
-    AbelianCogAdapter,
     build_covering,
     build_labeling,
     check_covering,
@@ -385,9 +385,9 @@ def test_fiber_welldef_failure_names_vertex_and_edges(d23, suite):
     v, a = next(
         (v, a)
         for v in src.vertices()
-        if src.local_mask[v] == (1 << b) | (1 << c)
+        if src.local_masks[v] == (1 << b) | (1 << c)
         for a in src.in_edges(v)
-        if src.local_mask[a[0]] == 1 << b
+        if src.local_masks[a[0]] == 1 << b
     )
 
     def not_a_homomorphism(x):
@@ -406,8 +406,8 @@ def test_fiber_welldef_failure_names_vertex_and_edges(d23, suite):
     assert "local-injectivity" not in _kinds(report)
 
 
-class _DoctoredTarget(AbelianCogAdapter):
-    """A target adapter with some monomorphisms or twists replaced."""
+class _DoctoredTarget(ComplexOfGroups):
+    """A target complex of groups with some monomorphisms or twists replaced."""
 
     def __init__(self, base, psi=(), twist=()):
         self.__dict__.update(base.__dict__)

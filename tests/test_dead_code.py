@@ -18,13 +18,8 @@ SRC = ROOT / "src" / "rabuild"
 # Check entry points that only the acceptance tests call.  Each certifies a
 # step of the paper's argument on its own, so it is kept without a pipeline.
 ALLOWED = {
-    "cog.is_admissible",  # criterion 4: admissibility of a complex of groups
+    "cog.is_admissible",  # criterion 5: admissibility of a complex of groups
     "symmetry.composed_quotient_covering",  # criterion 9: composed coverings
-    "symmetry.BallAutomorphism.chamber_image",  # criterion 9: action on chambers
-    # Not a check: the colimit presentation of a complex of groups, which
-    # only tests/test_cog.py calls.  No command prints it yet; it stays
-    # listed here until a pipeline uses it or it is deleted.
-    "cog.presentation",
 }
 
 
