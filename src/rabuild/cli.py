@@ -181,18 +181,19 @@ def cmd_unfold_trace(cfg: SystemConfig, args) -> int:
     _check_radius(cfg, args.radius)
     bld = cfg.building()
     rng = random.Random(args.seed) if args.seed else None
-    final, steps = unfold_steps_to_ball(bld, args.radius, rng=rng)
+    final, records = unfold_steps_to_ball(bld, args.radius, rng=rng)
     direct = bld.ball_chambers(args.radius)
     trace = []
-    for st in steps:
-        part = sheets(st.after)
+    total = 1  # the base chamber
+    for grown in records:
+        total += len(grown.chambers)
         trace.append(
             {
-                "type": bld.system.generators[st.side.gen],
-                "mirrors": len(st.side.mirrors),
-                "sheets": len(part.blocks),
-                "new_chambers": len(part.new_chambers),
-                "chambers_after": len(st.after.chambers),
+                "type": bld.system.generators[grown.side.gen],
+                "mirrors": len(grown.side.mirrors),
+                "sheets": len(sheets(grown)),
+                "new_chambers": len(grown.chambers),
+                "chambers_after": total,
             }
         )
     emit(
@@ -209,8 +210,8 @@ def cmd_unfold_trace(cfg: SystemConfig, args) -> int:
 def cmd_label(cfg: SystemConfig, args) -> int:
     _check_radius(cfg, args.radius)
     bld = cfg.building()
-    final, steps = unfold_steps_to_ball(bld, args.radius)
-    lab = covering_mod.build_labeling(bld, steps)
+    final, records = unfold_steps_to_ball(bld, args.radius)
+    lab = covering_mod.build_labeling(final, records)
     report = covering_mod.verify_labeling(lab)
     emit(
         {
@@ -226,8 +227,8 @@ def cmd_label(cfg: SystemConfig, args) -> int:
 def cmd_verify_covering(cfg: SystemConfig, args) -> int:
     _check_radius(cfg, args.radius)
     bld = cfg.building()
-    final, steps = unfold_steps_to_ball(bld, args.radius)
-    lab = covering_mod.build_labeling(bld, steps)
+    final, records = unfold_steps_to_ball(bld, args.radius)
+    lab = covering_mod.build_labeling(final, records)
     cov = covering_mod.build_covering(lab)
     emit(covering_mod.covering_to_json(cov))
     return 0
@@ -275,10 +276,11 @@ def cmd_witness(cfg: SystemConfig, args) -> int:
     _check_radius(cfg, args.radius)
     bld = cfg.building()
     frags = symmetry.apartments_through_base(bld, args.radius)
+    ball, records = unfold_steps_to_ball(bld, args.radius)
     pairs = []
     for i, f1 in enumerate(frags):
         for j, f2 in enumerate(frags):
-            h = symmetry.transitivity_witness(bld, f1, f2, args.radius)
+            h = symmetry.transitivity_witness(ball, records, f1, f2)
             pairs.append(
                 {
                     "from": i,

@@ -13,6 +13,11 @@ chambers when first asked.  A clump made by ``unfold`` takes its parent's
 derived data over and updates it for the new chambers only, so a step costs
 work in proportion to the chambers it adds; the parent rebuilds its own from
 its chambers if it is asked again.
+
+The sequence of unfoldings from one chamber to a ball is kept as a log: one
+``Unfolding`` record per step, holding what the step added and no clump.
+The records' new chambers partition the ball less its base chamber, so the
+log takes memory in proportion to the ball.
 """
 
 from __future__ import annotations
@@ -172,13 +177,6 @@ class _Sides:
             self.by_least[(g, side.mirrors[0])] = side
             for rep in side.mirrors:
                 of_mirror[rep] = side
-
-
-@dataclass(frozen=True)
-class SheetPartition:
-    side: Side
-    new_chambers: frozenset
-    blocks: tuple  # tuple of frozensets, sorted by least chamber
 
 
 class Clump:
@@ -451,17 +449,15 @@ def unfold(clump: Clump, side: Side) -> Clump:
     return child
 
 
-def sheets(clump: Clump) -> SheetPartition:
-    """Partition the chambers the clump's unfolding added by non-side adjacency.
+def sheets(unfolding: Unfolding) -> tuple:
+    """Partition the chambers an unfolding added by non-side adjacency.
 
     New chambers sharing a panel of a type other than the side's are in one
-    sheet; the panels are read from the unfolding's faces.
+    sheet; the panels are read from the unfolding's faces.  Returns the
+    sheets as frozensets, sorted by their least chamber.
     """
-    grown = clump.unfolding
-    if grown is None:
-        raise DomainError("clump was not made by an unfolding")
-    u = grown.side.gen
-    parent = {c: c for c in grown.chambers}
+    u = unfolding.side.gen
+    parent = {c: c for c in unfolding.chambers}
 
     def find(x):
         while parent[x] != x:
@@ -469,7 +465,7 @@ def sheets(clump: Clump) -> SheetPartition:
             x = parent[x]
         return x
 
-    for (tmask, _), members in grown.faces.items():
+    for (tmask, _), members in unfolding.faces.items():
         if not tmask or tmask & (tmask - 1) or tmask == 1 << u:
             continue  # only panels of the other types
         for other in members[1:]:
@@ -477,42 +473,31 @@ def sheets(clump: Clump) -> SheetPartition:
             if a != b:
                 parent[a] = b
     blocks = {}
-    for c in grown.chambers:
+    for c in unfolding.chambers:
         blocks.setdefault(find(c), []).append(c)
-    ordered = sorted(
-        (frozenset(v) for v in blocks.values()),
-        key=lambda blk: syllable_key(min(blk, key=syllable_key)),
-    )
-    return SheetPartition(grown.side, grown.chambers, tuple(ordered))
+    ordered = sorted(blocks.values(), key=lambda blk: min(map(syllable_key, blk)))
+    return tuple(map(frozenset, ordered))
 
 
-def sheet_mirror_table(clump: Clump, partition: SheetPartition):
+def sheet_mirror_table(unfolding: Unfolding, blocks):
     """Per sheet: mirror representative -> its unique chamber in the sheet.
 
-    Every sheet meets every panel of the side exactly once; anything else
+    A mirror's new chambers are read from the unfolding's faces.  Every
+    sheet meets every panel of the side exactly once; anything else
     contradicts the sheet structure and aborts.
     """
-    gp = clump.building.gp
-    g = partition.side.gen
-    tables = []
-    for block in partition.blocks:
-        table = {}
-        for c in block:
-            rep = gp.strip(c, 1 << g)
+    side = unfolding.side
+    sheet_of = {c: i for i, block in enumerate(blocks) for c in block}
+    tables = [{} for _ in blocks]
+    for rep in side.mirrors:
+        for c in unfolding.faces[(1 << side.gen, rep)]:
+            table = tables[sheet_of[c]]
             if rep in table:
                 raise InternalError("two sheet chambers on one mirror")
             table[rep] = c
-        if set(table) != set(partition.side.mirrors):
-            raise InternalError("sheet does not cover the side's mirrors")
-        tables.append(table)
+    if any(len(table) != len(side.mirrors) for table in tables):
+        raise InternalError("sheet does not cover the side's mirrors")
     return tables
-
-
-@dataclass(frozen=True)
-class UnfoldStep:
-    before: Clump
-    side: Side
-    after: Clump
 
 
 def unfold_steps_to_ball(building: Building, n: int, rng=None):
@@ -521,12 +506,13 @@ def unfold_steps_to_ball(building: Building, n: int, rng=None):
     Layer by layer: enumerate the sides of the previous ball, unfold along
     the first, and re-locate each later side inside the current clump (its
     surviving mirrors may have been absorbed into a larger side) before
-    unfolding along it.  Returns the final clump and the list of steps.
-    Sides are processed in canonical order; pass ``rng`` to shuffle them.
+    unfolding along it.  Returns the ball and the log of the sequence, one
+    ``Unfolding`` record per step; only the current clump is kept.  Sides
+    are processed in canonical order; pass ``rng`` to shuffle them.
     """
     cap = building.chamber_cap
     current = chamber_clump(building)
-    steps = []
+    records = []
     for _ in range(n):
         pending = list(current.sides())
         if rng is not None:
@@ -552,7 +538,6 @@ def unfold_steps_to_ball(building: Building, n: int, rng=None):
                 raise SizeCapError(
                     f"unfolding exceeded chamber cap {cap}", partial_count=size
                 )
-            after = unfold(current, side)
-            steps.append(UnfoldStep(current, side, after))
-            current = after
-    return current, steps
+            current = unfold(current, side)
+            records.append(current.unfolding)
+    return current, records

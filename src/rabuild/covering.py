@@ -1,13 +1,14 @@
 """Edge labelings and coverings of complexes of groups.
 
 The labeling machinery assigns to every scwol edge of an unfolded clump an
-element of the ambient direct product, inductively along the unfolding
-sequence: labels transfer unchanged through lifts, except that edges
-landing on the unfolded side get their side-type component overwritten by
-a per-sheet constant chosen away from the old chamber's component.  The
-three labeling properties (support, multiplicativity, fiber bijectivity)
-make the type-preserving projection onto the one-chamber complex of groups
-a covering, whose sheet count is the index of the corresponding lattice.
+element of the ambient direct product, inductively along the log of
+unfoldings that made it (``clump.Unfolding`` records): labels transfer
+unchanged through lifts, except that edges landing on the unfolded side get
+their side-type component overwritten by a per-sheet constant chosen away
+from the old chamber's component.  The three labeling properties (support,
+multiplicativity, fiber bijectivity) make the type-preserving projection
+onto the one-chamber complex of groups a covering, whose sheet count is the
+index of the corresponding lattice.
 
 Property (3) is checked twice and independently: through the
 distinct-projection criterion and through brute-force coset listing; a
@@ -25,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .building import face_key, syllable_key
-from .clump import Clump, UnfoldStep, chamber_clump, sheets, unfold_steps_to_ball
-from .errors import InternalError, VerificationError
+from .clump import Clump, Unfolding, chamber_clump, sheets, unfold_steps_to_ball
+from .errors import DomainError, InternalError, VerificationError
 
 
 # ---------------------------------------------------------------------------
@@ -38,40 +39,27 @@ from .errors import InternalError, VerificationError
 class EdgeLabeling:
     clump: Clump
     labels: dict  # scwol edge -> exponent vector over all generators
-    steps: tuple  # the UnfoldSteps labeled so far
-
-
-def zero_vector(building):
-    return (0,) * len(building.gp.qs)
 
 
 def label_initial(y0: Clump) -> EdgeLabeling:
     """Every edge of the one-chamber scwol gets the identity."""
-    z = zero_vector(y0.building)
-    labels = {e: z for e in y0.scwol().edges}
-    return EdgeLabeling(y0, labels, ())
+    z = (0,) * len(y0.building.gp.qs)
+    return EdgeLabeling(y0, dict.fromkeys(y0.scwol().edges, z))
 
 
-def label_unfold(prev: EdgeLabeling, step: UnfoldStep) -> EdgeLabeling:
-    """Extend a labeling through one unfolding.
+def label_unfold(building, labels: dict, grown: Unfolding) -> None:
+    """Extend a labeling through one unfolding, in place.
 
-    Old edges keep their labels.  A new edge is labeled by its lift, except
-    that when its terminal face lies on the side, the side-type component
-    is replaced by the constant assigned to the sheet of the chambers
-    carrying the edge.
+    ``labels`` labels the scwol of the clump the unfolding ``grown`` started
+    from, and afterwards that of the clump it made.  Old edges keep their
+    labels.  A new edge is labeled by its lift, except that when its
+    terminal face lies on the side, the side-type component is replaced by
+    the constant assigned to the sheet of the chambers carrying the edge.
 
-    Only the edges the unfolding created are visited, and ``prev.labels`` is
-    extended in place: the result owns it, and ``prev`` is used up.
+    Only the edges the unfolding created are visited.
     """
-    if step.before is not prev.clump and step.before.chambers != prev.clump.chambers:
-        raise InternalError("labeling does not match the unfolding step")
-    grown = step.after.unfolding
-    if grown is None or grown.side != step.side:
-        raise InternalError("step was not made by unfolding its side")
-    building = step.before.building
-    gp = building.gp
-    u = step.side.gen
-    qu = gp.qs[u]
+    u = grown.side.gen
+    qu = building.gp.qs[u]
     lifted_faces = {}
 
     def lift_face(face):
@@ -88,25 +76,23 @@ def label_unfold(prev: EdgeLabeling, step: UnfoldStep) -> EdgeLabeling:
             got = lifted_faces[face] = lifted.pop()
         return got
 
-    part = sheets(step.after)
+    blocks = sheets(grown)
     sheet_of = {}
-    for idx, blk in enumerate(part.blocks):
+    for idx, blk in enumerate(blocks):
         for c in blk:
             sheet_of[c] = idx
 
     # Component already used at a chosen mirror of the side: the label of
-    # the edge from the old chamber's center into the mirror's center.
-    k_u = min(step.side.mirrors, key=syllable_key)
-    psi0 = next(
-        c
-        for c in (gp.mul(k_u, ((u, e),)) for e in range(qu))
-        if c in step.before.chambers
-    )
+    # the edge from the old chamber's center into the mirror's center.  The
+    # old chamber is the lift of any new chamber on the mirror.
+    k_u = min(grown.side.mirrors, key=syllable_key)
+    psi0 = grown.lift[grown.faces[(1 << u, k_u)][0]]
     c_edge = ((0, psi0), (1 << u, k_u))
-    labels = prev.labels
+    if c_edge not in labels:
+        raise InternalError("labeling does not match the unfolding")
     g_old = labels[c_edge][u]
     free = [e for e in range(qu) if e != g_old]
-    if len(free) != len(part.blocks):
+    if len(free) != len(blocks):
         raise InternalError("sheet count does not match the cyclic order")
     sheet_component = dict(enumerate(free))
 
@@ -131,14 +117,23 @@ def label_unfold(prev: EdgeLabeling, step: UnfoldStep) -> EdgeLabeling:
             labels[edge] = tuple(vec)
         else:
             labels[edge] = base
-    return EdgeLabeling(step.after, labels, prev.steps + (step,))
 
 
-def build_labeling(building, steps) -> EdgeLabeling:
-    lab = label_initial(chamber_clump(building))
-    for step in steps:
-        lab = label_unfold(lab, step)
-    return lab
+def build_labeling(ball: Clump, records) -> EdgeLabeling:
+    """Label the scwol of ``ball``, the clump the unfolding ``records`` made
+    from the base chamber.
+
+    The labels start on the one-chamber scwol and each record extends them;
+    the labeling then reads the ball's own scwol, which the unfoldings
+    carried, so it is not rebuilt.
+    """
+    if len(ball.chambers) != 1 + sum(len(grown.chambers) for grown in records):
+        raise DomainError("the unfoldings do not make the clump")
+    building = ball.building
+    labels = label_initial(chamber_clump(building)).labels
+    for grown in records:
+        label_unfold(building, labels, grown)
+    return EdgeLabeling(ball, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +531,8 @@ def covering_to_json(cov: Covering) -> dict:
 
 def lattice_index(building, n: int) -> int:
     """Index of the radius-n ball lattice inside the one-chamber lattice."""
-    final, steps = unfold_steps_to_ball(building, n)
-    lab = build_labeling(building, steps)
+    final, records = unfold_steps_to_ball(building, n)
+    lab = build_labeling(final, records)
     cov = build_covering(lab)
     if cov.sheet_count != len(final.chambers):
         raise InternalError("sheet count differs from the chamber count")

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .building import Building, face_key, syllable_key
-from .clump import Clump, sheet_mirror_table, sheets, unfold_steps_to_ball
+from .clump import Clump, sheet_mirror_table, sheets
 from .coxeter import CoxeterSystem, reduce as w_reduce
 from .covering import CoveringReport, check_covering
 from .errors import DomainError, InternalError, SizeCapError
@@ -899,15 +899,18 @@ def is_apartment_fragment(building, n, chambers) -> bool:
 
 
 def sheet_swap(unfolded: Clump, i: int, j: int) -> BallAutomorphism:
-    """Automorphism of an unfolding fixing the old clump and exchanging two
-    of its sheets through the mirror correspondence."""
-    part = sheets(unfolded)
-    nblocks = len(part.blocks)
+    """Automorphism of a clump made by an unfolding, fixing the old clump and
+    exchanging two of the unfolding's sheets through the mirror correspondence."""
+    grown = unfolded.unfolding
+    if grown is None:
+        raise DomainError("clump was not made by an unfolding")
+    blocks = sheets(grown)
+    nblocks = len(blocks)
     if i == j or not (0 <= i < nblocks and 0 <= j < nblocks):
         raise DomainError(f"invalid sheet indices {i},{j} among {nblocks}")
-    tables = sheet_mirror_table(unfolded, part)
+    tables = sheet_mirror_table(grown, blocks)
     mapping = {c: c for c in unfolded.chambers}
-    for m in part.side.mirrors:
+    for m in grown.side.mirrors:
         a, b = tables[i][m], tables[j][m]
         mapping[a], mapping[b] = b, a
     rank = len(unfolded.building.gp.qs)
@@ -919,18 +922,16 @@ def sheet_swap(unfolded: Clump, i: int, j: int) -> BallAutomorphism:
 
 
 def _ball_panels(ball: Clump):
-    """chamber -> its panels' chamber sets in the ball, one per type."""
-    strip = ball.building.gp.strip
+    """chamber -> its panels' chambers in the ball, one tuple per type, as
+    the rank-one faces of the ball's face table hold them."""
     rank = len(ball.building.gp.qs)
-    keys = {c: [strip(c, 1 << t) for t in range(rank)] for c in ball.chambers}
-    members = {}
-    for c, reps in keys.items():
-        for t, rep in enumerate(reps):
-            members.setdefault((t, rep), set()).add(c)
-    return {
-        c: tuple(members[(t, rep)] for t, rep in enumerate(reps))
-        for c, reps in keys.items()
-    }
+    panels = {c: [None] * rank for c in ball.chambers}
+    for (tmask, _), members in ball.scwol().face_chambers.items():
+        if tmask and not tmask & (tmask - 1):
+            t = tmask.bit_length() - 1
+            for c in members:
+                panels[c][t] = members
+    return panels
 
 
 def _panel_consistent(panels, mapping, used, perm, c, cand) -> bool:
@@ -1030,41 +1031,55 @@ def extend_to_ball(partial: dict, ball: Clump) -> BallAutomorphism:
 
 
 def transitivity_witness(
-    building: Building, frag1: ApartmentFragment, frag2: ApartmentFragment, n: int
+    ball: Clump, records, frag1: ApartmentFragment, frag2: ApartmentFragment
 ) -> BallAutomorphism:
     """A ball automorphism fixing the base chamber with h(frag1) = frag2.
 
-    Walks the unfolding sequence of the ball; at the first clump where the
-    image of the first fragment and the second fragment disagree, their new
-    chambers lie in different sheets of that unfolding, and swapping those
-    sheets (extended back to the whole ball) restores agreement.
+    ``ball`` and ``records`` are what ``unfold_steps_to_ball`` returns; the
+    fragments have one radius, at most the ball's.  Walks the records: at the
+    first step k where the image of the first fragment and the second
+    fragment disagree on the chambers born by step k, the chambers step k
+    added to them lie in different sheets of it.  Swapping those sheets of
+    the clump Y_k that step k made, extended back to the whole ball, restores
+    agreement.  Y_k is built from the chambers born by step k, and only for
+    such a step; the last one is the ball.
     """
-    if frag1.radius != n or frag2.radius != n:
-        raise DomainError("fragments were enumerated at a different radius")
-    ball, steps = unfold_steps_to_ball(building, n)
+    building = ball.building
+    n = frag1.radius
+    if frag2.radius != n:
+        raise DomainError("fragments were enumerated at different radii")
+    born = {(): 0}  # chamber -> the step that added it, 0 for the base
+    for k, grown in enumerate(records, 1):
+        born.update(dict.fromkeys(grown.chambers, k))
+    if born.keys() != ball.chambers:
+        raise DomainError("the unfoldings do not make the ball")
     for frag in (frag1, frag2):
         if not frag.chambers <= ball.chambers or not is_apartment_fragment(
             building, n, frag.chambers
         ):
             raise DomainError("not an apartment fragment through the base")
     h = identity_automorphism(ball)
-    for step in steps:
+    for k, grown in enumerate(records, 1):
         image = frozenset(h.mapping[c] for c in frag1.chambers)
-        a = image & step.after.chambers
-        b = frag2.chambers & step.after.chambers
+        a = {c for c in image if born[c] <= k}
+        b = {c for c in frag2.chambers if born[c] <= k}
         if a == b:
             continue
-        if a & step.before.chambers != b & step.before.chambers:
+        if {c for c in a if born[c] < k} != {c for c in b if born[c] < k}:
             raise InternalError("fragments disagree before the current step")
-        part = sheets(step.after)
-        blocks_a = {k for k, blk in enumerate(part.blocks) if blk & a}
-        blocks_b = {k for k, blk in enumerate(part.blocks) if blk & b}
+        blocks = sheets(grown)
+        blocks_a = {i for i, blk in enumerate(blocks) if blk & a}
+        blocks_b = {i for i, blk in enumerate(blocks) if blk & b}
         if len(blocks_a) != 1 or len(blocks_b) != 1:
             raise InternalError("fragment meets several sheets of one unfolding")
         ia, ib = blocks_a.pop(), blocks_b.pop()
         if ia == ib:
             raise InternalError("distinct fragments in the same sheet")
-        swap = sheet_swap(step.after, ia, ib)
+        unfolded = ball
+        if grown is not ball.unfolding:
+            unfolded = Clump(building, [c for c in born if born[c] <= k], validate=False)
+            unfolded.unfolding = grown
+        swap = sheet_swap(unfolded, ia, ib)
         g = extend_to_ball(dict(swap.mapping), ball)
         h = g.compose(h)
     final = frozenset(h.mapping[c] for c in frag1.chambers)

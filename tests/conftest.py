@@ -30,8 +30,8 @@ def corrupted_labeling(bld, seed=17):
     from rabuild.clump import unfold_steps_to_ball
     from rabuild.covering import build_labeling
 
-    final, steps = unfold_steps_to_ball(bld, 1)
-    lab = build_labeling(bld, steps)
+    final, records = unfold_steps_to_ball(bld, 1)
+    lab = build_labeling(final, records)
     u_edges = [
         (e, v)
         for e, v in lab.labels.items()
@@ -44,6 +44,23 @@ def corrupted_labeling(bld, seed=17):
     lab.labels = dict(lab.labels)
     lab.labels[edge] = tuple(bad)
     return lab, edge
+
+
+def clumps_along(building, records):
+    """Replay an unfolding log: the clump each record made, in order.
+
+    Each clump is made by ``unfold`` from the one before, starting at the
+    base chamber, so its derived data is carried as in a pipeline.  A clump
+    that is read through ``scwol()`` before the next one is asked for keeps
+    its scwol; one that is not hands it on.
+    """
+    from rabuild.clump import chamber_clump, unfold
+
+    current = chamber_clump(building)
+    for grown in records:
+        current = unfold(current, grown.side)
+        assert current.unfolding.chambers == grown.chambers
+        yield current
 
 
 def make_suite():
@@ -96,7 +113,8 @@ def suite():
 
 @pytest.fixture(scope="session")
 def suite_traces(suite):
-    """Canonical unfolding sequences to each system's test radius."""
+    """Canonical unfolding sequences to each system's test radius: the ball
+    and its log of ``Unfolding`` records."""
     from rabuild.clump import unfold_steps_to_ball
 
     out = {}

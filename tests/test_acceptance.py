@@ -22,7 +22,7 @@ from rabuild.cog import is_admissible
 from rabuild.covering import build_covering, build_labeling, verify_labeling
 from rabuild.coxeter import CoxeterSystem, reduce as w_reduce
 from rabuild import symmetry as sym
-from tests.conftest import generator_word, hexagon_system
+from tests.conftest import clumps_along, generator_word, hexagon_system
 
 
 @contextmanager
@@ -53,8 +53,7 @@ def test_criterion_1_sheet_law(suite):
                         break
                     side = rng.choice(sides)
                     cur = unfold(cur, side)
-                    part = sheets(cur)
-                    assert len(part.blocks) == bld.gp.qs[side.gen] - 1
+                    assert len(sheets(cur.unfolding)) == bld.gp.qs[side.gen] - 1
                     total += 1
                     systems_used.add(name)
         elapsed = time.monotonic() - t0
@@ -67,8 +66,8 @@ def test_criterion_2_covering_soundness(suite, suite_traces):
         t0 = time.monotonic()
         rng = random.Random(7)
         for name, bld, nmax in suite:
-            final, steps = suite_traces[name]
-            lab = build_labeling(bld, steps)
+            final, records = suite_traces[name]
+            lab = build_labeling(final, records)
             report = verify_labeling(lab)
             assert report.ok, name
             assert not [f for f in report.failures if f["kind"] == "fiber"]
@@ -78,8 +77,8 @@ def test_criterion_2_covering_soundness(suite, suite_traces):
         for name in ("d33", "square", "mixed"):
             bld = dict((n, b) for n, b, _ in suite)[name]
             nmax = dict((n, r) for n, b, r in suite)[name]
-            final, steps = unfold_steps_to_ball(bld, nmax, rng=rng)
-            lab = build_labeling(bld, steps)
+            final, records = unfold_steps_to_ball(bld, nmax, rng=rng)
+            lab = build_labeling(final, records)
             assert verify_labeling(lab).ok, name
             assert build_covering(lab).covering_report.ok, name
         elapsed = time.monotonic() - t0
@@ -90,29 +89,31 @@ def test_criterion_3_dual_construction_equality(suite):
     with criterion(3, "unfolding reaches exactly the enumerated ball"):
         for name, bld, _ in suite:
             for n in (1, 2):
-                final, steps = unfold_steps_to_ball(bld, n)
+                final, _ = unfold_steps_to_ball(bld, n)
                 assert final.chambers == bld.ball_chambers(n), (name, n)
 
 
 def test_criterion_4_index_consistency(suite_traces, d23, square23):
     with criterion(4, "sheet count is vertex-independent and counts chambers"):
-        for name, (final, steps) in suite_traces.items():
-            lab = build_labeling(final.building, steps[: 6])
+        for name, (final, records) in suite_traces.items():
+            prefix = records[:6]
+            *_, clump = clumps_along(final.building, prefix)
+            lab = build_labeling(clump, prefix)
             cov = build_covering(lab)
             counts = set(cov.covering_report.sheet_counts.values())
             assert counts == {len(lab.clump.chambers)}, name
-        final, steps = unfold_steps_to_ball(d23, 1)
-        assert build_covering(build_labeling(d23, steps)).sheet_count == 4
-        finalc, stepsc = unfold_steps_to_ball(square23, 2)
+        final, records = unfold_steps_to_ball(d23, 1)
+        assert build_covering(build_labeling(final, records)).sheet_count == 4
+        finalc, recordsc = unfold_steps_to_ball(square23, 2)
         assert finalc.is_whole_building
-        assert build_covering(build_labeling(square23, stepsc)).sheet_count == 6
+        assert build_covering(build_labeling(finalc, recordsc)).sheet_count == 6
 
 
 def test_criterion_5_admissibility(suite_traces, tree_product):
     with criterion(5, "every unfolded clump is admissible; the bad clump fails"):
-        for name, (final, steps) in suite_traces.items():
-            for st in steps:
-                assert is_admissible(st.after).admissible, name
+        for name, (final, records) in suite_traces.items():
+            for clump in clumps_along(final.building, records):
+                assert is_admissible(clump).admissible, name
         i_s1 = tree_product.system.index["s1"]
         i_t1 = tree_product.system.index["t1"]
         bad = Clump(tree_product, {(), ((i_s1, 1),), ((i_t1, 1),)})
@@ -314,9 +315,10 @@ def test_criterion_8_strong_transitivity(square23, d23):
             frags = sym.apartments_through_base(bld, n)
             oracle = _fragment_oracle(bld, n)
             assert {f.chambers for f in frags} == set(oracle)
+            ball, records = unfold_steps_to_ball(bld, n)
             for f1 in frags:
                 for f2 in frags:
-                    h = sym.transitivity_witness(bld, f1, f2, n)
+                    h = sym.transitivity_witness(ball, records, f1, f2)
                     assert h.verify() == []
                     image = frozenset(h.mapping[c] for c in f1.chambers)
                     assert image == f2.chambers
@@ -339,8 +341,8 @@ def test_criterion_9_quotient_chain(d33, hex3):
                 assert counts == {order}
             # composing the ball covering with the chamber quotient also
             # verifies, with multiplicative sheet count
-            final, steps = unfold_steps_to_ball(bld, 1)
-            lab = build_labeling(bld, steps)
+            final, records = unfold_steps_to_ball(bld, 1)
+            lab = build_labeling(final, records)
             chamber_autos = sym.automorphism_group_from_permutations(
                 chamber_clump(bld)
             )

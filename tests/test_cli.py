@@ -249,7 +249,7 @@ def test_quotient_rank_over_search_cap_exit_code(tmp_path, capsys):
 
 def test_verification_failure_payload(tmp_path, capsys, monkeypatch):
     lab, _ = corrupted_labeling(parse_config(json.dumps(D23)).building())
-    monkeypatch.setattr(covering, "build_labeling", lambda bld, steps: lab)
+    monkeypatch.setattr(covering, "build_labeling", lambda ball, records: lab)
     code, out = run(
         capsys, "verify-covering", write(tmp_path, D23), "--radius", "1"
     )

@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -6,13 +8,16 @@ from rabuild.building import syllable_key
 from rabuild.clump import (
     Clump,
     Side,
+    Unfolding,
     chamber_clump,
     sheet_mirror_table,
     sheets,
     unfold,
     unfold_steps_to_ball,
 )
+from rabuild.cli import main
 from rabuild.errors import DomainError
+from tests.conftest import clumps_along
 
 
 def test_gallery_connectivity_required(d23):
@@ -122,32 +127,76 @@ def test_sheets_counts(d23, d33):
     for bld in (d23, d33):
         y0 = chamber_clump(bld)
         for side in y0.sides():
-            part = sheets(unfold(y0, side))
-            assert len(part.blocks) == bld.gp.qs[side.gen] - 1
+            blocks = sheets(unfold(y0, side).unfolding)
+            assert len(blocks) == bld.gp.qs[side.gen] - 1
 
 
 def test_sheet_mirror_bijection(hex3):
-    y1, steps = unfold_steps_to_ball(hex3, 1)
-    for st in steps:
-        part = sheets(st.after)
-        tables = sheet_mirror_table(st.after, part)
+    y1, records = unfold_steps_to_ball(hex3, 1)
+    for grown in records:
+        tables = sheet_mirror_table(grown, sheets(grown))
         for table in tables:
-            assert set(table) == set(st.side.mirrors)
-            assert len(set(table.values())) == len(st.side.mirrors)
+            assert set(table) == set(grown.side.mirrors)
+            assert len(set(table.values())) == len(grown.side.mirrors)
 
 
 def test_ball_by_unfolding_matches_ball(suite):
     for name, bld, _ in suite:
         for n in (1, 2):
-            final, steps = unfold_steps_to_ball(bld, n)
+            final, _ = unfold_steps_to_ball(bld, n)
             assert final.chambers == bld.ball_chambers(n), name
 
 
 def test_ball_by_unfolding_d23(d23):
-    final, steps = unfold_steps_to_ball(d23, 1)
-    sides_used = [st.side for st in steps]
+    final, records = unfold_steps_to_ball(d23, 1)
+    sides_used = [grown.side for grown in records]
     assert len(sides_used) == 2
     assert len(final.chambers) == 4
+
+
+def _reachable(root):
+    """Every object reachable from root through containers and attributes."""
+    seen, stack = set(), [root]
+    while stack:
+        x = stack.pop()
+        if id(x) in seen or isinstance(x, (int, str)):
+            continue
+        seen.add(id(x))
+        yield x
+        if isinstance(x, dict):
+            stack.extend(x)
+            stack.extend(x.values())
+        elif isinstance(x, (list, tuple, set, frozenset)):
+            stack.extend(x)
+        else:
+            slots = getattr(type(x), "__slots__", ())
+            stack.extend(getattr(x, a) for a in slots if hasattr(x, a))
+            stack.extend(getattr(x, "__dict__", {}).values())
+
+
+def test_unfolding_log_is_linear(d23, hex3, capsys):
+    # The sequence returns one Unfolding record per step and no clump; the
+    # records' new chambers partition the ball less its base chamber.
+    for bld, n in ((d23, 3), (hex3, 1)):
+        ball, records = unfold_steps_to_ball(bld, n)
+        assert records and all(type(grown) is Unfolding for grown in records)
+        for grown in records:
+            assert not any(isinstance(x, Clump) for x in _reachable(grown))
+        born = set()
+        for grown in records:
+            assert not born & grown.chambers
+            born |= grown.chambers
+        assert born == ball.chambers - {()}
+    # unfold-trace's chambers_after is the running total of new chambers
+    config = str(Path(__file__).parent.parent / "configs" / "d23.json")
+    for extra in ([], ["--seed", "5"]):
+        assert main(["unfold-trace", config, "--radius", "3", *extra]) == 0
+        data = json.loads(capsys.readouterr().out)
+        total = 1
+        for step in data["steps"]:
+            total += step["new_chambers"]
+            assert step["chambers_after"] == total
+        assert total == data["chambers"]
 
 
 def test_randomized_side_order_also_reaches_ball(d33, hex3):
@@ -244,9 +293,11 @@ def _assert_matches_rebuild(carried, scwol, name):
 
 
 def test_sides_match_coset_grouping(suite_traces):
-    for name, (final, steps) in suite_traces.items():
-        for clump in [st.after for st in steps[:8]] + [final]:
+    # the first eight clumps are read while their side tables are carried
+    for name, (final, records) in suite_traces.items():
+        for clump in clumps_along(final.building, records[:8]):
             assert clump.sides() == _sides_oracle(clump), name
+        assert final.sides() == _sides_oracle(final), name
 
 
 @pytest.mark.parametrize("seed", [None, 5, 17])
@@ -261,11 +312,8 @@ def test_carried_structure_matches_rebuild(suite, seed):
     for name, bld, nmax in suite:
         rng = None if seed is None else random.Random(seed)
         n = 1 if seed is not None and name == "hex3" else nmax
-        final, steps = unfold_steps_to_ball(bld, n, rng=rng)
-        current = chamber_clump(bld)
-        for st in steps:
-            current = unfold(current, st.side)
-            assert current.chambers == st.after.chambers, name
+        final, records = unfold_steps_to_ball(bld, n, rng=rng)
+        for current in clumps_along(bld, records):
             _assert_matches_rebuild(current, current._scwol, name)
         assert current.chambers == final.chambers
 
@@ -274,12 +322,12 @@ def test_carried_structure_after_reads(d33, hex3):
     # Once a clump's scwol has been read, unfolding it copies the carried
     # data: the read scwol stays as it was, and the copy is updated.
     for bld in (d33, hex3):
-        final, steps = unfold_steps_to_ball(bld, 1)
+        final, records = unfold_steps_to_ball(bld, 1)
         current = chamber_clump(bld)
-        for st in steps:
+        for grown in records:
             before = current.scwol()
             faces, edges = dict(before.face_chambers), set(before.edge_set)
-            current = unfold(current, st.side)
+            current = unfold(current, grown.side)
             assert before.face_chambers == faces and before.edge_set == edges
             _assert_matches_rebuild(current, current.scwol(), bld)
 
@@ -342,11 +390,9 @@ def test_boundary_type_matches_strip_reading(suite, seed):
     for name, bld, nmax in suite:
         rng = None if seed is None else random.Random(seed)
         n = 1 if name == "hex3" else nmax
-        final, steps = unfold_steps_to_ball(bld, n, rng=rng)
-        current = chamber_clump(bld)
-        _assert_boundary_types_match(current, name)
-        for st in steps:
-            current = unfold(current, st.side)
+        final, records = unfold_steps_to_ball(bld, n, rng=rng)
+        _assert_boundary_types_match(chamber_clump(bld), name)
+        for current in clumps_along(bld, records):
             _assert_boundary_types_match(current, name)
         if name == "hex3" and seed is None:
             _assert_boundary_types_match(unfold_steps_to_ball(bld, nmax)[0], name)

@@ -10,6 +10,7 @@ from rabuild.cog import (
 )
 from rabuild.covering import check_covering, covering_morphism
 from rabuild.errors import DomainError, InternalError
+from tests.conftest import clumps_along
 
 
 def l_clump(tree_product):
@@ -151,10 +152,10 @@ def test_admissibility_verdicts(d23, tree_product, suite):
 def test_chamber_count_law(suite_traces):
     # at every vertex of an unfolded clump, the chambers on it number the
     # product of the parameters in the free (non-boundary) directions
-    for name, (final, steps) in suite_traces.items():
-        clumps = [steps[0].before] + [st.after for st in steps]
-        for clump in clumps[:4] + [clumps[-1]]:
-            bld = clump.building
+    for name, (final, records) in suite_traces.items():
+        bld = final.building
+        clumps = [chamber_clump(bld), *clumps_along(bld, records[:3]), final]
+        for clump in clumps:
             cog = clump.cog()
             for face in cog.scwol.vertices:
                 tmask = face[0]
@@ -169,7 +170,7 @@ def test_chamber_count_law(suite_traces):
 def test_mirror_containment_law(suite_traces):
     # boundary direction at a vertex: every panel through it is boundary,
     # and they number the product over the free directions
-    for name, (final, steps) in suite_traces.items():
+    for name, (final, _) in suite_traces.items():
         clump = final
         bld = clump.building
         cog = clump.cog()
@@ -190,11 +191,10 @@ def test_mirror_containment_law(suite_traces):
 
 def test_center_uniqueness_after_unfolding(suite_traces):
     # a new vertex on several chambers has one neighbor of its free type
-    for name, (final, steps) in suite_traces.items():
-        for st in steps[:6]:
-            clump = st.after
+    for name, (final, records) in suite_traces.items():
+        old_faces = set(chamber_clump(final.building).scwol().vertices)
+        for clump in clumps_along(final.building, records[:6]):
             cog = clump.cog()
-            old_faces = set(st.before.scwol().vertices)
             for face in cog.scwol.vertices:
                 if face in old_faces:
                     continue
@@ -208,6 +208,7 @@ def test_center_uniqueness_after_unfolding(suite_traces):
                     if e[0][0] == free_mask
                 ]
                 assert len(below) == 1, name
+            old_faces = set(cog.scwol.vertices)
 
 
 def test_dot_export(d23):

@@ -8,6 +8,7 @@ from rabuild.clump import chamber_clump, sheets, unfold_steps_to_ball
 from rabuild.coxeter import CoxeterSystem
 from rabuild.cog import ComplexOfGroups
 from rabuild.covering import (
+    EdgeLabeling,
     build_covering,
     build_labeling,
     check_covering,
@@ -19,8 +20,8 @@ from rabuild.covering import (
     lattice_index,
     verify_labeling,
 )
-from rabuild.errors import InternalError, VerificationError
-from tests.conftest import corrupted_labeling
+from rabuild.errors import DomainError, InternalError, VerificationError
+from tests.conftest import clumps_along, corrupted_labeling
 
 
 def test_label_initial_zero(d23):
@@ -43,10 +44,12 @@ def test_label_unfold_assigns_remaining_components(d23):
     # sheets and receive the two nonzero exponents
     y0 = chamber_clump(d23)
     tside = [k for k in y0.sides() if k.gen == 1][0]
-    from rabuild.clump import UnfoldStep, unfold
+    from rabuild.clump import unfold
 
-    step = UnfoldStep(y0, tside, unfold(y0, tside))
-    lab = label_unfold(label_initial(y0), step)
+    y1 = unfold(y0, tside)
+    labels = label_initial(y0).labels
+    label_unfold(d23, labels, y1.unfolding)
+    lab = EdgeLabeling(y1, labels)
     new_edges = {e: v for e, v in lab.labels.items() if any(v)}
     t_components = sorted(v[1] for v in new_edges.values())
     assert set(t_components) == {1, 2}
@@ -56,21 +59,21 @@ def test_label_unfold_assigns_remaining_components(d23):
 def test_label_stability_and_u_only_changes(d33):
     # labels of old edges never change, and new labels differ from their
     # companions only in the unfolded type
-    final, steps = unfold_steps_to_ball(d33, 2)
-    lab = label_initial(chamber_clump(d33))
-    for st in steps:
-        old_labels = dict(lab.labels)  # label_unfold extends lab.labels in place
-        new = label_unfold(lab, st)
+    final, records = unfold_steps_to_ball(d33, 2)
+    labels = label_initial(chamber_clump(d33)).labels
+    for grown, clump in zip(records, clumps_along(d33, records)):
+        old_labels = dict(labels)  # label_unfold extends labels in place
+        label_unfold(d33, labels, grown)
         for edge, vec in old_labels.items():
-            assert new.labels[edge] == vec
-        u = st.side.gen
+            assert labels[edge] == vec
+        assert set(labels) == set(clump.scwol().edges)
+        u = grown.side.gen
         gp = d33.gp
-        side_mirrors = set(st.side.mirrors)
-        for c in st.after.chambers - st.before.chambers:
+        side_mirrors = set(grown.side.mirrors)
+        for c in grown.chambers:
             rep = gp.strip(c, 1 << u)
             assert rep in side_mirrors
-        lab = new
-    assert verify_labeling(lab).ok
+    assert verify_labeling(EdgeLabeling(clump, labels)).ok
 
 
 def test_square_chamber_two_unfoldings():
@@ -78,9 +81,9 @@ def test_square_chamber_two_unfoldings():
     # side and then the extended other side: labels on the far chamber
     # carry both nontrivial components
     bld = Building(CoxeterSystem(["s", "u"], [("s", "u")]), {"s": 2, "u": 2})
-    final, steps = unfold_steps_to_ball(bld, 1)
+    final, records = unfold_steps_to_ball(bld, 1)
     assert len(final.chambers) == 4
-    lab = build_labeling(bld, steps)
+    lab = build_labeling(final, records)
     assert verify_labeling(lab).ok
     gp = bld.gp
     far = gp.element([("s", 1), ("u", 1)])
@@ -91,10 +94,15 @@ def test_square_chamber_two_unfoldings():
     assert cov.sheet_count == 4
 
 
+def test_build_labeling_refuses_records_of_another_clump(d23):
+    ball, records = unfold_steps_to_ball(d23, 2)
+    with pytest.raises(DomainError, match="do not make the clump"):
+        build_labeling(ball, records[:-1])
+
+
 def test_labelings_verify_across_suite(suite_traces):
-    for name, (final, steps) in suite_traces.items():
-        bld = final.building
-        lab = build_labeling(bld, steps)
+    for name, (final, records) in suite_traces.items():
+        lab = build_labeling(final, records)
         report = verify_labeling(lab)
         assert report.ok, name
 
@@ -120,8 +128,8 @@ def test_corrupted_labeling_report_names_the_face(d23):
 
 
 def test_covering_sheet_counts(d23, square23, suite_traces):
-    final, steps = unfold_steps_to_ball(d23, 1)
-    cov = build_covering(build_labeling(d23, steps))
+    final, records = unfold_steps_to_ball(d23, 1)
+    cov = build_covering(build_labeling(final, records))
     assert cov.sheet_count == 4
     # sheet count is the same at every target vertex
     assert len(set(cov.covering_report.sheet_counts.values())) == 1
@@ -139,10 +147,10 @@ def test_lattice_index_values(d23, square23, hex3):
 
 
 def test_index_equals_chamber_count(suite_traces):
-    for name, (final, steps) in suite_traces.items():
-        bld = final.building
-        prefix = steps[:3]
-        lab = build_labeling(bld, prefix)
+    for name, (final, records) in suite_traces.items():
+        prefix = records[:3]
+        *_, clump = clumps_along(final.building, prefix)
+        lab = build_labeling(clump, prefix)
         cov = build_covering(lab)
         assert cov.sheet_count == len(lab.clump.chambers), name
 
@@ -284,7 +292,7 @@ def _corrupt(lab, rng):
     vec[g] = (vec[g] + rng.randrange(1, qs[g])) % qs[g]
     labels = dict(lab.labels)
     labels[edge] = tuple(vec)
-    return covering.EdgeLabeling(lab.clump, labels, lab.steps)
+    return EdgeLabeling(lab.clump, labels)
 
 
 def test_fiber_checks_match_quadratic_listing(suite):
@@ -296,14 +304,15 @@ def test_fiber_checks_match_quadratic_listing(suite):
     covering_failed = 0
     for name, bld, nmax in suite:
         n = 1 if name == "hex3" else min(nmax, 2)
-        final, steps = unfold_steps_to_ball(bld, n)
+        final, records = unfold_steps_to_ball(bld, n)
         lab = label_initial(chamber_clump(bld))
-        for st in steps:
+        for grown, clump in zip(records, clumps_along(bld, records)):
             counts, failed = _compare_with_quadratic_listing(lab)
             assert counts[0] == 0 and not failed, name
-            lab = label_unfold(lab, st)
+            label_unfold(bld, lab.labels, grown)
+            lab = EdgeLabeling(clump, lab.labels)
         _compare_with_quadratic_listing(lab)
-        one = build_labeling(bld, unfold_steps_to_ball(bld, 1)[1])
+        one = build_labeling(*unfold_steps_to_ball(bld, 1))
         for bad in [corrupted_labeling(bld)[0]] + [_corrupt(one, rng) for _ in range(3)]:
             counts, failed = _compare_with_quadratic_listing(bad)
             totals[0] += counts[0]
@@ -315,7 +324,7 @@ def test_fiber_checks_match_quadratic_listing(suite):
 def test_listing_disagreement_is_still_raised(d23, monkeypatch):
     # The two sides of property (3) are independent: a listing that loses
     # a coset contradicts the projection criterion.
-    lab = build_labeling(d23, unfold_steps_to_ball(d23, 1)[1])
+    lab = build_labeling(*unfold_steps_to_ball(d23, 1))
     listing = covering.coset_projections
     monkeypatch.setattr(
         covering, "coset_projections", lambda *key: listing(*key)[1:]
@@ -338,7 +347,7 @@ def test_coset_projections_examine_every_member(square23):
 
 
 def _covering_data(bld, n):
-    lab = build_labeling(bld, unfold_steps_to_ball(bld, n)[1])
+    lab = build_labeling(*unfold_steps_to_ball(bld, n))
     return covering_morphism(lab.clump.cog(), chamber_clump(bld).cog(), lab.labels)
 
 

@@ -8,7 +8,7 @@ from rabuild.clump import chamber_clump, unfold, unfold_steps_to_ball
 from rabuild.coxeter import CoxeterSystem
 from rabuild.errors import DomainError, SizeCapError
 from rabuild import symmetry as sym
-from tests.conftest import generator_word, hexagon_system
+from tests.conftest import clumps_along, generator_word, hexagon_system
 
 
 # -- type permutations -------------------------------------------------------
@@ -215,8 +215,8 @@ def test_composed_quotient_covering(d33):
     # with multiplicative sheet count
     from rabuild.covering import build_labeling
 
-    final, steps = unfold_steps_to_ball(d33, 1)
-    lab = build_labeling(d33, steps)
+    final, records = unfold_steps_to_ball(d33, 1)
+    lab = build_labeling(final, records)
     autos = sym.automorphism_group_from_permutations(chamber_clump(d33))
     report = sym.composed_quotient_covering(lab, autos)
     assert report.ok
@@ -394,16 +394,16 @@ def test_sheet_swap_involution(d23):
 
 
 def test_sheet_swap_fixes_old_clump(d33):
-    final, steps = unfold_steps_to_ball(d33, 1)
-    st = steps[0]
-    h = sym.sheet_swap(st.after, 0, 1)
-    for c in st.before.chambers:
+    final, records = unfold_steps_to_ball(d33, 1)
+    y1 = next(clumps_along(d33, records))
+    h = sym.sheet_swap(y1, 0, 1)
+    for c in y1.chambers - y1.unfolding.chambers:
         assert h.mapping[c] == c
 
 
 def test_witness_identity(square23):
     frags = sym.apartments_through_base(square23, 1)
-    h = sym.transitivity_witness(square23, frags[0], frags[0], 1)
+    h = sym.transitivity_witness(*unfold_steps_to_ball(square23, 1), frags[0], frags[0])
     assert h.is_identity()
 
 
@@ -412,12 +412,28 @@ def test_witness_rejects_non_fragment(d23):
     s = d23.gp.element([("s", 1)])
     fake = sym.ApartmentFragment(d23, 1, frozenset({(), s}), ())
     with pytest.raises(DomainError):
-        sym.transitivity_witness(d23, fake, frags[0], 1)
+        sym.transitivity_witness(*unfold_steps_to_ball(d23, 1), fake, frags[0])
+
+
+def test_witness_fragments_inside_a_larger_ball(d23):
+    # radius-1 fragments are witnessed inside the radius-2 ball; fragments
+    # of two radii, or records that do not make the ball, are refused
+    ball, records = unfold_steps_to_ball(d23, 2)
+    small = sym.apartments_through_base(d23, 1)
+    for f1 in small:
+        for f2 in small:
+            h = sym.transitivity_witness(ball, records, f1, f2)
+            assert frozenset(h.mapping[c] for c in f1.chambers) == f2.chambers
+    large = sym.apartments_through_base(d23, 2)
+    with pytest.raises(DomainError, match="different radii"):
+        sym.transitivity_witness(ball, records, small[0], large[0])
+    with pytest.raises(DomainError, match="do not make the ball"):
+        sym.transitivity_witness(ball, records[:-1], small[0], small[0])
 
 
 def test_witness_square_swaps_t_panel(square23):
     frags = sym.apartments_through_base(square23, 1)
-    h = sym.transitivity_witness(square23, frags[0], frags[1], 1)
+    h = sym.transitivity_witness(*unfold_steps_to_ball(square23, 1), frags[0], frags[1])
     t = square23.gp.element([("t", 1)])
     t2 = square23.gp.element([("t", 2)])
     assert h.mapping[t] == t2
@@ -429,9 +445,10 @@ def test_witness_square_swaps_t_panel(square23):
 def test_witness_all_pairs_d23_radius2(d23):
     frags = sym.apartments_through_base(d23, 2)
     assert len(frags) == 4
+    ball, records = unfold_steps_to_ball(d23, 2)
     for f1 in frags:
         for f2 in frags:
-            h = sym.transitivity_witness(d23, f1, f2, 2)
+            h = sym.transitivity_witness(ball, records, f1, f2)
             assert h.verify() == []
             image = frozenset(h.mapping[c] for c in f1.chambers)
             assert image == f2.chambers
@@ -531,9 +548,10 @@ def test_extend_to_ball_panel_filter_matches_pairwise_filter(d23, monkeypatch):
 
     monkeypatch.setattr(sym, "extend_to_ball", recording)
     frags = sym.apartments_through_base(d23, 2)
+    ball, records = unfold_steps_to_ball(d23, 2)
     for f1 in frags:
         for f2 in frags:
-            sym.transitivity_witness(d23, f1, f2, 2)
+            sym.transitivity_witness(ball, records, f1, f2)
     assert partials
     gp = d23.gp
     rng = random.Random(29)
