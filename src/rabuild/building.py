@@ -11,6 +11,7 @@ geometric is ever materialized.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 
@@ -151,20 +152,43 @@ class Building:
 
 
 def save_ball_cache(path, building: Building, n: int, chambers):
-    """Byte-stable cache of a ball's chamber list."""
-    data = {
-        "config": building.config_dict(),
-        "config_hash": building.config_hash(),
-        "radius": n,
-        "chambers": [
-            building.serialize_chamber(c)
-            for c in sorted(chambers, key=syllable_key)
-        ],
+    """Byte-stable cache of a ball's chamber list.
+
+    The bytes are those of ``json.dump(data, fh, sort_keys=True, indent=1)``
+    and a newline, where ``data`` holds ``config``, ``config_hash``,
+    ``radius`` and ``chambers`` (each chamber as ``serialize_chamber`` gives
+    it, in shortlex order; a ball always holds the identity, so the list is
+    never empty).  ``json.dump`` with an indent always runs the
+    pure-Python encoder, so the chamber rows are joined here from one
+    string per distinct syllable, laid out as that encoder lays them out at
+    their depth; ``json.dumps`` writes only the small header.
+    """
+    names = [json.dumps(s) for s in building.system.generators]
+    syllable_text = {
+        (g, e): f"   [\n    {names[g]},\n    {e}\n   ]"
+        for g, e in set(itertools.chain.from_iterable(chambers))
     }
+    rows = ",\n".join(
+        "  [\n" + ",\n".join(map(syllable_text.__getitem__, c)) + "\n  ]"
+        if c
+        else "  []"
+        for c in sorted(chambers, key=syllable_key)
+    )
+    header = json.dumps(
+        {
+            "config": building.config_dict(),
+            "config_hash": building.config_hash(),
+            "radius": n,
+        },
+        sort_keys=True,
+        indent=1,
+    )
     try:
         with open(path, "w") as fh:
-            json.dump(data, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+            # "chambers" sorts before the header's keys, whose "{\n" is cut
+            fh.write('{\n "chambers": [\n')
+            fh.write(rows)
+            fh.write("\n ],\n" + header[2:] + "\n")
     except OSError as exc:
         raise InputError(f"cannot write ball cache {path!r}: {exc}") from exc
 

@@ -29,15 +29,26 @@ syllable has no successor in that order, so it joins the available set
 after its last predecessor and the greedy choice takes it at the first
 larger index.  A right-visible syllable has no successor either, so deleting
 it removes one greedy step and leaves every other step as it was.
-``normalize``, ``multiply`` and ``inverse`` are folds of ``_append`` from
-the empty word, so they accept arbitrary words, and each costs one scan of
-at most the output length per input syllable.
 
-``strip_coset`` folds ``_append`` over its input once and then makes one
-right-to-left pass: a syllable with its generator in the mask is dropped
-when no kept syllable to its right blocks it.  Each dropped syllable is
-right-visible at the moment it goes, so by the argument above the result is
-canonical without a re-sort.
+``normalize`` is the entry point for arbitrary words: it folds ``_append``
+over the word from the empty word.  ``inverse`` folds ``_append`` over the
+reversed, negated word, so it accepts arbitrary words too.  ``multiply(a,
+b)`` requires ``a`` to be canonical: it starts from ``a`` as it is and folds
+``_append`` over ``b``, which may be any word.  Each fold costs one scan of
+at most the output length per folded syllable.
+
+``strip_coset`` requires canonical input and makes one right-to-left pass
+over it: a syllable with its generator in the mask is dropped when no kept
+syllable to its right blocks it.  Each dropped syllable is right-visible at
+the moment it goes, so by the argument above the result is canonical
+without a re-sort.
+
+Nothing here checks that a required-canonical argument is canonical.  Words
+from outside reach the kernel only through ``GraphProduct.element`` (which
+normalizes them) and ``Building.deserialize_chamber`` (which refuses a
+cached chamber that is not in normal form); every other argument is a
+kernel result.  ``tests/test_kernel.py`` checks that the pipelines keep to
+this.
 
 See Hermiller & Meier, "Algorithms and geometry for graph products of
 groups", J. Algebra 171 (1995), and Diekert & Rozenberg (eds.), *The Book
@@ -88,9 +99,8 @@ def normalize(word, qs, comm):
 
 
 def multiply(a, b, qs, comm):
-    out = []
-    for g, e in a:
-        _append(out, g, e, qs, comm)
+    """Canonical form of ``a`` times ``b``; ``a`` must be canonical."""
+    out = list(a)
     for g, e in b:
         _append(out, g, e, qs, comm)
     return tuple(out)
@@ -104,18 +114,16 @@ def inverse(a, qs, comm):
 
 
 def strip_coset(a, tmask, qs, comm):
-    """Least element of the right coset of ``a`` by the subgroup on ``tmask``.
+    """Least element of the right coset of the canonical ``a`` by the
+    subgroup on ``tmask``.
 
     Drops, right to left, each syllable whose generator lies in the mask and
     which no kept syllable to its right blocks; such a syllable commutes
     with everything after it, so the word stays reduced and canonical.
     """
-    word = []
-    for g, e in a:
-        _append(word, g, e, qs, comm)
     kept = 0
     out = []
-    for g, e in reversed(word):
+    for g, e in reversed(a):
         if (tmask >> g) & 1 and not kept & ~comm[g]:
             continue
         kept |= 1 << g

@@ -20,6 +20,7 @@ and to map sides to sides.  They feed four pipelines:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .building import Building, face_key, syllable_key
@@ -757,8 +758,13 @@ def classify_discreteness(building: Building) -> DiscretenessVerdict:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=8)
 def w_ball(system, n):
-    """Canonical words of the thin chamber system within combinatorial radius n."""
+    """Canonical words of the thin chamber system within combinatorial radius n.
+
+    Cached per system object and radius: a command that enumerates and then
+    validates fragments builds the set once.
+    """
     from . import coxeter
 
     poset = coxeter.spherical_poset(system)
@@ -783,7 +789,7 @@ def w_ball(system, n):
         frontier = new
         if not frontier:
             break
-    return current
+    return frozenset(current)
 
 
 @dataclass(frozen=True)
@@ -794,6 +800,11 @@ class ApartmentFragment:
     radius: int
     chambers: frozenset
     by_w: tuple  # sorted ((w word), chamber) pairs
+
+    @functools.cached_property
+    def is_valid(self) -> bool:
+        """Whether the chambers meet the fragment conditions, checked once."""
+        return is_apartment_fragment(self.building, self.radius, self.chambers)
 
 
 APARTMENT_COUNT_CAP = 20000
@@ -1036,7 +1047,9 @@ def transitivity_witness(
     """A ball automorphism fixing the base chamber with h(frag1) = frag2.
 
     ``ball`` and ``records`` are what ``unfold_steps_to_ball`` returns; the
-    fragments have one radius, at most the ball's.  Walks the records: at the
+    fragments belong to the ball's building and have one radius, at most the
+    ball's.  Each fragment is validated on its first use only
+    (``ApartmentFragment.is_valid``).  Walks the records: at the
     first step k where the image of the first fragment and the second
     fragment disagree on the chambers born by step k, the chambers step k
     added to them lie in different sheets of it.  Swapping those sheets of
@@ -1054,9 +1067,9 @@ def transitivity_witness(
     if born.keys() != ball.chambers:
         raise DomainError("the unfoldings do not make the ball")
     for frag in (frag1, frag2):
-        if not frag.chambers <= ball.chambers or not is_apartment_fragment(
-            building, n, frag.chambers
-        ):
+        if frag.building is not building:
+            raise DomainError("fragment of another building")
+        if not frag.chambers <= ball.chambers or not frag.is_valid:
             raise DomainError("not an apartment fragment through the base")
     h = identity_automorphism(ball)
     for k, grown in enumerate(records, 1):

@@ -1,10 +1,11 @@
+import io
 import itertools
 import json
 import random
 
 import pytest
 
-from rabuild.building import Building, load_ball_cache, save_ball_cache
+from rabuild.building import Building, load_ball_cache, save_ball_cache, syllable_key
 from rabuild.coxeter import CoxeterSystem, reduce as w_reduce
 from rabuild.errors import DomainError, InputError, SizeCapError
 from tests.conftest import generator_word
@@ -277,6 +278,43 @@ def test_ball_cache_roundtrip(tmp_path, d23):
     other = Building(CoxeterSystem(["s", "t"]), {"s": 3, "t": 3})
     with pytest.raises(InputError):
         load_ball_cache(path, other)
+
+
+def _json_dump_oracle(building, n, chambers):
+    """The cache bytes as ``json.dump`` writes them."""
+    data = {
+        "config": building.config_dict(),
+        "config_hash": building.config_hash(),
+        "radius": n,
+        "chambers": [
+            building.serialize_chamber(c) for c in sorted(chambers, key=syllable_key)
+        ],
+    }
+    fh = io.StringIO()
+    json.dump(data, fh, sort_keys=True, indent=1)
+    fh.write("\n")
+    return fh.getvalue().encode()
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2])
+def test_ball_cache_bytes_match_json_dump(tmp_path, radius):
+    # names that JSON must escape: a quote, a backslash, a non-ASCII letter;
+    # at radius 0 the only chamber, the identity, is written as []
+    names = ['q"', "b\\", "\u00e9"]
+    escaped = Building(
+        CoxeterSystem(names, [(names[0], names[1])]), dict(zip(names, (2, 3, 2)))
+    )
+    for bld in (escaped, Building(CoxeterSystem(["s", "t"]), {"s": 2, "t": 3})):
+        chambers = bld.ball_chambers(radius)
+        path = tmp_path / "ball.json"
+        save_ball_cache(path, bld, radius, chambers)
+        assert path.read_bytes() == _json_dump_oracle(bld, radius, chambers)
+        assert load_ball_cache(path, bld) == (radius, chambers)
+
+
+def test_ball_cache_unwritable_path(tmp_path, d23):
+    with pytest.raises(InputError, match="cannot write ball cache"):
+        save_ball_cache(tmp_path / "missing" / "ball.json", d23, 0, {()})
 
 
 @pytest.mark.parametrize(

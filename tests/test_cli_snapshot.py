@@ -1,9 +1,11 @@
 """CLI output snapshot: exit code and SHA-256 of stdout for fixed runs.
 
 The runs cover the unfolding, labeling, covering and witness commands on the
-shipped configs.  Any change in a hash is a change in what the CLI prints.
-To record the fixture again, run ``PYTHONPATH=src python -m
-tests.test_cli_snapshot`` from the repository root.
+shipped configs, and the file ``ball --cache`` writes (its stdout names the
+cache path, so only the file is hashed).  Any change in a hash is a change
+in what the CLI prints or writes.  To record the fixture again, run
+``PYTHONPATH=src python -m tests.test_cli_snapshot`` from the repository
+root.
 """
 
 import contextlib
@@ -12,6 +14,7 @@ import hashlib
 import io
 import json
 import pathlib
+import tempfile
 
 import pytest
 
@@ -52,7 +55,24 @@ def run_once(argv):
     return {"exit": code, "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
 
 
+def cache_runs():
+    """Each ``ball --cache`` run as (key, config name, radius)."""
+    return [
+        (f"ball --cache {name} r{r}", name, r) for name in CONFIGS for r in range(3)
+    ]
+
+
+def run_cache(name, radius, directory):
+    path = pathlib.Path(directory) / "ball.json"
+    config = str(ROOT / "configs" / f"{name}.json")
+    argv = ["ball", config, "--radius", str(radius), "--cache", str(path)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return {"exit": code, "cache_sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+
+
 RUNS = snapshot_runs()
+CACHE_RUNS = cache_runs()
 
 
 @functools.cache
@@ -65,12 +85,21 @@ def test_cli_output_matches_snapshot(key, argv):
     assert run_once(argv) == expected()[key]
 
 
+@pytest.mark.parametrize(
+    "key,name,radius", CACHE_RUNS, ids=[key for key, _, _ in CACHE_RUNS]
+)
+def test_ball_cache_matches_snapshot(key, name, radius, tmp_path):
+    assert run_cache(name, radius, tmp_path) == expected()[key]
+
+
 def test_snapshot_lists_every_run():
-    assert sorted(expected()) == sorted(key for key, _ in RUNS)
+    keys = [key for key, _ in RUNS] + [key for key, _, _ in CACHE_RUNS]
+    assert sorted(expected()) == sorted(keys)
 
 
 if __name__ == "__main__":
-    FIXTURE.write_text(
-        json.dumps({key: run_once(argv) for key, argv in RUNS}, indent=1, sort_keys=True)
-        + "\n"
-    )
+    got = {key: run_once(argv) for key, argv in RUNS}
+    with tempfile.TemporaryDirectory() as directory:
+        for key, name, radius in CACHE_RUNS:
+            got[key] = run_cache(name, radius, directory)
+    FIXTURE.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")

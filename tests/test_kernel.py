@@ -4,10 +4,18 @@
 merge-then-re-sort kernel as an independent oracle for ``rabuild.kernel``.
 """
 
+import contextlib
+import io
 import itertools
+import json
 import random
 
+import pytest
+
 from rabuild import kernel
+from rabuild.cli import main
+from tests.conftest import make_suite
+from tests.test_cli_snapshot import CONFIGS, ROOT, RUNS
 
 
 def random_system(rng, rank=None):
@@ -108,7 +116,9 @@ def reference_strip_coset(a, tmask, qs, comm):
 
 def test_kernel_matches_reference():
     # every rank 1-7 with every tmask, words of 0-20 syllables, exponents
-    # from -q to 2q (so 0, negative and >= q appear), 300 cases per rank
+    # from -q to 2q (so 0, negative and >= q appear), 300 cases per rank;
+    # multiply's left factor and strip_coset's input must be canonical, so
+    # they get the normal form n of the wild word w
     rng = random.Random(23)
     for rank in range(1, 8):
         for k in range(300):
@@ -118,16 +128,88 @@ def test_kernel_matches_reference():
             tmask = k % (1 << rank)
             n = reference_normalize(w, qs, comm)
             assert kernel.normalize(w, qs, comm) == n
-            assert kernel.multiply(w, v, qs, comm) == reference_normalize(
+            assert kernel.multiply(n, v, qs, comm) == reference_normalize(
                 w + v, qs, comm
             )
             assert kernel.inverse(w, qs, comm) == reference_normalize(
                 [(g, -e) for g, e in reversed(w)], qs, comm
             )
             stripped = reference_strip_coset(w, tmask, qs, comm)
-            assert kernel.strip_coset(w, tmask, qs, comm) == stripped
-            # already-canonical input, the pipelines' case
             assert kernel.strip_coset(n, tmask, qs, comm) == stripped
+
+
+@pytest.fixture
+def canonical_first_argument(monkeypatch):
+    """Wrap ``multiply`` and ``strip_coset`` so that every call asserts that
+    its first argument is canonical, as the kernel requires.
+
+    Each distinct argument is checked against the oracle once; the set of
+    checked arguments is returned.
+    """
+    checked = set()
+
+    def guard(name):
+        fn = getattr(kernel, name)
+
+        def wrapper(a, *rest):
+            key = (a,) + rest[-2:]  # the word with its qs and comm
+            if key not in checked:
+                assert a == reference_normalize(*key), (name, a)
+                checked.add(key)
+            return fn(a, *rest)
+
+        return wrapper
+
+    for name in ("multiply", "strip_coset"):
+        monkeypatch.setattr(kernel, name, guard(name))
+    return checked
+
+
+def test_canonical_guard_refuses_other_words(canonical_first_argument):
+    qs, comm = (3, 2), (0b10, 0b01)  # two commuting generators
+    assert kernel.multiply(((0, 1),), ((0, 1),), qs, comm) == ((0, 2),)
+    for word in (((0, 1), (0, 1)), ((1, 1), (0, 1)), ((0, 4),), ((0, 0),)):
+        with pytest.raises(AssertionError):
+            kernel.multiply(word, (), qs, comm)
+        with pytest.raises(AssertionError):
+            kernel.strip_coset(word, 1, qs, comm)
+
+
+# Left out for time (about 7 s and 10 s): they run the same code as the
+# same commands at radius 1, on a larger ball.
+SLOW_RUNS = {("apartments", "hexagon_q3", 2), ("quotient", "hexagon_q3", 2)}
+
+
+def test_pipelines_pass_canonical_words(canonical_first_argument, tmp_path):
+    # the snapshot runs (unfold-trace, label, verify-covering, index,
+    # witness), the other commands on the shipped configs, and every command
+    # at radius 1 on one suite system per rank
+    runs = [argv for _, argv in RUNS]
+    for name in CONFIGS:
+        config = str(ROOT / "configs" / f"{name}.json")
+        for r in range(3):
+            runs.append(("info", config, "--radius", str(r)))
+            runs.append(
+                ("ball", config, "--radius", str(r), "--cache", str(tmp_path / "b.json"))
+            )
+            for command in ("classify", "apartments", "quotient"):
+                if (command, name, r) not in SLOW_RUNS:
+                    runs.append((command, config, "--radius", str(r)))
+    suite = {name: bld for name, bld, _ in make_suite()}
+    for name in ("square", "mixed", "path4", "hex2"):  # ranks 2, 3, 4 and 6
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(suite[name].config_dict()))
+        for command in (
+            "info", "ball", "unfold-trace", "label", "verify-covering", "index",
+            "classify", "apartments", "quotient", "witness",
+        ):
+            runs.append((command, str(config), "--radius", "1"))
+    for argv in runs:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            main(list(argv))
+    assert canonical_first_argument
 
 
 def test_public_functions_call_no_other():

@@ -1,9 +1,12 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from rabuild.building import Building
+from rabuild.cli import main
 from rabuild.clump import chamber_clump, unfold, unfold_steps_to_ball
 from rabuild.coxeter import CoxeterSystem
 from rabuild.errors import DomainError, SizeCapError
@@ -413,6 +416,32 @@ def test_witness_rejects_non_fragment(d23):
     fake = sym.ApartmentFragment(d23, 1, frozenset({(), s}), ())
     with pytest.raises(DomainError):
         sym.transitivity_witness(*unfold_steps_to_ball(d23, 1), fake, frags[0])
+
+
+def test_witness_rejects_fragment_of_another_building(d23):
+    twin = Building(d23.system, {"s": 2, "t": 3})
+    frags = sym.apartments_through_base(twin, 1)
+    with pytest.raises(DomainError, match="another building"):
+        sym.transitivity_witness(*unfold_steps_to_ball(d23, 1), frags[0], frags[0])
+
+
+def test_witness_command_validates_each_fragment_once(monkeypatch, capsys):
+    # one thin ball and one validation per fragment, not one per ordered pair
+    calls = []
+    original = sym.is_apartment_fragment
+
+    def counting(building, n, chambers):
+        calls.append(chambers)
+        return original(building, n, chambers)
+
+    monkeypatch.setattr(sym, "is_apartment_fragment", counting)
+    sym.w_ball.cache_clear()
+    config = str(Path(__file__).parent.parent / "configs" / "d23.json")
+    assert main(["witness", config, "--radius", "3"]) == 0
+    fragments = json.loads(capsys.readouterr().out)["fragments"]
+    assert fragments == 8
+    assert len(calls) == len(set(calls)) == fragments
+    assert sym.w_ball.cache_info().misses == 1
 
 
 def test_witness_fragments_inside_a_larger_ball(d23):
