@@ -479,27 +479,6 @@ def sheets(unfolding: Unfolding) -> tuple:
     return tuple(map(frozenset, ordered))
 
 
-def sheet_mirror_table(unfolding: Unfolding, blocks):
-    """Per sheet: mirror representative -> its unique chamber in the sheet.
-
-    A mirror's new chambers are read from the unfolding's faces.  Every
-    sheet meets every panel of the side exactly once; anything else
-    contradicts the sheet structure and aborts.
-    """
-    side = unfolding.side
-    sheet_of = {c: i for i, block in enumerate(blocks) for c in block}
-    tables = [{} for _ in blocks]
-    for rep in side.mirrors:
-        for c in unfolding.faces[(1 << side.gen, rep)]:
-            table = tables[sheet_of[c]]
-            if rep in table:
-                raise InternalError("two sheet chambers on one mirror")
-            table[rep] = c
-    if any(len(table) != len(side.mirrors) for table in tables):
-        raise InternalError("sheet does not cover the side's mirrors")
-    return tables
-
-
 def unfold_steps_to_ball(building: Building, n: int, rng=None):
     """Reach the radius-n ball from one chamber by unfolding along sides.
 

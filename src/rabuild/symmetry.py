@@ -15,7 +15,9 @@ and to map sides to sides.  They feed four pipelines:
 * the discreteness classifier for full and type-preserving automorphism
   groups of the building, with the nerve rigidity oracle;
 * apartment fragments through the base chamber and the sheet-swap
-  witnesses that carry any fragment to any other.
+  witnesses that carry any fragment to any other.  A sheet swap exchanges
+  the two wings behind two sheets of an unfolding, in closed form on the
+  whole ball; the search ``extend_to_ball`` is kept only as its reference.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import functools
 from dataclasses import dataclass
 
 from .building import Building, face_key, syllable_key
-from .clump import Clump, sheet_mirror_table, sheets
+from .clump import Clump, Unfolding, sheets
 from .coxeter import CoxeterSystem, reduce as w_reduce
 from .covering import CoveringReport, check_covering
 from .errors import DomainError, InternalError, SizeCapError
@@ -416,15 +418,9 @@ class QuotientCog:
             raise DomainError("the automorphisms do not form a group")
         return got
 
-    def cell_image(self, hi, cell):
-        return self.images[cell][hi]
-
-    def local_map_at(self, hi, cell):
-        return self.simple[hi].vertex_maps[cell[0]]
-
     def apply_local(self, hi, cell, x):
         """phi^h at the cell's group face, on a canonical subgroup element."""
-        vmap = self.local_map_at(hi, cell)
+        vmap = self.simple[hi].vertex_maps[cell[0]]
         return tuple(sorted(((vmap[g], e) for g, e in x)))
 
     # -- construction ------------------------------------------------------
@@ -499,10 +495,7 @@ class QuotientCog:
                 abar_b = self.edge_rep[b]
                 abar_bp = self.edge_rep[bp]
                 kp_inv = self._inv[self.kappa[bp]]
-                moved = (
-                    self.cell_image(kp_inv, abar_b[0]),
-                    self.cell_image(kp_inv, abar_b[1]),
-                )
+                moved = (images[abar_b[0]][kp_inv], images[abar_b[1]][kp_inv])
                 if moved[0] != abar_bp[1]:
                     raise InternalError("transporter does not align edges")
                 comp = (abar_bp[0], moved[1])
@@ -534,16 +527,6 @@ class QuotientCog:
             hi,
         )
 
-    def theta(self, b, x):
-        """Monomorphism along a quotient edge."""
-        g, h = x
-        abar = self.edge_rep[b]
-        k = self.kappa[b]
-        return (
-            self.apply_local(k, abar[1], g),
-            self._comp[(k, self._comp[(h, self._inv[k])])],
-        )
-
     # -- adapter protocol ----------------------------------------------------
 
     def vertices(self):
@@ -565,7 +548,13 @@ class QuotientCog:
         return v
 
     def psi(self, b, x):
-        return self.theta(b, x)
+        """Monomorphism along a quotient edge."""
+        g, h = x
+        k = self.kappa[b]
+        return (
+            self.apply_local(k, self.edge_rep[b][1], g),
+            self._comp[(k, self._comp[(h, self._inv[k])])],
+        )
 
     def compose(self, b, bp):
         return self.z_compose.get((b, bp))
@@ -799,7 +788,6 @@ class ApartmentFragment:
     building: Building
     radius: int
     chambers: frozenset
-    by_w: tuple  # sorted ((w word), chamber) pairs
 
     @functools.cached_property
     def is_valid(self) -> bool:
@@ -815,11 +803,15 @@ def apartments_through_base(building: Building, n: int):
 
     A fragment assigns to each thin-ball element a chamber, adjacent in the
     right type to each of its shorter neighbors; elements whose neighbors
-    leave the thin ball impose nothing.
+    leave the thin ball impose nothing.  An element with one descent s
+    takes any of the q_s - 1 chambers s-adjacent to its neighbor's, and one
+    with several descents is pinned by them, so the fragments number the
+    product of q_s - 1 over the elements with exactly one descent.  That
+    count is checked against the cap before anything is enumerated, and
+    against the enumeration after it.
     """
     sysm = building.system
     gp = building.gp
-    ball = building.ball(n)
     words = sorted(
         w_ball(sysm, n),
         key=lambda w: (len(w), tuple(sysm.index[s] for s in w)),
@@ -827,6 +819,7 @@ def apartments_through_base(building: Building, n: int):
     windex = {w: k for k, w in enumerate(words)}
     # descents: letters ending a reduced expression
     descents = {}
+    count = 1
     for w in words:
         ds = []
         for s in sysm.generators:
@@ -834,15 +827,20 @@ def apartments_through_base(building: Building, n: int):
             if len(shorter) < len(w) and shorter in windex:
                 ds.append((s, shorter))
         descents[w] = ds
+        if len(ds) == 1:
+            count *= gp.q(ds[0][0]) - 1
+    if count > APARTMENT_COUNT_CAP:
+        raise SizeCapError("apartment enumeration exceeded its cap")
 
+    ball = building.ball(n)
     results = []
     assignment = {(): ()}
 
     def backtrack(k):
-        if len(results) > APARTMENT_COUNT_CAP:
-            raise SizeCapError("apartment enumeration exceeded its cap")
         if k == len(words):
-            results.append(dict(assignment))
+            if len(results) == count:
+                raise InternalError("more apartment fragments than counted")
+            results.append(frozenset(assignment.values()))
             return
         w = words[k]
         ds = descents[w]
@@ -867,14 +865,9 @@ def apartments_through_base(building: Building, n: int):
                 del assignment[w]
 
     backtrack(1)
-    fragments = []
-    for mapping in results:
-        by_w = tuple(sorted(mapping.items()))
-        fragments.append(
-            ApartmentFragment(
-                building, n, frozenset(mapping.values()), by_w
-            )
-        )
+    if len(results) != count:
+        raise InternalError("fewer apartment fragments than counted")
+    fragments = [ApartmentFragment(building, n, chambers) for chambers in results]
     fragments.sort(key=lambda f: tuple(sorted(syllable_key(c) for c in f.chambers)))
     return fragments
 
@@ -909,23 +902,50 @@ def is_apartment_fragment(building, n, chambers) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def sheet_swap(unfolded: Clump, i: int, j: int) -> BallAutomorphism:
-    """Automorphism of a clump made by an unfolding, fixing the old clump and
-    exchanging two of the unfolding's sheets through the mirror correspondence."""
-    grown = unfolded.unfolding
-    if grown is None:
-        raise DomainError("clump was not made by an unfolding")
+def sheet_swap(ball: Clump, grown: Unfolding, i: int, j: int) -> BallAutomorphism:
+    """Automorphism of the ball exchanging the wings behind sheets i and j
+    of an unfolding record; every other chamber is fixed.
+
+    Let u be the type of the unfolded side and m its least mirror.  A chamber
+    c projects onto the u-panel {m·(u, x)} at m·(u, x), x the exponent of
+    the left-visible u-syllable of m⁻¹c (0 if none); the chambers with one
+    projection form a wing.  Sheet i meets the panel at a = m·(u, x_i) and
+    sheet j at b = m·(u, x_j).  Left multiplication by b·a⁻¹ carries the
+    x_i-wing onto the x_j-wing and a·b⁻¹ carries it back; the other wings,
+    which hold the unfolded clump and the step's other sheets, are fixed.
+    In a right-angled building this is an automorphism (Caprace, Fund. Math.
+    224, 2014); it is verified panel by panel on the ball all the same.
+    """
     blocks = sheets(grown)
     nblocks = len(blocks)
     if i == j or not (0 <= i < nblocks and 0 <= j < nblocks):
         raise DomainError(f"invalid sheet indices {i},{j} among {nblocks}")
-    tables = sheet_mirror_table(grown, blocks)
-    mapping = {c: c for c in unfolded.chambers}
-    for m in grown.side.mirrors:
-        a, b = tables[i][m], tables[j][m]
-        mapping[a], mapping[b] = b, a
-    rank = len(unfolded.building.gp.qs)
-    h = BallAutomorphism(unfolded, mapping, tuple(range(rank)))
+    gp = ball.building.gp
+    u = grown.side.gen
+    m = grown.side.mirrors[0]
+    m_inv = gp.inv(m)
+    comm_u = gp.comm[u]
+
+    def wing(c):
+        """Exponent of the left-visible u-syllable of m⁻¹c, 0 if none."""
+        for g, e in gp.mul(m_inv, c):
+            if g == u:
+                return e
+            if not (comm_u >> g) & 1:
+                return 0
+        return 0
+
+    panel = grown.faces[(1 << u, m)]
+    ends = [[c for c in panel if c in blocks[k]] for k in (i, j)]
+    if any(len(met) != 1 for met in ends):
+        raise InternalError("a sheet does not meet the side's least mirror once")
+    (a,), (b,) = ends
+    shift = {wing(a): gp.mul(b, gp.inv(a)), wing(b): gp.mul(a, gp.inv(b))}
+    mapping = {}
+    for c in ball.chambers:
+        g = shift.get(wing(c))
+        mapping[c] = c if g is None else gp.mul(g, c)
+    h = BallAutomorphism(ball, mapping, tuple(range(len(gp.qs))))
     problems = h.verify()
     if problems:
         raise InternalError(f"sheet swap is not an automorphism: {problems[0]}")
@@ -964,6 +984,12 @@ def _panel_consistent(panels, mapping, used, perm, c, cand) -> bool:
 def extend_to_ball(partial: dict, ball: Clump) -> BallAutomorphism:
     """Complete a partial chamber map to a type-preserving automorphism of
     the ball.
+
+    The reference search: no pipeline calls it, since ``sheet_swap`` gives
+    each swap on the whole ball in closed form, and the tests check the
+    closed form against it.  It stays in this module because
+    ``perfbench/tracer.py`` names it as a target; it moves into the tests
+    with the next change to the benchmark.
 
     Depth-first search over the unassigned chambers, keeping full local
     consistency: a candidate image must reproduce the adjacency type (or
@@ -1052,10 +1078,9 @@ def transitivity_witness(
     (``ApartmentFragment.is_valid``).  Walks the records: at the
     first step k where the image of the first fragment and the second
     fragment disagree on the chambers born by step k, the chambers step k
-    added to them lie in different sheets of it.  Swapping those sheets of
-    the clump Y_k that step k made, extended back to the whole ball, restores
-    agreement.  Y_k is built from the chambers born by step k, and only for
-    such a step; the last one is the ball.
+    added to them lie in different sheets of it.  Swapping those sheets
+    restores agreement: ``sheet_swap`` exchanges the wings behind the two
+    sheets, which fixes Y_(k-1) and acts on the whole ball at once.
     """
     building = ball.building
     n = frag1.radius
@@ -1088,13 +1113,7 @@ def transitivity_witness(
         ia, ib = blocks_a.pop(), blocks_b.pop()
         if ia == ib:
             raise InternalError("distinct fragments in the same sheet")
-        unfolded = ball
-        if grown is not ball.unfolding:
-            unfolded = Clump(building, [c for c in born if born[c] <= k], validate=False)
-            unfolded.unfolding = grown
-        swap = sheet_swap(unfolded, ia, ib)
-        g = extend_to_ball(dict(swap.mapping), ball)
-        h = g.compose(h)
+        h = sheet_swap(ball, grown, ia, ib).compose(h)
     final = frozenset(h.mapping[c] for c in frag1.chambers)
     if final != frag2.chambers:
         raise InternalError("witness construction did not align the fragments")

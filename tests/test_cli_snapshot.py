@@ -1,8 +1,10 @@
 """CLI output snapshot: exit code and SHA-256 of stdout for fixed runs.
 
-The runs cover the unfolding, labeling, covering and witness commands on the
-shipped configs, and the file ``ball --cache`` writes (its stdout names the
-cache path, so only the file is hashed).  Any change in a hash is a change
+The runs cover the unfolding, labeling, covering, apartment and witness
+commands on the shipped configs (``apartments`` on hexagon_q3 at radius 2
+pins the exit-3 payload of the apartment count cap), and the file ``ball
+--cache`` writes (its stdout names the cache path, so only the file is
+hashed).  Any change in a hash is a change
 in what the CLI prints or writes.  To record the fixture again, run
 ``PYTHONPATH=src python -m tests.test_cli_snapshot`` from the repository
 root.
@@ -38,6 +40,7 @@ def snapshot_runs():
                 ("label", ()),
                 ("verify-covering", ()),
                 ("index", ()),
+                ("apartments", ()),
             ):
                 argv = (command, config, "--radius", str(r)) + extra
                 runs.append((" ".join((command, name, f"r{r}") + extra), argv))

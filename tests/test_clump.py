@@ -10,7 +10,6 @@ from rabuild.clump import (
     Side,
     Unfolding,
     chamber_clump,
-    sheet_mirror_table,
     sheets,
     unfold,
     unfold_steps_to_ball,
@@ -131,13 +130,14 @@ def test_sheets_counts(d23, d33):
             assert len(blocks) == bld.gp.qs[side.gen] - 1
 
 
-def test_sheet_mirror_bijection(hex3):
-    y1, records = unfold_steps_to_ball(hex3, 1)
-    for grown in records:
-        tables = sheet_mirror_table(grown, sheets(grown))
-        for table in tables:
-            assert set(table) == set(grown.side.mirrors)
-            assert len(set(table.values())) == len(grown.side.mirrors)
+def test_sheet_mirror_bijection(suite_traces):
+    # every sheet meets every mirror of the unfolded side exactly once
+    for name, (_, records) in suite_traces.items():
+        for grown in records:
+            for block in sheets(grown):
+                for rep in grown.side.mirrors:
+                    met = block.intersection(grown.faces[(1 << grown.side.gen, rep)])
+                    assert len(met) == 1, name
 
 
 def test_ball_by_unfolding_matches_ball(suite):

@@ -7,11 +7,11 @@ import pytest
 
 from rabuild.building import Building
 from rabuild.cli import main
-from rabuild.clump import chamber_clump, unfold, unfold_steps_to_ball
+from rabuild.clump import chamber_clump, sheets, unfold, unfold_steps_to_ball
 from rabuild.coxeter import CoxeterSystem
 from rabuild.errors import DomainError, SizeCapError
 from rabuild import symmetry as sym
-from tests.conftest import clumps_along, generator_word, hexagon_system
+from tests.conftest import generator_word, hexagon_system
 
 
 # -- type permutations -------------------------------------------------------
@@ -377,31 +377,107 @@ def test_apartment_fragments_brute_force_oracle(square23):
     assert len(valid) == 2  # (q_s - 1) * (q_t - 1)
 
 
+def _fragment_count(bld, n):
+    """Product of q_s - 1 over the thin-ball words with exactly one descent s."""
+    from rabuild.coxeter import reduce as w_reduce
+
+    sysm = bld.system
+    count = 1
+    for w in sym.w_ball(sysm, n):
+        ds = [s for s in sysm.generators if len(w_reduce(sysm, w + (s,))) < len(w)]
+        if len(ds) == 1:
+            count *= bld.gp.q(ds[0]) - 1
+    return count
+
+
+def test_apartment_count_formula(suite):
+    # the enumeration finds as many fragments as the formula counts, and a
+    # count over the cap is refused
+    counts = {}
+    for name, bld, _ in suite:
+        for n in range(4):
+            expect = counts[name, n] = _fragment_count(bld, n)
+            if expect > sym.APARTMENT_COUNT_CAP:
+                with pytest.raises(SizeCapError, match="exceeded its cap"):
+                    sym.apartments_through_base(bld, n)
+            else:
+                assert len(sym.apartments_through_base(bld, n)) == expect, (name, n)
+    assert counts["hex3", 2] == 2**36 and counts["free3", 3] == 279936
+
+
+def test_apartment_cap_refuses_before_enumerating(hex3, monkeypatch):
+    # hex3 at radius 2 has 2**36 fragments: refused before the ball is
+    # built or any fragment is made
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(sym, "ApartmentFragment", refuse)
+    monkeypatch.setattr(Building, "ball", refuse)
+    with pytest.raises(SizeCapError, match="apartment enumeration exceeded its cap"):
+        sym.apartments_through_base(hex3, 2)
+
+
 # -- sheet swaps and witnesses ----------------------------------------------
 
 
 def test_sheet_swap_rejects_single_sheet(d23):
     y0 = chamber_clump(d23)
     sside = [k for k in y0.sides() if k.gen == 0][0]  # q_s = 2
+    y1 = unfold(y0, sside)
     with pytest.raises(DomainError):
-        sym.sheet_swap(unfold(y0, sside), 0, 1)
+        sym.sheet_swap(y1, y1.unfolding, 0, 1)
 
 
 def test_sheet_swap_involution(d23):
     y0 = chamber_clump(d23)
     tside = [k for k in y0.sides() if k.gen == 1][0]  # q_t = 3
-    h = sym.sheet_swap(unfold(y0, tside), 0, 1)
+    y1 = unfold(y0, tside)
+    h = sym.sheet_swap(y1, y1.unfolding, 0, 1)
     assert h.verify() == []
     assert h.mapping[()] == ()
     assert h.compose(h).is_identity()
 
 
 def test_sheet_swap_fixes_old_clump(d33):
-    final, records = unfold_steps_to_ball(d33, 1)
-    y1 = next(clumps_along(d33, records))
-    h = sym.sheet_swap(y1, 0, 1)
-    for c in y1.chambers - y1.unfolding.chambers:
-        assert h.mapping[c] == c
+    # a swap at step k fixes every chamber born before step k, on the ball
+    ball, records = unfold_steps_to_ball(d33, 2)
+    before = {()}
+    for grown in records:
+        h = sym.sheet_swap(ball, grown, 0, 1)
+        for c in before:
+            assert h.mapping[c] == c
+        assert not h.is_identity()
+        before |= grown.chambers
+
+
+def test_sheet_swap_equals_reference_extension(suite):
+    # on Y_k the closed form is the sheet transposition (sheet i onto sheet
+    # j mirror by mirror, every other chamber of Y_k fixed), and the
+    # reference search extends that map to the ball exactly as the closed
+    # form does; every ordered sheet pair of every step of every suite
+    # system, at every radius to the test radius (hex3 to radius 1 only:
+    # the reference search takes about 25 s there at radius 2)
+    count = 0
+    for name, bld, nmax in suite:
+        for n in range(1, (1 if name == "hex3" else nmax) + 1):
+            ball, records = unfold_steps_to_ball(bld, n)
+            before = {()}
+            for grown in records:
+                blocks = sheets(grown)
+                mask = 1 << grown.side.gen
+                for i, j in itertools.permutations(range(len(blocks)), 2):
+                    h = sym.sheet_swap(ball, grown, i, j)
+                    partial = {c: h.mapping[c] for c in before | grown.chambers}
+                    assert all(partial[c] == c for c in before)
+                    for k, block in enumerate(blocks):
+                        target = blocks[{i: j, j: i}.get(k, k)]
+                        for c in block:
+                            assert partial[c] in target
+                            assert bld.gp.strip(partial[c], mask) == bld.gp.strip(c, mask)
+                    assert sym.extend_to_ball(partial, ball) == h, (name, n, i, j)
+                    count += 1
+                before |= grown.chambers
+    assert count == 314
 
 
 def test_witness_identity(square23):
@@ -413,7 +489,7 @@ def test_witness_identity(square23):
 def test_witness_rejects_non_fragment(d23):
     frags = sym.apartments_through_base(d23, 1)
     s = d23.gp.element([("s", 1)])
-    fake = sym.ApartmentFragment(d23, 1, frozenset({(), s}), ())
+    fake = sym.ApartmentFragment(d23, 1, frozenset({(), s}))
     with pytest.raises(DomainError):
         sym.transitivity_witness(*unfold_steps_to_ball(d23, 1), fake, frags[0])
 
@@ -442,6 +518,46 @@ def test_witness_command_validates_each_fragment_once(monkeypatch, capsys):
     assert fragments == 8
     assert len(calls) == len(set(calls)) == fragments
     assert sym.w_ball.cache_info().misses == 1
+
+
+def test_witness_command_searches_nothing_and_builds_no_scwol(monkeypatch, capsys):
+    # each swap is a closed form on the ball: no extension search runs, and
+    # no clump or scwol is built inside transitivity_witness
+    from rabuild import cog
+    from rabuild.clump import Clump
+
+    def refuse(partial, ball):
+        raise AssertionError("extend_to_ball was called")
+
+    inside = []
+    built = {"scwol_of": 0, "Clump": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            if inside:
+                built[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    witness = sym.transitivity_witness
+
+    def tracking(*args):
+        inside.append(True)
+        try:
+            return witness(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(sym, "extend_to_ball", refuse)
+    monkeypatch.setattr(sym, "transitivity_witness", tracking)
+    monkeypatch.setattr(cog, "scwol_of", counted("scwol_of", cog.scwol_of))
+    monkeypatch.setattr(Clump, "__init__", counted("Clump", Clump.__init__))
+    config = str(Path(__file__).parent.parent / "configs" / "d23.json")
+    assert main(["witness", config, "--radius", "3"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["all_pairs_witnessed"] and out["fragments"] == 8
+    assert built == {"scwol_of": 0, "Clump": 0}
 
 
 def test_witness_fragments_inside_a_larger_ball(d23):
@@ -563,24 +679,19 @@ def test_verify_names_a_face_that_leaves_the_clump():
     assert problems[0].startswith("face (6, ()) leaves the clump")
 
 
-def test_extend_to_ball_panel_filter_matches_pairwise_filter(d23, monkeypatch):
-    # the partial maps transitivity_witness hands to extend_to_ball, their
-    # growth towards the extension found, and random injective partial maps
-    # of the same balls, which need not extend at all
+def test_extend_to_ball_panel_filter_matches_pairwise_filter(d23):
+    # the sheet swaps restricted to the clumps Y_k (the partial maps the
+    # witness once handed to extend_to_ball), their growth towards the whole
+    # swap, and random injective partial maps of the same ball, which need
+    # not extend at all
     partials = []
-    original = sym.extend_to_ball
-
-    def recording(partial, ball):
-        h = original(partial, ball)
-        partials.append((dict(partial), h, ball))
-        return h
-
-    monkeypatch.setattr(sym, "extend_to_ball", recording)
-    frags = sym.apartments_through_base(d23, 2)
     ball, records = unfold_steps_to_ball(d23, 2)
-    for f1 in frags:
-        for f2 in frags:
-            sym.transitivity_witness(ball, records, f1, f2)
+    before = {()}
+    for grown in records:
+        before |= grown.chambers
+        for i, j in itertools.permutations(range(len(sheets(grown))), 2):
+            h = sym.sheet_swap(ball, grown, i, j)
+            partials.append(({c: h.mapping[c] for c in before}, h, ball))
     assert partials
     gp = d23.gp
     rng = random.Random(29)
