@@ -138,12 +138,25 @@ class Building:
         return [[gens[g], e] for g, e in syls]
 
     def deserialize_chamber(self, pairs):
-        """Inverse of ``serialize_chamber``; the pairs must be in normal form."""
-        syls = self.gp.element(pairs)
-        for _, e in pairs:
+        """Inverse of ``serialize_chamber``; the pairs must be in normal form.
+
+        Each pair is a known generator name and an ``int`` exponent in
+        [1, q); the syllables must be canonical as they stand.
+        """
+        index = self.system.index
+        qs = self.gp.qs
+        syls = []
+        for s, e in pairs:
+            g = index.get(s)
+            if g is None:
+                raise InputError(f"unknown generator {s!r}")
             if type(e) is not int:
                 raise InputError(f"exponent {e!r} is not an integer")
-        if self.serialize_chamber(syls) != [list(p) for p in pairs]:
+            if not 0 < e < qs[g]:
+                raise InputError(f"exponent {e} of {s!r} is not in [1, {qs[g]})")
+            syls.append((g, e))
+        syls = tuple(syls)
+        if self.gp.norm(syls) != syls:
             raise InputError(f"chamber {pairs!r} is not in normal form")
         return syls
 

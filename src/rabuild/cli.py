@@ -150,7 +150,7 @@ def cmd_ball(cfg: SystemConfig, args) -> int:
     payload = {
         "radius": args.radius,
         "chambers": len(ball.chambers),
-        "boundary_mirrors": len(ball.boundary_mirrors()),
+        "boundary_mirrors": ball.boundary_mirror_count(),
         "sides": [
             {
                 "type": bld.system.generators[s.gen],

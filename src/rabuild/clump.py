@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import kernel
 from .building import Building, syllable_key
 from .errors import DomainError, InternalError, SizeCapError
 
@@ -38,6 +39,16 @@ class Side:
     def __hash__(self):
         # the least mirror names the side; hashing every mirror costs O(|side|)
         return hash((self.gen, self.mirrors[0]))
+
+
+def _panels(c, comm):
+    """``(g, c's g-panel representative)`` for every type g: ``c`` less its
+    right-visible g-syllable, or ``c`` itself when it has none (the lemma
+    in ``rabuild.kernel``)."""
+    keys = [(g, c) for g in range(len(comm))]
+    for g, i in kernel.right_descents(c, comm):
+        keys[g] = (g, c[:i] + c[i + 1 :])
+    return keys
 
 
 class Unfolding:
@@ -62,6 +73,9 @@ class _Sides:
 
     Two boundary mirrors of type g are adjacent when they lie in one
     {g, c}-coset for a type c commuting with g, and a side is a component.
+    The coset of a g-mirror is keyed by its representative less its
+    right-visible c-syllable: g is never right-visible in a g-panel
+    representative, so this is the strip by {g, c}.
     A table carried along unfoldings keeps a coset index, ``cosets``, of the
     mirrors ever put in each such coset; a mirror that has left the boundary
     is skipped when read, since a panel never returns to the boundary once it
@@ -71,26 +85,33 @@ class _Sides:
 
     def __init__(self, building):
         self.building = building
-        comm = building.system.comm
+        comm = self.comm = building.system.comm
         rank = len(comm)
         self.of_mirror = [{} for _ in range(rank)]  # per type: rep -> Side
         self.by_least = {}  # (gen, least mirror) -> Side, one entry per side
         self.cosets = None  # per type: (pair mask, coset rep) -> reps
-        self.pair_masks = [
-            [(1 << g) | (1 << c) for c in range(rank) if (comm[g] >> c) & 1]
+        self.pairs = [  # per type g: (c, {g, c} mask) for each c commuting with g
+            [(c, (1 << g) | (1 << c)) for c in range(rank) if (comm[g] >> c) & 1]
             for g in range(rank)
         ]
+
+    def _coset_keys(self, g, rep):
+        """``(mask, coset rep)`` of the g-mirror ``rep`` for each pair mask."""
+        visible = dict(kernel.right_descents(rep, self.comm))
+        keys = []
+        for c, mask in self.pairs[g]:
+            i = visible.get(c)
+            keys.append((mask, rep if i is None else rep[:i] + rep[i + 1 :]))
+        return keys
 
     def indexed(self):
         """This table, with its coset index built if it had none."""
         if self.cosets is None:
-            strip = self.building.gp.strip
             self.cosets = [{} for _ in self.of_mirror]
             for g, table in enumerate(self.of_mirror):
                 index = self.cosets[g]
                 for rep in table:
-                    for mask in self.pair_masks[g]:
-                        key = (mask, strip(rep, mask))
+                    for key in self._coset_keys(g, rep):
                         index[key] = index.get(key, ()) + (rep,)
         return self
 
@@ -112,7 +133,6 @@ class _Sides:
     def _update_type(self, g, removed, added):
         of_mirror = self.of_mirror[g]
         index = None if self.cosets is None else self.cosets[g]
-        strip = self.building.gp.strip
         broken = {}
         for rep in removed:
             side = of_mirror.pop(rep)
@@ -136,16 +156,17 @@ class _Sides:
                 parent[x], x = root, parent[x]
             return root
 
-        for mask in self.pair_masks[g]:
+        keys = {rep: self._coset_keys(g, rep) for rep in dirty}
+        for k in range(len(self.pairs[g])):
             groups = {}
             for rep in dirty:
-                groups.setdefault(strip(rep, mask), []).append(rep)
-            for coset, members in groups.items():
+                groups.setdefault(keys[rep][k], []).append(rep)
+            for key, members in groups.items():
                 if index is not None:
-                    known = index.get((mask, coset), ())
+                    known = index.get(key, ())
                     new = tuple(rep for rep in members if dirty[rep])
                     if new:
-                        index[(mask, coset)] = known + new
+                        index[key] = known + new
                     members += [rep for rep in known if rep not in dirty]
                 first = None
                 for rep in members:
@@ -196,17 +217,16 @@ class Clump:
 
     def _gallery_connected(self):
         """Walk the clump panel by panel: two chambers are adjacent exactly
-        when they share a panel, so the walk costs one strip per chamber and
-        type, whatever the panel orders are.  The panel sizes are the mirror
-        counts, which are kept."""
+        when they share a panel, so the walk costs one descent scan per
+        chamber, whatever the panel orders are.  The panel sizes are the
+        mirror counts, which are kept."""
         if not self.chambers:
             return False
-        gp = self.building.gp
-        rank = len(gp.qs)
+        comm = self.building.gp.comm
         keys = {}
         panels = {}  # (gen, panel representative) -> clump chambers on it
         for c in self.chambers:
-            keys[c] = [(g, gp.strip(c, 1 << g)) for g in range(rank)]
+            keys[c] = _panels(c, comm)
             for key in keys[c]:
                 panels.setdefault(key, []).append(c)
         if self._mirror_counts is None:
@@ -232,11 +252,10 @@ class Clump:
 
     def _counts(self):
         if self._mirror_counts is None:
-            gp = self.building.gp
+            comm = self.building.gp.comm
             counts = {}
             for c in self.chambers:
-                for g in range(len(gp.qs)):
-                    key = (g, gp.strip(c, 1 << g))
+                for key in _panels(c, comm):
                     counts[key] = counts.get(key, 0) + 1
             self._mirror_counts = counts
         return self._mirror_counts
@@ -245,17 +264,14 @@ class Clump:
         """(gen, panel representative) -> number of clump chambers on it."""
         return dict(self._counts())
 
-    def boundary_mirrors(self):
-        """Panels carrying exactly one chamber of the clump, sorted."""
-        return sorted(
-            (k for k, n in self._counts().items() if n == 1),
-            key=lambda k: (k[0], syllable_key(k[1])),
-        )
+    def boundary_mirror_count(self):
+        """Number of panels carrying exactly one chamber of the clump."""
+        return list(self._counts().values()).count(1)
 
     @property
     def is_whole_building(self):
         """Finite building fully enumerated: no boundary at all."""
-        return not self.boundary_mirrors()
+        return 1 not in self._counts().values()
 
     def panel_count(self, g, rep):
         return self._counts().get((g, rep), 0)
@@ -405,8 +421,8 @@ def unfold(clump: Clump, side: Side) -> Clump:
     """Adjoin every chamber of every panel of the side.
 
     The new clump takes the old one's derived data over (see
-    ``Clump._hand_on``) and updates it for the new chambers: one strip per
-    new chamber and spherical type for the face table and the edges, panel
+    ``Clump._hand_on``) and updates it for the new chambers: one descent scan
+    per new chamber for the face table and the edges, panel
     counts from the new chambers' panels, and sides from the mirrors that
     leave or join the boundary.
     """

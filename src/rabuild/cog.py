@@ -26,6 +26,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from . import kernel
 from .building import face_key, syllable_key
 from .errors import DomainError, InternalError
 
@@ -92,12 +93,15 @@ def _edges_by(edges, end):
 def add_chambers(building, face_chambers, edge_set, chambers):
     """Put chambers into a face table and an edge set, in place.
 
-    One strip per chamber and spherical type; the edges reuse the same
-    faces.  Only the faces of the given chambers are touched.  Returns the
-    chambers added to each touched face, the faces that were not in the
-    table before, and the edges that were not in the set before.
+    One descent scan per chamber: its face of type T is the chamber less
+    its right-visible syllables with generators in T (the lemma in
+    ``rabuild.kernel``), so it depends only on T ∩ D, D the descent mask,
+    and is built once per distinct T ∩ D.  The edges reuse the same faces.
+    Only the faces of the given chambers are touched.  Returns the chambers
+    added to each touched face, the faces that were not in the table
+    before, and the edges that were not in the set before.
     """
-    gp = building.gp
+    comm = building.gp.comm
     masks = building.spherical_masks
     pairs = [
         (i, j)
@@ -108,7 +112,22 @@ def add_chambers(building, face_chambers, edge_set, chambers):
     added = {}
     new_edges = []
     for c in chambers:
-        faces = [(tmask, gp.strip(c, tmask)) for tmask in masks]
+        descents = kernel.right_descents(c, comm)
+        dmask = 0
+        for g, _ in descents:
+            dmask |= 1 << g
+        reps = {0: c}
+        faces = []
+        for tmask in masks:
+            key = tmask & dmask
+            rep = reps.get(key)
+            if rep is None:
+                rep = c
+                for g, i in descents:  # right to left: i stays valid
+                    if (key >> g) & 1:
+                        rep = rep[:i] + rep[i + 1 :]
+                reps[key] = rep
+            faces.append((tmask, rep))
         for face in faces:
             added.setdefault(face, []).append(c)
         for i, j in pairs:

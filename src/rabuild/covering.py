@@ -299,7 +299,8 @@ def check_covering(src, tgt, f_vertex, f_edge, phi_vertex, phi_edge) -> Covering
     ``ComplexOfGroups``; ``tgt`` is one too, or a ``symmetry.QuotientCog``.
     ``f_vertex``/``f_edge`` give the underlying scwol morphism,
     ``phi_vertex`` the local maps (callables) and ``phi_edge`` the twisting
-    elements of the morphism.  Checks: local injectivity, the
+    elements of the morphism; the four are only subscripted, so they may
+    compute their values on demand.  Checks: local injectivity, the
     per-edge commuting diagram, compatibility with composition, the target
     cog axioms, bijectivity of every fiber coset map, and vertexwise
     consistency of the sheet count.
@@ -475,22 +476,70 @@ def _identity(x):
     return x
 
 
+class _ToBase:
+    """A face or an edge -> the base face or edge of its type(s).
+
+    One table, built from the one-chamber target: type mask -> face, and
+    pair of type masks -> edge.
+    """
+
+    __slots__ = ("table",)
+
+    def __init__(self, tgt):
+        self.table = {v[0]: v for v in tgt.vertices()}
+        self.table.update(((a[0][0], a[1][0]), a) for a in tgt.edges())
+
+    def __getitem__(self, x):
+        s, t = x
+        if type(s) is int:  # a face (tmask, rep)
+            return self.table[s]
+        return self.table[s[0], t[0]]
+
+
+class _Constant:
+    """Every key -> one value."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def __getitem__(self, key):
+        return self.value
+
+
+class _Twists:
+    """An edge -> its label as a syllable tuple, each distinct label
+    normalized once."""
+
+    __slots__ = ("labels", "norm", "memo")
+
+    def __init__(self, labels, norm):
+        self.labels = labels
+        self.norm = norm
+        self.memo = {}
+
+    def __getitem__(self, a):
+        vec = self.labels[a]
+        got = self.memo.get(vec)
+        if got is None:
+            got = self.memo[vec] = self.norm(
+                tuple((g, e) for g, e in enumerate(vec) if e)
+            )
+        return got
+
+
 def covering_morphism(src, tgt, labels):
     """The projection of the ``ComplexOfGroups`` ``src`` onto the one-chamber ``tgt``.
 
     Returned as ``check_covering``'s arguments: each face goes to the face
     of its type at the base chamber, the local maps are inclusions, and an
-    edge's twisting element is its label.
+    edge's twisting element is its label.  The maps are computed on demand,
+    so nothing is allocated per face or edge of ``src``.
     """
-    norm = src.building.gp.norm
-    f_vertex = {v: (v[0], ()) for v in src.vertices()}
-    f_edge = {a: ((a[0][0], ()), (a[1][0], ())) for a in src.edges()}
-    phi_vertex = dict.fromkeys(src.vertices(), _identity)
-    phi_edge = {
-        a: norm(tuple((g, e) for g, e in enumerate(labels[a]) if e))
-        for a in src.edges()
-    }
-    return src, tgt, f_vertex, f_edge, phi_vertex, phi_edge
+    to_base = _ToBase(tgt)
+    twists = _Twists(labels, src.building.gp.norm)
+    return src, tgt, to_base, to_base, _Constant(_identity), twists
 
 
 def build_covering(lab: EdgeLabeling) -> Covering:

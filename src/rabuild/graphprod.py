@@ -69,12 +69,3 @@ class GraphProduct:
                 for k in range(self.qs[g])
             ]
         return [self.norm(e) for e in elems]
-
-    def element(self, pairs):
-        """Canonical syllable tuple of a word of (generator name, exponent) pairs."""
-        syls = []
-        for s, e in pairs:
-            if s not in self.system.index:
-                raise InputError(f"unknown generator {s!r}")
-            syls.append((self.system.index[s], e))
-        return self.norm(tuple(syls))

@@ -43,11 +43,30 @@ syllable to its right blocks it.  Each dropped syllable is right-visible at
 the moment it goes, so by the argument above the result is canonical
 without a re-sort.
 
+``right_descents`` lists the right-visible syllables of a canonical word
+in one right-to-left pass: a syllable of ``g`` is right-visible when every
+syllable after it commutes with ``g`` (``seen & ~comm[g] == 0``, where
+``seen`` is the mask of generators after it).  These are the right descents
+of the trace; their generators are distinct and pairwise commuting.
+
+Lemma.  For canonical ``a`` and a spherical (pairwise commuting) mask T,
+``strip_coset(a, T)`` deletes exactly the right-visible syllables of ``a``
+whose generator lies in T.
+
+Proof.  A deleted syllable commutes with every kept syllable after it (or
+it would be blocked), and with every deleted one (T is pairwise
+commuting), so it is right-visible.  Conversely, a right-visible syllable
+of a generator in T commutes with everything after it, so no kept syllable
+blocks it and it is deleted.
+
+So the face of ``a`` of type T depends only on T ∩ D(a), D(a) the mask of
+descent generators: a chamber has at most 2^|D(a)| distinct faces, and
+when T ∩ D(a) is empty the face representative is ``a`` itself.
+
 Nothing here checks that a required-canonical argument is canonical.  Words
-from outside reach the kernel only through ``GraphProduct.element`` (which
-normalizes them) and ``Building.deserialize_chamber`` (which refuses a
-cached chamber that is not in normal form); every other argument is a
-kernel result.  ``tests/test_kernel.py`` checks that the pipelines keep to
+from outside reach the kernel only through ``Building.deserialize_chamber``,
+which refuses a cached chamber that is not in normal form; every other
+argument is a kernel result.  ``tests/test_kernel.py`` checks that the pipelines keep to
 this.
 
 See Hermiller & Meier, "Algorithms and geometry for graph products of
@@ -130,6 +149,19 @@ def strip_coset(a, tmask, qs, comm):
         out.append((g, e))
     out.reverse()
     return tuple(out)
+
+
+def right_descents(a, comm):
+    """``(generator, position)`` of each right-visible syllable of the
+    canonical ``a``, right to left."""
+    seen = 0
+    out = []
+    for i in range(len(a) - 1, -1, -1):
+        g = a[i][0]
+        if not seen & ~comm[g]:
+            out.append((g, i))
+        seen |= 1 << g
+    return out
 
 
 def backend() -> str:

@@ -12,6 +12,12 @@ def hexagon_system():
     return CoxeterSystem(gens, pairs)
 
 
+def element(gp, pairs):
+    """Canonical syllable tuple of a word of (generator name, exponent) pairs."""
+    index = gp.system.index
+    return gp.norm(tuple((index[s], e) for s, e in pairs))
+
+
 def generator_word(system, syls):
     """Image in W of a graph-product element: its generator names in order.
 

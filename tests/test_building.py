@@ -8,11 +8,11 @@ import pytest
 from rabuild.building import Building, load_ball_cache, save_ball_cache, syllable_key
 from rabuild.coxeter import CoxeterSystem, reduce as w_reduce
 from rabuild.errors import DomainError, InputError, SizeCapError
-from tests.conftest import generator_word
+from tests.conftest import element, generator_word
 
 
 def elem(bld, pairs):
-    return bld.gp.element(pairs)
+    return element(bld.gp, pairs)
 
 
 def distance_word(bld, a, b):
@@ -67,7 +67,7 @@ def test_panel_adjacency_examples(d23):
     assert d23.gp.delta((), st) == ((0, 1), (1, 1))
     assert d23.gp.delta(st, st) == ()
     with pytest.raises(InputError):
-        elem(d23, [("x", 1)])
+        d23.deserialize_chamber([["x", 1]])
 
 
 def test_panel_sizes(d23):

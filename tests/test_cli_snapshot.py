@@ -1,8 +1,9 @@
 """CLI output snapshot: exit code and SHA-256 of stdout for fixed runs.
 
-The runs cover the unfolding, labeling, covering, apartment and witness
-commands on the shipped configs (``apartments`` on hexagon_q3 at radius 2
-pins the exit-3 payload of the apartment count cap), and the file ``ball
+The runs cover the ball, unfolding, labeling, covering, apartment, quotient
+and witness commands on the shipped configs (``apartments`` on hexagon_q3 at
+radius 2 pins the exit-3 payload of the apartment count cap; ``quotient``
+leaves out hexagon_q3 at radius 2, about 11 s), and the file ``ball
 --cache`` writes (its stdout names the cache path, so only the file is
 hashed).  Any change in a hash is a change
 in what the CLI prints or writes.  To record the fixture again, run
@@ -35,6 +36,7 @@ def snapshot_runs():
         config = str(ROOT / "configs" / f"{name}.json")
         for r in range(3):
             for command, extra in (
+                ("ball", ()),
                 ("unfold-trace", ()),
                 ("unfold-trace", ("--seed", "5")),
                 ("label", ()),
@@ -44,6 +46,11 @@ def snapshot_runs():
             ):
                 argv = (command, config, "--radius", str(r)) + extra
                 runs.append((" ".join((command, name, f"r{r}") + extra), argv))
+            if (name, r) != ("hexagon_q3", 2):
+                argv = ("quotient", config, "--radius", str(r))
+                runs.append((f"quotient {name} r{r}", argv))
+    config = str(ROOT / "configs" / "tree_234.json")
+    runs.append(("ball tree_234 r5", ("ball", config, "--radius", "5")))
     for name, rmax in WITNESS_RADII.items():
         config = str(ROOT / "configs" / f"{name}.json")
         for r in range(rmax + 1):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from rabuild import kernel
 from rabuild.building import syllable_key
 from rabuild.clump import (
     Clump,
@@ -19,6 +20,14 @@ from rabuild.errors import DomainError
 from tests.conftest import clumps_along
 
 
+def boundary_mirrors(clump):
+    """Panels carrying exactly one chamber of the clump, sorted."""
+    return sorted(
+        (k for k, n in clump.mirror_counts().items() if n == 1),
+        key=lambda k: (k[0], syllable_key(k[1])),
+    )
+
+
 def test_gallery_connectivity_required(d23):
     with pytest.raises(DomainError):
         Clump(d23, {(), ((1, 1), (0, 1))})  # 1 and ts are not adjacent
@@ -26,15 +35,16 @@ def test_gallery_connectivity_required(d23):
 
 def test_boundary_mirrors_single_chamber(d23):
     y0 = chamber_clump(d23)
-    mirrors = y0.boundary_mirrors()
-    assert len(mirrors) == 2
+    mirrors = boundary_mirrors(y0)
+    assert len(mirrors) == y0.boundary_mirror_count() == 2
     assert {g for g, _ in mirrors} == {0, 1}
 
 
 def test_boundary_mirrors_whole_building(square23):
     whole = square23.ball(1)
     assert whole.is_whole_building
-    assert whole.boundary_mirrors() == []
+    assert boundary_mirrors(whole) == []
+    assert whole.boundary_mirror_count() == 0
     assert whole.sides() == []
 
 
@@ -50,11 +60,13 @@ def test_boundary_mirrors_ball1(d23):
             inside = sum(1 for p in panel if p in ball.chambers)
             if inside == 1:
                 expected.add((g, rep))
-    assert set(ball.boundary_mirrors()) == expected
+    assert set(boundary_mirrors(ball)) == expected
+    assert ball.boundary_mirror_count() == len(expected)
+    assert not ball.is_whole_building
     # concretely: the s-mirrors of t and t^2, plus the t-mirror of s
     names = {
         (d23.system.generators[g], tuple(tuple(p) for p in d23.serialize_chamber(r)))
-        for g, r in ball.boundary_mirrors()
+        for g, r in boundary_mirrors(ball)
     }
     assert names == {
         ("s", (("t", 1),)),
@@ -284,12 +296,40 @@ def _assert_matches_rebuild(carried, scwol, name):
     """Carried mirror counts, boundary, sides and scwol equal a rebuild."""
     fresh = Clump(carried.building, carried.chambers)
     assert carried.mirror_counts() == fresh.mirror_counts(), name
-    assert carried.boundary_mirrors() == fresh.boundary_mirrors(), name
+    assert boundary_mirrors(carried) == boundary_mirrors(fresh), name
+    assert carried.boundary_mirror_count() == fresh.boundary_mirror_count(), name
+    assert carried.is_whole_building == fresh.is_whole_building, name
     assert carried.sides() == fresh.sides(), name
     rebuilt = fresh.scwol()
     assert scwol.edge_set == rebuilt.edge_set, name
     for view in ("face_chambers", "vertices", "edges", "in_edges", "out_edges"):
         assert getattr(scwol, view) == getattr(rebuilt, view), (name, view)
+
+
+def test_side_coset_keys_are_strips(suite):
+    # the carried coset index of each suite trace holds every mirror that
+    # was a boundary mirror of some clump along it; each g-mirror's key for
+    # {g, c}, read from its right-visible c-syllable, is its strip by
+    # {g, c}, because g is never right-visible in a g-panel representative
+    for name, bld, radius in suite:
+        final, _ = unfold_steps_to_ball(bld, radius)
+        gp = bld.gp
+        table = final._side_index()
+        assert table.cosets is not None, name
+        keyed = {}
+        for g, index in enumerate(table.cosets):
+            for (mask, key), reps in index.items():
+                for rep in reps:
+                    assert gp.strip(rep, mask) == key, (name, g, rep, mask)
+                    keyed[g, rep] = keyed.get((g, rep), 0) + 1
+        for g, rep in keyed:
+            assert g not in dict(kernel.right_descents(rep, gp.comm)), (name, rep)
+            assert keyed[g, rep] == len(table.pairs[g]), (name, g, rep)
+            want = [(mask, gp.strip(rep, mask)) for _, mask in table.pairs[g]]
+            assert table._coset_keys(g, rep) == want, (name, g, rep)
+        for (g, rep), n in final.mirror_counts().items():
+            if n == 1 and table.pairs[g]:
+                assert (g, rep) in keyed, (name, g, rep)
 
 
 def test_sides_match_coset_grouping(suite_traces):

@@ -21,7 +21,7 @@ from rabuild.covering import (
     verify_labeling,
 )
 from rabuild.errors import DomainError, InternalError, VerificationError
-from tests.conftest import clumps_along, corrupted_labeling
+from tests.conftest import clumps_along, corrupted_labeling, element
 
 
 def test_label_initial_zero(d23):
@@ -86,7 +86,7 @@ def test_square_chamber_two_unfoldings():
     lab = build_labeling(final, records)
     assert verify_labeling(lab).ok
     gp = bld.gp
-    far = gp.element([("s", 1), ("u", 1)])
+    far = element(gp, [("s", 1), ("u", 1)])
     corner = bld.face_of(far, bld.system.mask(["s", "u"]))
     center_edge = ((0, far), corner)
     assert lab.labels[center_edge] == (1, 1)
@@ -369,7 +369,7 @@ def test_fiber_bijection_failure_names_vertex_and_edge(d23):
         for a2 in src.in_edges(v)
         if a != a2 and f_edge[a] == f_edge[a2] and phi_edge[a] != phi_edge[a2]
     ][0]
-    doctored = dict(phi_edge)
+    doctored = {e: phi_edge[e] for e in src.edges()}
     doctored[a2] = phi_edge[a]
     report = check_covering(src, tgt, f_vertex, f_edge, phi_vertex, doctored)
     assert {"kind": "fiber-bijection", "where": (v, f_edge[a])} in report.failures
@@ -408,7 +408,7 @@ def test_fiber_welldef_failure_names_vertex_and_edges(d23, suite):
         moved[c] = (exps.get(c, 0) + shift) % gp.qs[c]
         return gp.norm(tuple((g, e) for g, e in sorted(moved.items()) if e))
 
-    doctored = dict(phi_vertex)
+    doctored = {w: phi_vertex[w] for w in src.vertices()}
     doctored[v] = not_a_homomorphism
     report = check_covering(src, tgt, f_vertex, f_edge, doctored, phi_edge)
     assert {"kind": "fiber-welldef", "where": (v, f_edge[a], a)} in report.failures
@@ -446,8 +446,12 @@ def _doctor(kind, bld, data):
     x, y, z = (1 << bld.system.index[s] for s in "xyz")
     face = {v[0]: v for v in tgt.vertices()}
     edge = {(e[0][0], e[1][0]): e for e in tgt.edges()}
-    f_vertex, f_edge = dict(f_vertex), dict(f_edge)
-    phi_vertex, phi_edge = dict(phi_vertex), dict(phi_edge)
+    # covering_morphism computes its maps on demand; copy them into dicts
+    # over the source's vertices and edges, so that one entry can change
+    f_vertex = {v: f_vertex[v] for v in src.vertices()}
+    f_edge = {a: f_edge[a] for a in src.edges()}
+    phi_vertex = {v: phi_vertex[v] for v in src.vertices()}
+    phi_edge = {a: phi_edge[a] for a in src.edges()}
     if kind == "target-twist":
         # psi along the composite {z} -> {x, y, z} inverts instead of including
         tgt = _DoctoredTarget(tgt, psi={edge[z, x | y | z]: gp.inv})

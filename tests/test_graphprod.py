@@ -5,7 +5,7 @@ import pytest
 from rabuild.coxeter import CoxeterSystem, reduce
 from rabuild.errors import InputError
 from rabuild.graphprod import GraphProduct
-from tests.conftest import generator_word
+from tests.conftest import element, generator_word
 
 
 @pytest.fixture
@@ -31,13 +31,13 @@ def test_parameter_validation():
 
 
 def test_order_two_syllable(gp23):
-    s = gp23.element([("s", 1)])
+    s = element(gp23, [("s", 1)])
     assert gp23.mul(s, s) == ()
 
 
 def test_commuting_collection(gp_comm):
-    s = gp_comm.element([("s", 1)])
-    t = gp_comm.element([("t", 1)])
+    s = element(gp_comm, [("s", 1)])
+    t = element(gp_comm, [("t", 1)])
     prod = gp_comm.mul(gp_comm.mul(s, t), s)
     assert prod == ((0, 2), (1, 1))
 
@@ -49,7 +49,7 @@ def test_inverse_random(gp23):
             ("s", 1) if rng.random() < 0.5 else ("t", rng.randint(1, 2))
             for _ in range(rng.randint(0, 8))
         ]
-        g = gp23.element(word)
+        g = element(gp23, word)
         assert gp23.mul(g, gp23.inv(g)) == ()
 
 
@@ -59,7 +59,7 @@ def random_element(rng, gp, length=6):
     for _ in range(rng.randint(0, length)):
         s = rng.choice(names)
         word.append((s, rng.randint(1, gp.q(s) - 1)))
-    return gp.element(word)
+    return element(gp, word)
 
 
 def test_associativity_random():
@@ -84,9 +84,9 @@ def test_canonical_equality_iff_quotient_trivial():
 def test_projection_examples(gp23):
     sysm = gp23.system
     assert generator_word(sysm, ()) == ()
-    t2 = gp23.element([("t", 2)])
+    t2 = element(gp23, [("t", 2)])
     assert generator_word(sysm, t2) == ("t",)
-    g = gp23.element([("s", 1), ("t", 1), ("s", 1)])
+    g = element(gp23, [("s", 1), ("t", 1), ("s", 1)])
     assert generator_word(sysm, g) == ("s", "t", "s")
 
 
@@ -128,8 +128,12 @@ def test_davis_specialization_homomorphism():
 
 
 def test_serialization_round_trip(gp23):
+    from rabuild.building import Building
+
+    bld = Building(gp23.system, {"s": 2, "t": 3})
     rng = random.Random(14)
     for _ in range(50):
         g = random_element(rng, gp23)
-        pairs = [(gp23.system.generators[i], e) for i, e in g]
-        assert gp23.element(pairs) == g
+        pairs = bld.serialize_chamber(g)
+        assert bld.deserialize_chamber(pairs) == g
+        assert element(gp23, pairs) == g

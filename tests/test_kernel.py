@@ -138,13 +138,85 @@ def test_kernel_matches_reference():
             assert kernel.strip_coset(n, tmask, qs, comm) == stripped
 
 
+def reference_right_descents(a, comm):
+    """The oracle: the right-visible syllables of ``a``, each found by
+    checking that everything after it commutes with it."""
+    return [
+        (g, i)
+        for i, (g, _) in reversed(list(enumerate(a)))
+        if all(h != g and (comm[g] >> h) & 1 for h, _ in a[i + 1 :])
+    ]
+
+
+def faces_by_descents(a, tmask, comm):
+    """``a`` less its right-visible syllables with generators in ``tmask``."""
+    drop = {i for g, i in kernel.right_descents(a, comm) if (tmask >> g) & 1}
+    return tuple(s for i, s in enumerate(a) if i not in drop)
+
+
+def pairwise_commuting_masks(comm):
+    rank = len(comm)
+    return [
+        tmask
+        for tmask in range(1 << rank)
+        if all(
+            (comm[g] >> h) & 1
+            for g, h in itertools.combinations(
+                [g for g in range(rank) if (tmask >> g) & 1], 2
+            )
+        )
+    ]
+
+
+def test_right_descents_give_every_strip():
+    # random canonical words from the oracle: the descents are the
+    # right-visible syllables, and deleting those in a pairwise commuting
+    # mask is strip_coset (the lemma in the kernel docstring)
+    rng = random.Random(29)
+    for rank in range(1, 8):
+        for _ in range(150):
+            qs, comm = random_system(rng, rank)
+            a = reference_normalize(
+                random_word(rng, qs, rng.randint(0, 20), wild=True), qs, comm
+            )
+            descents = kernel.right_descents(a, comm)
+            assert descents == reference_right_descents(a, comm)
+            assert len({g for g, _ in descents}) == len(descents)
+            for tmask in pairwise_commuting_masks(comm):
+                want = reference_strip_coset(a, tmask, qs, comm)
+                assert faces_by_descents(a, tmask, comm) == want
+
+
+def test_add_chambers_faces_equal_strips(suite):
+    # every chamber of each suite ball up to its test radius: the faces
+    # add_chambers builds from one descent scan are the strips by every
+    # spherical mask, and a face whose type misses every descent is
+    # represented by the chamber itself
+    from rabuild.cog import add_chambers
+
+    for name, bld, radius in suite:
+        gp = bld.gp
+        for c in bld.ball_chambers(radius):
+            added, _, _ = add_chambers(bld, {}, set(), [c])
+            want = {(tmask, gp.strip(c, tmask)) for tmask in bld.spherical_masks}
+            assert set(added) == want, (name, c)
+            dmask = 0
+            for g, _ in kernel.right_descents(c, gp.comm):
+                dmask |= 1 << g
+            for tmask, rep in added:
+                assert (rep is c) == (not tmask & dmask), (name, c, tmask)
+
+
 @pytest.fixture
 def canonical_first_argument(monkeypatch):
-    """Wrap ``multiply`` and ``strip_coset`` so that every call asserts that
-    its first argument is canonical, as the kernel requires.
+    """Wrap ``multiply``, ``strip_coset`` and ``right_descents`` so that
+    every call asserts that its first argument is canonical, as the kernel
+    requires.
 
     Each distinct argument is checked against the oracle once; the set of
-    checked arguments is returned.
+    checked arguments is returned.  ``right_descents`` gets no orders, and
+    exponents play no part in it, so its word is checked with orders above
+    each of its exponents: reduced, in canonical order, exponents >= 1.
     """
     checked = set()
 
@@ -154,13 +226,18 @@ def canonical_first_argument(monkeypatch):
         def wrapper(a, *rest):
             key = (a,) + rest[-2:]  # the word with its qs and comm
             if key not in checked:
-                assert a == reference_normalize(*key), (name, a)
+                word = key
+                if name == "right_descents":
+                    comm = rest[-1]
+                    top = max((e for _, e in a), default=1)
+                    word = (a, (top + 1,) * len(comm), comm)
+                assert a == reference_normalize(*word), (name, a)
                 checked.add(key)
             return fn(a, *rest)
 
         return wrapper
 
-    for name in ("multiply", "strip_coset"):
+    for name in ("multiply", "strip_coset", "right_descents"):
         monkeypatch.setattr(kernel, name, guard(name))
     return checked
 
@@ -173,17 +250,15 @@ def test_canonical_guard_refuses_other_words(canonical_first_argument):
             kernel.multiply(word, (), qs, comm)
         with pytest.raises(AssertionError):
             kernel.strip_coset(word, 1, qs, comm)
-
-
-# Left out for time (about 7 s and 10 s): they run the same code as the
-# same commands at radius 1, on a larger ball.
-SLOW_RUNS = {("apartments", "hexagon_q3", 2), ("quotient", "hexagon_q3", 2)}
+        if word != ((0, 4),):  # no orders to hold its exponent against
+            with pytest.raises(AssertionError):
+                kernel.right_descents(word, comm)
 
 
 def test_pipelines_pass_canonical_words(canonical_first_argument, tmp_path):
-    # the snapshot runs (unfold-trace, label, verify-covering, index,
-    # witness), the other commands on the shipped configs, and every command
-    # at radius 1 on one suite system per rank
+    # the snapshot runs (ball, unfold-trace, label, verify-covering, index,
+    # apartments, quotient, witness), the other commands on the shipped
+    # configs, and every command at radius 1 on one suite system per rank
     runs = [argv for _, argv in RUNS]
     for name in CONFIGS:
         config = str(ROOT / "configs" / f"{name}.json")
@@ -192,9 +267,7 @@ def test_pipelines_pass_canonical_words(canonical_first_argument, tmp_path):
             runs.append(
                 ("ball", config, "--radius", str(r), "--cache", str(tmp_path / "b.json"))
             )
-            for command in ("classify", "apartments", "quotient"):
-                if (command, name, r) not in SLOW_RUNS:
-                    runs.append((command, config, "--radius", str(r)))
+            runs.append(("classify", config, "--radius", str(r)))
     suite = {name: bld for name, bld, _ in make_suite()}
     for name in ("square", "mixed", "path4", "hex2"):  # ranks 2, 3, 4 and 6
         config = tmp_path / f"{name}.json"
@@ -215,7 +288,7 @@ def test_pipelines_pass_canonical_words(canonical_first_argument, tmp_path):
 def test_public_functions_call_no_other():
     # a tracer wrapping the public API in this module's namespace would count
     # a nested call as a second unit of kernel work
-    public = {"normalize", "multiply", "inverse", "strip_coset"}
+    public = {"normalize", "multiply", "inverse", "strip_coset", "right_descents"}
     for name in public:
         assert not set(getattr(kernel, name).__code__.co_names) & public, name
 
@@ -280,15 +353,7 @@ def test_strip_coset_is_least_coset_member():
         a = kernel.normalize(random_word(rng, qs, 5), qs, comm)
         # restrict to masks whose generators pairwise commute, so the
         # subgroup is finite in every case
-        cands = []
-        for tmask in range(1 << len(qs)):
-            gens = [g for g in range(len(qs)) if (tmask >> g) & 1]
-            if all(
-                (comm[g] >> h) & 1
-                for g, h in itertools.combinations(gens, 2)
-            ):
-                cands.append(tmask)
-        tmask = rng.choice(cands)
+        tmask = rng.choice(pairwise_commuting_masks(comm))
         coset = {
             kernel.multiply(a, x, qs, comm)
             for x in enumerate_subgroup(tmask, qs, comm)

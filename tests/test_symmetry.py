@@ -11,7 +11,7 @@ from rabuild.clump import chamber_clump, sheets, unfold, unfold_steps_to_ball
 from rabuild.coxeter import CoxeterSystem
 from rabuild.errors import DomainError, SizeCapError
 from rabuild import symmetry as sym
-from tests.conftest import generator_word, hexagon_system
+from tests.conftest import element, generator_word, hexagon_system
 
 
 # -- type permutations -------------------------------------------------------
@@ -76,8 +76,8 @@ def test_swap_automorphism_d33(d33):
     ball = d33.ball(1)
     h = sym.from_type_permutation(ball, (1, 0))
     assert h.verify() == []
-    s = d33.gp.element([("s", 1)])
-    t = d33.gp.element([("t", 1)])
+    s = element(d33.gp, [("s", 1)])
+    t = element(d33.gp, [("t", 1)])
     assert h.mapping[s] == t
     assert h.compose(h).is_identity()
     assert h.inverse() == h
@@ -332,7 +332,7 @@ def test_apartments_square(square23):
 def test_apartments_d23_radius1(d23):
     frags = sym.apartments_through_base(d23, 1)
     assert len(frags) == 2
-    s = d23.gp.element([("s", 1)])
+    s = element(d23.gp, [("s", 1)])
     for f in frags:
         assert () in f.chambers and s in f.chambers
         assert len(f.chambers) == 3
@@ -488,7 +488,7 @@ def test_witness_identity(square23):
 
 def test_witness_rejects_non_fragment(d23):
     frags = sym.apartments_through_base(d23, 1)
-    s = d23.gp.element([("s", 1)])
+    s = element(d23.gp, [("s", 1)])
     fake = sym.ApartmentFragment(d23, 1, frozenset({(), s}))
     with pytest.raises(DomainError):
         sym.transitivity_witness(*unfold_steps_to_ball(d23, 1), fake, frags[0])
@@ -579,8 +579,8 @@ def test_witness_fragments_inside_a_larger_ball(d23):
 def test_witness_square_swaps_t_panel(square23):
     frags = sym.apartments_through_base(square23, 1)
     h = sym.transitivity_witness(*unfold_steps_to_ball(square23, 1), frags[0], frags[1])
-    t = square23.gp.element([("t", 1)])
-    t2 = square23.gp.element([("t", 2)])
+    t = element(square23.gp, [("t", 1)])
+    t2 = element(square23.gp, [("t", 2)])
     assert h.mapping[t] == t2
     assert h.mapping[()] == ()
     cert = h.to_json()
