@@ -83,9 +83,8 @@ class Building:
         tmask, rep = face
         return [self.gp.mul(rep, x) for x in self.subgroup(tmask)]
 
-    def ball_chambers(self, n, cap=None):
+    def ball_chambers(self, n):
         """Chamber set of the combinatorial ball of radius n (raw tuples)."""
-        cap = self.chamber_cap if cap is None else cap
         current = {()}
         frontier = [()]
         for _ in range(n):
@@ -97,9 +96,9 @@ class Building:
                         if cand not in current:
                             current.add(cand)
                             new.append(cand)
-                if len(current) > cap:
+                if len(current) > self.chamber_cap:
                     raise SizeCapError(
-                        f"ball enumeration exceeded chamber cap {cap}",
+                        f"ball enumeration exceeded chamber cap {self.chamber_cap}",
                         partial_count=len(current),
                     )
             frontier = new

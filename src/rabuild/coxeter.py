@@ -112,10 +112,12 @@ class SphericalPoset:
         return [t for t in self.subsets if not any(t < u for u in self.subsets)]
 
 
-def spherical_poset(sys: CoxeterSystem, cap: int = SPHERICAL_ENUM_CAP) -> SphericalPoset:
+def spherical_poset(sys: CoxeterSystem) -> SphericalPoset:
     """Enumerate spherical subsets (cliques of the commutation graph)."""
-    if sys.rank > cap:
-        raise SizeCapError(f"rank {sys.rank} exceeds spherical enumeration cap {cap}")
+    if sys.rank > SPHERICAL_ENUM_CAP:
+        raise SizeCapError(
+            f"rank {sys.rank} exceeds spherical enumeration cap {SPHERICAL_ENUM_CAP}"
+        )
     idx = sys.index
     cliques = [frozenset()]
     frontier = [frozenset()]

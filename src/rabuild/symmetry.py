@@ -15,7 +15,7 @@ and to map sides to sides.  They feed four pipelines:
 * the discreteness classifier for full and type-preserving automorphism
   groups of the building, with the nerve rigidity oracle;
 * apartment fragments through the base chamber and the sheet-swap
-  witnesses that carry any fragment to any other.  A sheet swap exchanges
+  witnesses that carry one fragment to another.  A sheet swap exchanges
   the two wings behind two sheets of an unfolding, in closed form on the
   whole ball; the search ``extend_to_ball`` is kept only as its reference.
 """
@@ -26,7 +26,7 @@ import functools
 from dataclasses import dataclass
 
 from .building import Building, face_key, syllable_key
-from .clump import Clump, Unfolding, sheets
+from .clump import Clump, Unfolding, chamber_clump, sheets
 from .coxeter import CoxeterSystem, reduce as w_reduce
 from .covering import CoveringReport, check_covering
 from .errors import DomainError, InternalError, SizeCapError
@@ -295,7 +295,7 @@ def extend_action(clump: Clump, h: BallAutomorphism) -> SimpleCogAutomorphism:
                 u = image_gen[side] = h.side_image(side).gen
             vmap[g] = u
         image_mask = cog.local_masks[h.face_image(face)]
-        if permute_mask_from_map(vmap, mask) != image_mask:
+        if permute_mask(vmap, mask) != image_mask:
             raise InternalError("local map does not hit the image local group")
         if any(qs[g] != qs[u] for g, u in vmap.items()):
             raise InternalError("local map does not preserve cyclic orders")
@@ -306,14 +306,6 @@ def extend_action(clump: Clump, h: BallAutomorphism) -> SimpleCogAutomorphism:
         if any(sup.get(g) != u for g, u in sub.items()):
             raise InternalError("local maps do not commute with inclusions")
     return SimpleCogAutomorphism(h, vertex_maps)
-
-
-def permute_mask_from_map(vmap, mask):
-    out = 0
-    for g, u in vmap.items():
-        if (mask >> g) & 1:
-            out |= 1 << u
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +620,7 @@ def composed_quotient_covering(labeling, autos_on_chamber) -> CoveringReport:
     """
     clump = labeling.clump
     building = clump.building
-    y0 = Clump(building, {()}, validate=False)
+    y0 = chamber_clump(building)
     qc = QuotientCog(y0, autos_on_chamber)
     src_cells = _cell_cog(clump, qc.subdivided)
 
@@ -808,10 +800,12 @@ def apartments_through_base(building: Building, n: int):
     with several descents is pinned by them, so the fragments number the
     product of q_s - 1 over the elements with exactly one descent.  That
     count is checked against the cap before anything is enumerated, and
-    against the enumeration after it.
+    against the enumeration after it.  The thick ball comes first: its
+    chamber cap then bounds the thin ball, which is never the larger.
     """
     sysm = building.system
     gp = building.gp
+    ball = building.ball_chambers(n)
     words = sorted(
         w_ball(sysm, n),
         key=lambda w: (len(w), tuple(sysm.index[s] for s in w)),
@@ -832,7 +826,6 @@ def apartments_through_base(building: Building, n: int):
     if count > APARTMENT_COUNT_CAP:
         raise SizeCapError("apartment enumeration exceeded its cap")
 
-    ball = building.ball(n)
     results = []
     assignment = {(): ()}
 
@@ -851,7 +844,7 @@ def apartments_through_base(building: Building, n: int):
         base = assignment[v0]
         for e in range(1, gp.qs[g0]):
             cand = gp.mul(base, ((g0, e),))
-            if cand not in ball.chambers:
+            if cand not in ball:
                 continue
             ok = True
             for s, v in ds[1:]:
@@ -914,7 +907,8 @@ def sheet_swap(ball: Clump, grown: Unfolding, i: int, j: int) -> BallAutomorphis
     x_i-wing onto the x_j-wing and a·b⁻¹ carries it back; the other wings,
     which hold the unfolded clump and the step's other sheets, are fixed.
     In a right-angled building this is an automorphism (Caprace, Fund. Math.
-    224, 2014); it is verified panel by panel on the ball all the same.
+    224, 2014); it is verified panel by panel on the ball all the same, and a
+    failure, a fault of the construction, raises ``InternalError`` naming it.
     """
     blocks = sheets(grown)
     nblocks = len(blocks)
@@ -948,7 +942,10 @@ def sheet_swap(ball: Clump, grown: Unfolding, i: int, j: int) -> BallAutomorphis
     h = BallAutomorphism(ball, mapping, tuple(range(len(gp.qs))))
     problems = h.verify()
     if problems:
-        raise InternalError(f"sheet swap is not an automorphism: {problems[0]}")
+        raise InternalError(
+            f"sheet swap {i},{j} at the side of type {gp.system.generators[u]} "
+            f"through mirror {m!r} is not an automorphism: {problems[0]}"
+        )
     return h
 
 
@@ -1080,7 +1077,9 @@ def transitivity_witness(
     fragment disagree on the chambers born by step k, the chambers step k
     added to them lie in different sheets of it.  Swapping those sheets
     restores agreement: ``sheet_swap`` exchanges the wings behind the two
-    sheets, which fixes Y_(k-1) and acts on the whole ball at once.
+    sheets, which fixes Y_(k-1) and acts on the whole ball at once.  One call
+    per fragment, from a fixed one, covers every pair: if h1 and h2 carry it
+    to frag1 and frag2, then h2 ∘ h1⁻¹ carries frag1 to frag2.
     """
     building = ball.building
     n = frag1.radius

@@ -189,8 +189,9 @@ def test_panel_partition_of_ball(d23, hex3):
 
 
 def test_ball_cap(d23):
+    capped = Building(d23.system, {"s": 2, "t": 3}, chamber_cap=5)
     with pytest.raises(SizeCapError):
-        d23.ball_chambers(4, cap=5)
+        capped.ball_chambers(4)
 
 
 def delta_gallery(bld, a, b):

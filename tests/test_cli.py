@@ -218,6 +218,21 @@ def test_huge_panel_order_is_refused_before_it_is_built(tmp_path, capsys):
         assert time.perf_counter() - start < 1.0, command
 
 
+def test_fragments_over_chamber_cap_are_not_enumerated(tmp_path, capsys):
+    # the thin ball of a free rank-10 system holds 73,811 words at radius 5;
+    # the thick ball's chambers are listed first, and the cap refuses them
+    gens = [f"x{i}" for i in range(10)]
+    path = write(tmp_path, {"generators": gens, "parameters": dict.fromkeys(gens, 2)})
+    for command in ("apartments", "witness"):
+        start = time.perf_counter()
+        code, out = run(
+            capsys, command, path, "--radius", "5", "--cap-chambers", "100"
+        )
+        assert code == 3, command
+        assert "chamber cap 100" in json.loads(out)["error"], command
+        assert time.perf_counter() - start < 1.0, command
+
+
 def test_subgroup_over_cap_is_not_built(tmp_path, capsys, monkeypatch):
     built = []
     make = SystemConfig.building
@@ -337,12 +352,9 @@ CONFIG_TEXT = st.sampled_from([VALID.map(json.dumps)] * 2 + [MALFORMED]).flatmap
     lambda strategy: strategy
 )
 
-# witness is left out: its work is not yet bounded by the chamber cap (a
-# 29-chamber ball has 216 apartment fragments, and witness builds every
-# ordered pair of them).
 FUZZED_COMMANDS = [
     "info", "ball", "classify", "index", "unfold-trace", "label", "verify-covering",
-    "quotient", "apartments",
+    "quotient", "apartments", "witness",
 ]
 
 

@@ -26,7 +26,7 @@ from rabuild.cli import main
 ROOT = pathlib.Path(__file__).parent.parent
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "cli_snapshot.json"
 CONFIGS = ("d23", "hexagon_q3", "square23", "tree_234")
-WITNESS_RADII = {"d23": 3, "square23": 2, "tree_234": 1, "hexagon_q3": 0}
+WITNESS_RADII = {"d23": 3, "square23": 2, "tree_234": 2, "hexagon_q3": 1}
 
 
 def snapshot_runs():

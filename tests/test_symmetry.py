@@ -9,9 +9,9 @@ from rabuild.building import Building
 from rabuild.cli import main
 from rabuild.clump import chamber_clump, sheets, unfold, unfold_steps_to_ball
 from rabuild.coxeter import CoxeterSystem
-from rabuild.errors import DomainError, SizeCapError
+from rabuild.errors import DomainError, InternalError, SizeCapError
 from rabuild import symmetry as sym
-from tests.conftest import element, generator_word, hexagon_system
+from tests.conftest import clumps_along, element, generator_word, hexagon_system
 
 
 # -- type permutations -------------------------------------------------------
@@ -406,8 +406,8 @@ def test_apartment_count_formula(suite):
 
 
 def test_apartment_cap_refuses_before_enumerating(hex3, monkeypatch):
-    # hex3 at radius 2 has 2**36 fragments: refused before the ball is
-    # built or any fragment is made
+    # hex3 at radius 2 has 2**36 fragments: refused once the ball's 685
+    # chambers are listed, before a clump is built or any fragment is made
     def refuse(*args, **kwargs):
         raise AssertionError("enumeration started")
 
@@ -600,6 +600,50 @@ def test_witness_all_pairs_d23_radius2(d23):
             assert h.mapping[()] == ()
 
 
+def test_star_witnesses_compose_to_every_pair(suite):
+    # the witness command's certificate: from the star h_j (fragment 0 onto
+    # fragment j), h_j ∘ h_i⁻¹ carries fragment i onto fragment j, fixes the
+    # base chamber and is a verified automorphism, for every ordered pair
+    checked = 0
+    for name, bld, _ in suite:
+        for n in range(3):
+            try:
+                frags = sym.apartments_through_base(bld, n)
+            except SizeCapError:
+                continue
+            if len(frags) > 40:
+                continue
+            ball, records = unfold_steps_to_ball(bld, n)
+            star = [sym.transitivity_witness(ball, records, frags[0], f) for f in frags]
+            for (fi, hi), (fj, hj) in itertools.product(zip(frags, star), repeat=2):
+                h = hj.compose(hi.inverse())
+                assert frozenset(h.mapping[c] for c in fi.chambers) == fj.chambers
+                assert h.mapping[()] == ()
+                assert h.verify() == [], (name, n)
+                checked += 1
+    assert checked == 402
+
+
+def test_failed_sheet_swap_names_the_swap(d23):
+    # the swap of the t-sheets at the base, applied to a clump that holds ts
+    # but not t²s: the closed form carries ts out of the clump, and the
+    # failure names the sheets, the side's type and its least mirror (exit 6)
+    _, records = unfold_steps_to_ball(d23, 2)
+    grown = next(g for g in records if g.side.gen == 1 and g.side.mirrors == ((),))
+    clump = next(
+        c for c in clumps_along(d23, records)
+        if element(d23.gp, [("t", 1), ("s", 1)]) in c.chambers
+    )
+    assert element(d23.gp, [("t", 2), ("s", 1)]) not in clump.chambers
+    with pytest.raises(InternalError) as info:
+        sym.sheet_swap(clump, grown, 0, 1)
+    assert str(info.value) == (
+        "sheet swap 0,1 at the side of type t through mirror () is not an "
+        "automorphism: not a bijection of the clump's chambers"
+    )
+    assert info.value.exit_code == 6
+
+
 # -- panel-wise checks against the pairwise oracles ---------------------------
 
 
@@ -633,9 +677,8 @@ def test_verify_matches_pairwise_adjacency_oracle(suite):
     named = None
     for name, bld, _ in suite:
         for n in (1, 2):
-            try:
-                chambers = bld.ball_chambers(n, cap=120)
-            except SizeCapError:
+            chambers = bld.ball_chambers(n)
+            if len(chambers) > 120:
                 continue
             ball = bld.ball(n)
             order = sorted(chambers, key=lambda c: (len(c), c))
