@@ -7,12 +7,13 @@ rank-two faces), and unfolding along a side adjoins every chamber of every
 panel in the side.  The new chambers split into *sheets*: components under
 adjacency in the remaining types.
 
-Chambers are raw syllable tuples throughout.  A clump built from a chamber
-set computes its derived data (mirror counts, sides, scwol) from its
-chambers when first asked.  A clump made by ``unfold`` takes its parent's
-derived data over and updates it for the new chambers only, so a step costs
-work in proportion to the chambers it adds; the parent rebuilds its own from
-its chambers if it is asked again.
+Chambers are raw syllable tuples throughout.  A clump counts its mirrors
+when it is built and computes its other derived data (sides, scwol) from its
+chambers when first asked.  ``unfold`` grows a clump in place: it adds the
+new chambers to the chamber set and updates the mirror counts, side table,
+face table and edge set for them only, so a step costs work in proportion to
+the chambers it adds.  The earlier state is not kept; a caller that needs it
+builds a clump from saved chambers.
 
 The sequence of unfoldings from one chamber to a ball is kept as a log: one
 ``Unfolding`` record per step, holding what the step added and no clump.
@@ -52,7 +53,7 @@ def _panels(c, comm):
 
 
 class Unfolding:
-    """What an unfolding added to the clump it made.
+    """What an unfolding added to the clump it grew.
 
     A plain class: a dataclass would cost a millisecond at every import.
     """
@@ -60,7 +61,7 @@ class Unfolding:
     __slots__ = ("side", "chambers", "lift", "faces", "created", "edges")
 
     def __init__(self, side, lift, faces, created, edges):
-        self.side = side  # the side of the old clump that was unfolded
+        self.side = side  # the side that was unfolded
         self.chambers = frozenset(lift)  # the new chambers
         self.lift = lift  # new chamber -> the old chamber on its side mirror
         self.faces = faces  # face of a new chamber -> the new chambers on it
@@ -76,11 +77,11 @@ class _Sides:
     The coset of a g-mirror is keyed by its representative less its
     right-visible c-syllable: g is never right-visible in a g-panel
     representative, so this is the strip by {g, c}.
-    A table carried along unfoldings keeps a coset index, ``cosets``, of the
+    A table that ``unfold`` updates keeps a coset index, ``cosets``, of the
     mirrors ever put in each such coset; a mirror that has left the boundary
     is skipped when read, since a panel never returns to the boundary once it
-    has gained chambers.  A table that is not carried has no index: it would
-    take more memory than the sides themselves.
+    has gained chambers.  A clump that is never unfolded has no index: it
+    would take more memory than the sides themselves.
     """
 
     def __init__(self, building):
@@ -201,25 +202,22 @@ class _Sides:
 
 
 class Clump:
-    def __init__(self, building: Building, chambers, validate=True):
+    def __init__(self, building: Building, chambers):
         self.building = building
-        self.chambers = frozenset(chambers)
-        self.unfolding = None  # the Unfolding that made this clump, if any
-        self._mirror_counts = None
+        self.chambers = set(chambers)  # unfold adds to it
         self._side_table = None  # _Sides
         self._sides = None  # sorted list of the sides
         self._scwol = None
-        self._scwol_read = False
         self._cog = None
         self._vertex_sides = None
-        if validate and not self._gallery_connected():
+        if not self._gallery_connected():  # which also counts the mirrors
             raise DomainError("chamber set is not gallery-connected")
 
     def _gallery_connected(self):
         """Walk the clump panel by panel: two chambers are adjacent exactly
         when they share a panel, so the walk costs one descent scan per
-        chamber, whatever the panel orders are.  The panel sizes are the
-        mirror counts, which are kept."""
+        chamber, whatever the panel orders are.  The panel sizes are kept
+        as the mirror counts."""
         if not self.chambers:
             return False
         comm = self.building.gp.comm
@@ -229,8 +227,7 @@ class Clump:
             keys[c] = _panels(c, comm)
             for key in keys[c]:
                 panels.setdefault(key, []).append(c)
-        if self._mirror_counts is None:
-            self._mirror_counts = {k: len(v) for k, v in panels.items()}
+        self._mirror_counts = {k: len(v) for k, v in panels.items()}
         start = next(iter(self.chambers))
         seen = {start}
         stack = [start]
@@ -250,31 +247,21 @@ class Clump:
 
     # -- mirrors and boundary ---------------------------------------------
 
-    def _counts(self):
-        if self._mirror_counts is None:
-            comm = self.building.gp.comm
-            counts = {}
-            for c in self.chambers:
-                for key in _panels(c, comm):
-                    counts[key] = counts.get(key, 0) + 1
-            self._mirror_counts = counts
-        return self._mirror_counts
-
     def mirror_counts(self):
         """(gen, panel representative) -> number of clump chambers on it."""
-        return dict(self._counts())
+        return dict(self._mirror_counts)
 
     def boundary_mirror_count(self):
         """Number of panels carrying exactly one chamber of the clump."""
-        return list(self._counts().values()).count(1)
+        return list(self._mirror_counts.values()).count(1)
 
     @property
     def is_whole_building(self):
         """Finite building fully enumerated: no boundary at all."""
-        return 1 not in self._counts().values()
+        return 1 not in self._mirror_counts.values()
 
     def panel_count(self, g, rep):
-        return self._counts().get((g, rep), 0)
+        return self._mirror_counts.get((g, rep), 0)
 
     # -- vertex (face) queries ----------------------------------------------
 
@@ -322,7 +309,7 @@ class Clump:
     def _side_index(self):
         if self._side_table is None:
             self._side_table = _Sides(self.building)
-            boundary = [k for k, n in self._counts().items() if n == 1]
+            boundary = [k for k, n in self._mirror_counts.items() if n == 1]
             self._side_table.update((), boundary)
         return self._side_table
 
@@ -381,7 +368,6 @@ class Clump:
             from .cog import scwol_of
 
             self._scwol = scwol_of(self)
-        self._scwol_read = True
         return self._scwol
 
     def cog(self):
@@ -391,40 +377,22 @@ class Clump:
             self._cog = canonical_cog(self)
         return self._cog
 
-    def _hand_on(self):
-        """Mirror counts, sides, face table and edge set for an unfolding.
-
-        They move to the new clump, which updates them in place, and this
-        clump rebuilds its own from its chambers if it is asked again.  A
-        scwol that has been read keeps its face table and edge set, and the
-        new clump gets copies, so that no reader sees them change.
-        """
-        from .cog import scwol_of
-
-        counts, sides = self._counts(), self._side_index().indexed()
-        scwol = self._scwol if self._scwol is not None else scwol_of(self)
-        faces, edges = scwol.face_chambers, scwol.edge_set
-        if self._scwol_read:
-            faces, edges = dict(faces), set(edges)
-        else:
-            self._scwol = None
-        self._mirror_counts = self._side_table = None
-        return counts, sides, faces, edges
-
 
 def chamber_clump(building: Building) -> Clump:
     """The radius-zero ball: a single chamber."""
     return Clump(building, {()})
 
 
-def unfold(clump: Clump, side: Side) -> Clump:
-    """Adjoin every chamber of every panel of the side.
+def unfold(clump: Clump, side: Side) -> Unfolding:
+    """Adjoin every chamber of every panel of the side to the clump, in place,
+    and return the step's record.
 
-    The new clump takes the old one's derived data over (see
-    ``Clump._hand_on``) and updates it for the new chambers: one descent scan
-    per new chamber for the face table and the edges, panel
+    The clump's derived data is updated for the new chambers only: one
+    descent scan per new chamber for the face table and the edges, panel
     counts from the new chambers' panels, and sides from the mirrors that
-    leave or join the boundary.
+    leave or join the boundary.  The views read from them (sorted sides,
+    scwol, complex of groups, vertex sides) are dropped and rebuilt when
+    next read.
     """
     found = clump.side_of_mirror(side.gen, side.mirrors[0])
     if found != side:
@@ -443,7 +411,9 @@ def unfold(clump: Clump, side: Side) -> Clump:
         for c in panel:
             if c != old[0]:
                 lift[c] = old[0]
-    counts, sides, faces, edges = clump._hand_on()
+    counts, sides = clump._mirror_counts, clump._side_index().indexed()
+    scwol = clump.scwol()
+    faces, edges = scwol.face_chambers, scwol.edge_set
     added, created, new_edges = add_chambers(building, faces, edges, lift)
     removed, joined = [], []
     for (tmask, rep), members in added.items():
@@ -457,12 +427,10 @@ def unfold(clump: Clump, side: Side) -> Clump:
         elif before == 0 and len(members) == 1:
             joined.append(key)
     sides.update(removed, joined)
-    grown = Unfolding(side, lift, added, created, new_edges)
-    child = Clump(building, clump.chambers | grown.chambers, validate=False)
-    child.unfolding = grown
-    child._mirror_counts, child._side_table = counts, sides
-    child._scwol = Scwol(faces, edges)
-    return child
+    clump.chambers.update(lift)
+    clump._sides = clump._cog = clump._vertex_sides = None
+    clump._scwol = Scwol(faces, edges)
+    return Unfolding(side, lift, added, created, new_edges)
 
 
 def sheets(unfolding: Unfolding) -> tuple:
@@ -501,8 +469,9 @@ def unfold_steps_to_ball(building: Building, n: int, rng=None):
     Layer by layer: enumerate the sides of the previous ball, unfold along
     the first, and re-locate each later side inside the current clump (its
     surviving mirrors may have been absorbed into a larger side) before
-    unfolding along it.  Returns the ball and the log of the sequence, one
-    ``Unfolding`` record per step; only the current clump is kept.  Sides
+    unfolding along it.  One clump grows in place from the base chamber to
+    the ball.  Returns the ball and the log of the sequence, one
+    ``Unfolding`` record per step.  Sides
     are processed in canonical order; pass ``rng`` to shuffle them.
     """
     cap = building.chamber_cap
@@ -533,6 +502,5 @@ def unfold_steps_to_ball(building: Building, n: int, rng=None):
                 raise SizeCapError(
                     f"unfolding exceeded chamber cap {cap}", partial_count=size
                 )
-            current = unfold(current, side)
-            records.append(current.unfolding)
+            records.append(unfold(current, side))
     return current, records

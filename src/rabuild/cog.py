@@ -10,7 +10,7 @@ covering checker's questions itself.
 
 One helper, ``add_chambers``, puts chambers into a face table and an edge
 set.  ``scwol_of`` runs it on a whole clump; ``clump.unfold`` runs it on the
-new chambers of an unfolding, against the table it carries forward.
+new chambers of an unfolding, against the clump's own table.
 
 A clump is accepted as admissible when the local development at every
 vertex of maximal spherical type is complete: the chambers on the vertex
@@ -301,29 +301,6 @@ class AdmissibilityReport:
     admissible: bool
     vertices: list = field(default_factory=list)  # per maximal-type vertex
     variant_mismatches: list = field(default_factory=list)
-
-    def to_json(self, building):
-        def face_json(face):
-            tmask, rep = face
-            return {
-                "type": sorted(building.system.unmask(tmask)),
-                "rep": building.serialize_chamber(rep),
-            }
-
-        return {
-            "admissible": self.admissible,
-            "vertices": [
-                {
-                    "face": face_json(v["face"]),
-                    "complete": v["complete"],
-                    "is_join": v["is_join"],
-                    "chambers": v["chambers"],
-                    "expected": v["expected"],
-                }
-                for v in self.vertices
-            ],
-            "variant_mismatches": [face_json(f) for f in self.variant_mismatches],
-        }
 
 
 def is_admissible(clump):

@@ -104,7 +104,12 @@ class BallAutomorphism:
         self.mapping = dict(mapping)
         self.perm = tuple(perm)
         self._face_cache = {}
-        self._key = (
+
+    @functools.cached_property
+    def _key(self):
+        """The type permutation and the sorted chamber map: the identity of
+        the automorphism, built on its first comparison or hash."""
+        return (
             self.perm,
             tuple(sorted(self.mapping.items(), key=lambda kv: syllable_key(kv[0]))),
         )
@@ -826,16 +831,10 @@ def apartments_through_base(building: Building, n: int):
     if count > APARTMENT_COUNT_CAP:
         raise SizeCapError("apartment enumeration exceeded its cap")
 
-    results = []
     assignment = {(): ()}
 
-    def backtrack(k):
-        if k == len(words):
-            if len(results) == count:
-                raise InternalError("more apartment fragments than counted")
-            results.append(frozenset(assignment.values()))
-            return
-        w = words[k]
+    def candidates(w):
+        """The chambers that may stand at w, given those at shorter words."""
         ds = descents[w]
         if not ds:
             raise InternalError("nonidentity element with no descent")
@@ -853,11 +852,29 @@ def apartments_through_base(building: Building, n: int):
                     ok = False
                     break
             if ok:
-                assignment[w] = cand
-                backtrack(k + 1)
-                del assignment[w]
+                yield cand
 
-    backtrack(1)
+    # Depth first, with an explicit stack: the thin ball can hold more words
+    # than Python's recursion limit.  stack[k - 1] yields the chambers left
+    # to try at words[k], and every shorter word has its chamber assigned.
+    results = []
+    stack = []
+    while True:
+        k = len(stack) + 1
+        if k < len(words):
+            stack.append(candidates(words[k]))
+        else:
+            if len(results) == count:
+                raise InternalError("more apartment fragments than counted")
+            results.append(frozenset(assignment.values()))
+        while stack:
+            cand = next(stack[-1], None)
+            if cand is not None:
+                assignment[words[len(stack)]] = cand
+                break
+            stack.pop()
+        if not stack:
+            break
     if len(results) != count:
         raise InternalError("fewer apartment fragments than counted")
     fragments = [ApartmentFragment(building, n, chambers) for chambers in results]

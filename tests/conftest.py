@@ -53,19 +53,18 @@ def corrupted_labeling(bld, seed=17):
 
 
 def clumps_along(building, records):
-    """Replay an unfolding log: the clump each record made, in order.
+    """Replay an unfolding log on one clump, yielding it after each step.
 
-    Each clump is made by ``unfold`` from the one before, starting at the
-    base chamber, so its derived data is carried as in a pipeline.  A clump
-    that is read through ``scwol()`` before the next one is asked for keeps
-    its scwol; one that is not hands it on.
+    The clump starts at the base chamber and ``unfold`` grows it in place,
+    so its derived data is carried as in a pipeline.  Every yield is the
+    same clump in its next state: read each state before asking for the
+    next, and rebuild an earlier one from saved chambers.
     """
     from rabuild.clump import chamber_clump, unfold
 
     current = chamber_clump(building)
     for grown in records:
-        current = unfold(current, grown.side)
-        assert current.unfolding.chambers == grown.chambers
+        assert unfold(current, grown.side).chambers == grown.chambers
         yield current
 
 

@@ -52,8 +52,8 @@ def test_criterion_1_sheet_law(suite):
                     if not sides or len(cur.chambers) > 300:
                         break
                     side = rng.choice(sides)
-                    cur = unfold(cur, side)
-                    assert len(sheets(cur.unfolding)) == bld.gp.qs[side.gen] - 1
+                    grown = unfold(cur, side)
+                    assert len(sheets(grown)) == bld.gp.qs[side.gen] - 1
                     total += 1
                     systems_used.add(name)
         elapsed = time.monotonic() - t0

@@ -233,6 +233,21 @@ def test_fragments_over_chamber_cap_are_not_enumerated(tmp_path, capsys):
         assert time.perf_counter() - start < 1.0, command
 
 
+def test_fragments_deeper_than_the_recursion_limit(tmp_path, capsys):
+    # free rank 4, every q = 2: the thin ball at radius 6 is the whole ball,
+    # 1,457 words, and it carries one fragment, so the count cap never bounds
+    # the depth of the enumeration
+    gens = ["a", "b", "c", "d"]
+    path = write(tmp_path, {"generators": gens, "parameters": dict.fromkeys(gens, 2)})
+    code, out = run(capsys, "apartments", path, "--radius", "6")
+    assert code == 0
+    assert json.loads(out)["count"] == 1
+    code, out = run(capsys, "witness", path, "--radius", "6")
+    assert code == 0
+    data = json.loads(out)
+    assert data["fragments"] == 1 and data["all_pairs_witnessed"] is True
+
+
 def test_subgroup_over_cap_is_not_built(tmp_path, capsys, monkeypatch):
     built = []
     make = SystemConfig.building

@@ -76,16 +76,16 @@ def test_boundary_mirrors_ball1(d23):
 
 
 def test_boundary_type_examples(d23):
-    y0 = chamber_clump(d23)
+    clump = chamber_clump(d23)
     s_vertex = d23.face_of((), 1 << 0)
-    assert y0.boundary_type_mask(s_vertex) == d23.system.mask({"s"})
+    assert clump.boundary_type_mask(s_vertex) == d23.system.mask({"s"})
     # after unfolding along the t-side, the t-mirror is interior
-    tside = [k for k in y0.sides() if k.gen == 1][0]
-    u = unfold(y0, tside)
+    tside = [k for k in clump.sides() if k.gen == 1][0]
+    unfold(clump, tside)
     t_vertex = d23.face_of((), 1 << 1)
-    assert u.boundary_type_mask(t_vertex) == d23.system.mask(set())
+    assert clump.boundary_type_mask(t_vertex) == d23.system.mask(set())
     with pytest.raises(DomainError):
-        u.boundary_type_mask(d23.face_of(((0, 1), (1, 1)), 1 << 0))
+        clump.boundary_type_mask(d23.face_of(((0, 1), (1, 1)), 1 << 0))
 
 
 def test_fully_interior_vertex(square23):
@@ -104,41 +104,41 @@ def test_sides_basic(d23, hex3):
 
 def test_same_type_mirrors_one_side(square23):
     # the t-mirrors of two s-adjacent chambers lie in one side
-    y0 = chamber_clump(square23)
-    sside = [k for k in y0.sides() if k.gen == square23.system.index["s"]][0]
-    u = unfold(y0, sside)
-    tsides = [k for k in u.sides() if k.gen == square23.system.index["t"]]
+    clump = chamber_clump(square23)
+    sside = [k for k in clump.sides() if k.gen == square23.system.index["s"]][0]
+    unfold(clump, sside)
+    tsides = [k for k in clump.sides() if k.gen == square23.system.index["t"]]
     assert len(tsides) == 1
     assert len(tsides[0].mirrors) == 2
 
 
 def test_unfold_examples(d23):
-    y0 = chamber_clump(d23)
-    tside = [k for k in y0.sides() if k.gen == 1][0]
-    u = unfold(y0, tside)
-    assert sorted(d23.serialize_chamber(c) for c in u.chambers) == [
+    clump = chamber_clump(d23)
+    tside = [k for k in clump.sides() if k.gen == 1][0]
+    grown = unfold(clump, tside)
+    assert sorted(d23.serialize_chamber(c) for c in clump.chambers) == [
         [],
         [["t", 1]],
         [["t", 2]],
     ]
+    assert grown.chambers == clump.chambers - {()}
     # the consumed side is no longer a side of the result
     with pytest.raises(DomainError):
-        unfold(u, tside)
+        unfold(clump, tside)
 
 
 def test_unfolded_mirrors_become_interior(d23):
-    y0 = chamber_clump(d23)
-    for side in y0.sides():
-        u = unfold(y0, side)
+    for side in chamber_clump(d23).sides():
+        clump = chamber_clump(d23)
+        unfold(clump, side)
         for rep in side.mirrors:
-            assert u.panel_count(side.gen, rep) == d23.gp.qs[side.gen]
+            assert clump.panel_count(side.gen, rep) == d23.gp.qs[side.gen]
 
 
 def test_sheets_counts(d23, d33):
     for bld in (d23, d33):
-        y0 = chamber_clump(bld)
-        for side in y0.sides():
-            blocks = sheets(unfold(y0, side).unfolding)
+        for side in chamber_clump(bld).sides():
+            blocks = sheets(unfold(chamber_clump(bld), side))
             assert len(blocks) == bld.gp.qs[side.gen] - 1
 
 
@@ -222,20 +222,22 @@ def test_randomized_side_order_also_reaches_ball(d33, hex3):
 def test_boundary_type_three_case_law(d23, d33, square23, hex3):
     # unfolding along a type-u side: off-side vertices keep their boundary
     # type, on-side vertices lose exactly u, and new vertices only grow
-    # relative to their companion in the old clump
+    # relative to their companion in the old clump; the old clump is
+    # rebuilt from its chambers, since unfold grows the clump in place
     for bld in (d23, d33, square23, hex3):
-        current = chamber_clump(bld)
+        after = chamber_clump(bld)
         for _ in range(3):
-            sides = current.sides()
+            sides = after.sides()
             if not sides:
                 break
             side = sides[0]
             u = side.gen
-            after = unfold(current, side)
+            current = Clump(bld, after.chambers)
+            grown = unfold(after, side)
             gp = bld.gp
             before_scwol = current.scwol()
             after_scwol = after.scwol()
-            new_chambers = after.chambers - current.chambers
+            assert after.chambers - current.chambers == grown.chambers
             for face in after_scwol.vertices:
                 bt_after = after.boundary_type_mask(face)
                 old = face in before_scwol.face_chambers
@@ -259,7 +261,6 @@ def test_boundary_type_three_case_law(d23, d33, square23, hex3):
                     lift = bld.face_of(companion, face[0])
                     assert current.boundary_type_mask(lift) & bt_after == \
                         current.boundary_type_mask(lift)
-            current = after
 
 
 def _sides_oracle(clump):
@@ -292,8 +293,9 @@ def _sides_oracle(clump):
     )
 
 
-def _assert_matches_rebuild(carried, scwol, name):
+def _assert_matches_rebuild(carried, name):
     """Carried mirror counts, boundary, sides and scwol equal a rebuild."""
+    scwol = carried.scwol()
     fresh = Clump(carried.building, carried.chambers)
     assert carried.mirror_counts() == fresh.mirror_counts(), name
     assert boundary_mirrors(carried) == boundary_mirrors(fresh), name
@@ -342,34 +344,36 @@ def test_sides_match_coset_grouping(suite_traces):
 
 @pytest.mark.parametrize("seed", [None, 5, 17])
 def test_carried_structure_matches_rebuild(suite, seed):
-    # Replay each suite trace, canonical or shuffled, and compare every
-    # unfolded clump with a clump rebuilt from its chambers.  The carried
-    # scwol is read through the private slot, so that the next unfold moves
-    # it on as a pipeline does; reading it through scwol() would make the
-    # next unfold copy it.  Rebuilding each clump of hex3 at radius 2 takes
-    # about 15 s on a 2-vCPU machine, so the shuffled orders stop hex3 at
-    # radius 1.
+    # Replay each suite trace, canonical or shuffled, and compare the clump
+    # after every unfolding with a clump rebuilt from its chambers.
+    # Rebuilding each clump of hex3 at radius 2 takes about 15 s on a 2-vCPU
+    # machine, so the shuffled orders stop hex3 at radius 1.
     for name, bld, nmax in suite:
         rng = None if seed is None else random.Random(seed)
         n = 1 if seed is not None and name == "hex3" else nmax
         final, records = unfold_steps_to_ball(bld, n, rng=rng)
         for current in clumps_along(bld, records):
-            _assert_matches_rebuild(current, current._scwol, name)
+            _assert_matches_rebuild(current, name)
         assert current.chambers == final.chambers
 
 
-def test_carried_structure_after_reads(d33, hex3):
-    # Once a clump's scwol has been read, unfolding it copies the carried
-    # data: the read scwol stays as it was, and the copy is updated.
+def test_unfold_grows_the_clump_in_place(d33, hex3):
+    # unfold returns the step's record and grows the clump it is given: the
+    # chamber set gains exactly the record's chambers, and the scwol read
+    # after the step, with every sorted view, equals a rebuild
     for bld in (d33, hex3):
         final, records = unfold_steps_to_ball(bld, 1)
-        current = chamber_clump(bld)
-        for grown in records:
-            before = current.scwol()
-            faces, edges = dict(before.face_chambers), set(before.edge_set)
-            current = unfold(current, grown.side)
-            assert before.face_chambers == faces and before.edge_set == edges
-            _assert_matches_rebuild(current, current.scwol(), bld)
+        clump = chamber_clump(bld)
+        for step in records:
+            clump.scwol().edges  # build the sorted views of the old state
+            before = set(clump.chambers)
+            grown = unfold(clump, step.side)
+            assert type(grown) is Unfolding
+            assert grown.chambers == step.chambers
+            assert clump.chambers == before | grown.chambers
+            assert not before & grown.chambers
+            _assert_matches_rebuild(clump, bld)
+        assert clump.chambers == final.chambers
 
 
 def test_unfolding_any_clump_matches_rebuild(suite):
@@ -389,8 +393,9 @@ def test_unfolding_any_clump_matches_rebuild(suite):
                 if d in ball:
                     chambers.add(d)
             for side in Clump(bld, chambers).sides():
-                unfolded = unfold(Clump(bld, chambers), side)
-                _assert_matches_rebuild(unfolded, unfolded._scwol, name)
+                clump = Clump(bld, chambers)
+                unfold(clump, side)
+                _assert_matches_rebuild(clump, name)
 
 
 def _boundary_type_by_strips(clump, face, reading):

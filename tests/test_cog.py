@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from rabuild.clump import Clump, chamber_clump
@@ -154,8 +156,11 @@ def test_chamber_count_law(suite_traces):
     # product of the parameters in the free (non-boundary) directions
     for name, (final, records) in suite_traces.items():
         bld = final.building
-        clumps = [chamber_clump(bld), *clumps_along(bld, records[:3]), final]
-        for clump in clumps:
+        # clumps_along yields one clump in each state, so each is read in turn
+        states = itertools.chain(
+            [chamber_clump(bld)], clumps_along(bld, records[:3]), [final]
+        )
+        for clump in states:
             cog = clump.cog()
             for face in cog.scwol.vertices:
                 tmask = face[0]

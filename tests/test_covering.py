@@ -42,14 +42,13 @@ def test_initial_covering_identity(d23):
 def test_label_unfold_assigns_remaining_components(d23):
     # one unfolding along the t-side: the two new chambers are distinct
     # sheets and receive the two nonzero exponents
-    y0 = chamber_clump(d23)
-    tside = [k for k in y0.sides() if k.gen == 1][0]
+    clump = chamber_clump(d23)
+    tside = [k for k in clump.sides() if k.gen == 1][0]
     from rabuild.clump import unfold
 
-    y1 = unfold(y0, tside)
-    labels = label_initial(y0).labels
-    label_unfold(d23, labels, y1.unfolding)
-    lab = EdgeLabeling(y1, labels)
+    labels = label_initial(clump).labels
+    label_unfold(d23, labels, unfold(clump, tside))
+    lab = EdgeLabeling(clump, labels)
     new_edges = {e: v for e, v in lab.labels.items() if any(v)}
     t_components = sorted(v[1] for v in new_edges.values())
     assert set(t_components) == {1, 2}
@@ -306,12 +305,13 @@ def test_fiber_checks_match_quadratic_listing(suite):
         n = 1 if name == "hex3" else min(nmax, 2)
         final, records = unfold_steps_to_ball(bld, n)
         lab = label_initial(chamber_clump(bld))
+        counts, failed = _compare_with_quadratic_listing(lab)
+        assert counts[0] == 0 and not failed, name
         for grown, clump in zip(records, clumps_along(bld, records)):
-            counts, failed = _compare_with_quadratic_listing(lab)
-            assert counts[0] == 0 and not failed, name
             label_unfold(bld, lab.labels, grown)
             lab = EdgeLabeling(clump, lab.labels)
-        _compare_with_quadratic_listing(lab)
+            counts, failed = _compare_with_quadratic_listing(lab)
+            assert counts[0] == 0 and not failed, name
         one = build_labeling(*unfold_steps_to_ball(bld, 1))
         for bad in [corrupted_labeling(bld)[0]] + [_corrupt(one, rng) for _ in range(3)]:
             counts, failed = _compare_with_quadratic_listing(bad)

@@ -421,18 +421,18 @@ def test_apartment_cap_refuses_before_enumerating(hex3, monkeypatch):
 
 
 def test_sheet_swap_rejects_single_sheet(d23):
-    y0 = chamber_clump(d23)
-    sside = [k for k in y0.sides() if k.gen == 0][0]  # q_s = 2
-    y1 = unfold(y0, sside)
+    clump = chamber_clump(d23)
+    sside = [k for k in clump.sides() if k.gen == 0][0]  # q_s = 2
+    grown = unfold(clump, sside)
     with pytest.raises(DomainError):
-        sym.sheet_swap(y1, y1.unfolding, 0, 1)
+        sym.sheet_swap(clump, grown, 0, 1)
 
 
 def test_sheet_swap_involution(d23):
-    y0 = chamber_clump(d23)
-    tside = [k for k in y0.sides() if k.gen == 1][0]  # q_t = 3
-    y1 = unfold(y0, tside)
-    h = sym.sheet_swap(y1, y1.unfolding, 0, 1)
+    clump = chamber_clump(d23)
+    tside = [k for k in clump.sides() if k.gen == 1][0]  # q_t = 3
+    grown = unfold(clump, tside)
+    h = sym.sheet_swap(clump, grown, 0, 1)
     assert h.verify() == []
     assert h.mapping[()] == ()
     assert h.compose(h).is_identity()
