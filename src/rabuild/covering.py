@@ -17,8 +17,17 @@ wrong.  ``check_covering`` is the general verifier of the covering axioms
 and is also used by the symmetry quotients.  It reads the abelian complexes
 of groups (``cog.ComplexOfGroups``) as they are, with no adapter, and the
 quotient complex of groups (``symmetry.QuotientCog``) through the same
-questions.  Both fiber checks list each coset once and examine every member
-of it.
+questions.
+
+Both checks are local, and the local data repeat: a local group is fixed by
+a boundary type, and an unfolding repeats finitely many local models (a
+covering of complexes of groups is a local condition at each vertex;
+Bridson & Haefliger, III.C).  So each check runs once per distinct local
+configuration and its verdict is applied to every place that has it:
+``verify_labeling`` checks the fibers once per local signature of a face,
+``check_covering`` the checks at a vertex and at its in-edges once per
+vertex key.  Each docstring says what its key covers.  A check that runs
+lists each coset once and examines every member of it.
 """
 
 from __future__ import annotations
@@ -201,81 +210,115 @@ def coset_projections(building, bmask, sub_mask, free):
     return out
 
 
+def _fiber_failures(building, listings, tmask, bmask, ins):
+    """The failing fibers of every face with one local signature.
+
+    The signature is the face's type ``tmask``, its local mask ``bmask`` and
+    ``ins``: for each in-edge, in scwol order, the type and the local mask of
+    its initial face and its label.  Each fiber (the in-edges of one proper
+    subtype U of T) is checked twice.  The criterion asks for pairwise
+    distinct projections away from both the boundary type and U.  The
+    brute-force side lists the cosets of G_{B'} in G_B, B' an in-edge's
+    initial local mask, projects each onto the free types T - U and adds
+    the edge's label; the images must be distinct and fill the product of
+    the free types.  A listing depends on (B, B', T - U) alone and is made
+    once per mask triple in ``listings``.  The two verdicts must agree.
+    Returns the failing subtype masks, in ``_proper_submasks`` order.
+    """
+    qs = building.gp.qs
+    rank = len(qs)
+    by_type = {}
+    for umask, amask, lvec in ins:
+        by_type.setdefault(umask, []).append((amask, lvec))
+    failing = []
+    for umask in _proper_submasks(tmask):
+        fiber = by_type.get(umask, ())
+
+        # criterion: pairwise distinct projections away from both the
+        # boundary type and the target subtype
+        pmask = tmask & ~(bmask | umask)
+        projections = [
+            tuple(lvec[g] if (pmask >> g) & 1 else 0 for g in range(rank))
+            for _, lvec in fiber
+        ]
+        distinct = len(set(projections)) == len(projections)
+
+        # brute force: list every coset image
+        free = tmask & ~umask
+        gens = [g for g in range(rank) if (free >> g) & 1]
+        target_size = 1
+        for g in gens:
+            target_size *= qs[g]
+        images = []
+        for amask, lvec in fiber:
+            key = (bmask, amask, free)
+            projs = listings.get(key)
+            if projs is None:
+                projs = listings[key] = coset_projections(building, *key)
+            for proj in projs:
+                images.append(tuple((x + lvec[g]) % qs[g] for x, g in zip(proj, gens)))
+        bijective = len(set(images)) == len(images) and len(images) == target_size
+
+        if distinct != bijective:
+            raise InternalError("projection criterion and coset listing disagree")
+        if not bijective:
+            failing.append(umask)
+    return tuple(failing)
+
+
 def verify_labeling(lab: EdgeLabeling) -> LabelingReport:
     """Support, multiplicativity, and the per-fiber coset bijections.
 
-    The brute-force side of property (3) lists the cosets of G_{B'} in G_B,
-    B and B' the local masks of a fiber's face and of an edge's initial
-    face, by group products, and projects each onto the free types T - U.
-    The listing depends on (B, B', T - U) alone, so it is made once per
-    mask triple in a call; every fiber edge then adds its label to the
-    projections.
+    The fibers of a face are checked by ``_fiber_failures`` once per local
+    signature: the face's type and local mask, and for each in-edge, in
+    scwol order, the type and local mask of its initial face and its label.
+    That is everything the fiber checks read, so faces with one signature
+    have the same failing fibers, and a verdict is kept whether it fails or
+    not.  The signature is computed in the pass over the faces and dropped
+    there; only the distinct ones are kept.
+    Every face still adds its own fibers to ``fibers_checked``, and each
+    failing fiber is reported for its own face, in face order.
     """
     clump = lab.clump
     building = clump.building
-    gp = building.gp
-    qs = gp.qs
+    qs = building.gp.qs
     rank = len(qs)
     cog = clump.cog()
     scwol = cog.scwol
+    labels = lab.labels
+    local_masks = cog.local_masks
     report = LabelingReport()
 
-    for (src, dst), vec in lab.labels.items():
+    for (src, dst), vec in labels.items():
         for g in range(rank):
             if vec[g] and not (dst[0] >> g) & 1:
                 report.fail("support", ((src, dst), g))
 
     for a, b, ab in scwol.composable_pairs():
-        la, lb, lab_vec = lab.labels[a], lab.labels[b], lab.labels[ab]
+        la, lb, lab_vec = labels[a], labels[b], labels[ab]
         if any((la[g] + lb[g]) % qs[g] != lab_vec[g] for g in range(rank)):
             report.fail("composition", (a, b))
 
     listings = {}  # (B, B', T - U) -> coset_projections(...)
-
+    failing_by_signature = {}
     for face in scwol.vertices:
         tmask = face[0]
-        bmask = cog.local_masks[face]
-        by_type = {}
-        for a in scwol.in_edges.get(face, ()):
-            by_type.setdefault(a[0][0], []).append(a)
-        for umask in _proper_submasks(tmask):
-            fiber = by_type.get(umask, ())
-            report.fibers_checked += 1
-
-            # criterion: pairwise distinct projections away from both the
-            # boundary type and the target subtype
-            pmask = tmask & ~(bmask | umask)
-            projections = [
-                tuple(lab.labels[a][g] if (pmask >> g) & 1 else 0 for g in range(rank))
-                for a in fiber
-            ]
-            distinct = len(set(projections)) == len(projections)
-
-            # brute force: list every coset image
-            free = tmask & ~umask
-            gens = [g for g in range(rank) if (free >> g) & 1]
-            target_size = 1
-            for g in gens:
-                target_size *= qs[g]
-            images = []
-            for a in fiber:
-                key = (bmask, cog.local_masks[a[0]], free)
-                projs = listings.get(key)
-                if projs is None:
-                    projs = listings[key] = coset_projections(building, *key)
-                lvec = lab.labels[a]
-                for proj in projs:
-                    images.append(
-                        tuple((x + lvec[g]) % qs[g] for x, g in zip(proj, gens))
-                    )
-            bijective = len(set(images)) == len(images) and len(images) == target_size
-
-            if distinct != bijective:
-                raise InternalError(
-                    "projection criterion and coset listing disagree"
-                )
-            if not bijective:
-                report.fail("fiber", (face, umask))
+        signature = (
+            tmask,
+            local_masks[face],
+            tuple(
+                (a[0][0], local_masks[a[0]], labels[a])
+                for a in scwol.in_edges.get(face, ())
+            ),
+        )
+        failing = failing_by_signature.get(signature)
+        if failing is None:
+            failing = failing_by_signature[signature] = _fiber_failures(
+                building, listings, *signature
+            )
+        report.fibers_checked += (1 << tmask.bit_count()) - 1  # proper subtypes
+        for umask in failing:
+            report.fail("fiber", (face, umask))
     return report
 
 
@@ -288,6 +331,90 @@ def verify_labeling(lab: EdgeLabeling) -> LabelingReport:
 class CoveringReport(Report):
     sheet_counts: dict = field(default_factory=dict)
     sheet_count: int = 0
+
+
+def _check_vertex(src, tgt, v, key, tables):
+    """Local injectivity, the fiber coset bijections and the sheet count at
+    the source vertex ``v``, read through its vertex key.
+
+    ``key`` is (G_v, f(v), phi_v) followed by G_ia, f(ia), phi_ia, f(a),
+    phi_a for each in-edge a of v, in ``src.in_edges`` order.  Cosets partition a
+    group, so a source coset is listed once, from its first element, and
+    every member of it is mapped.  The listing depends only on the local
+    group and the subgroup psi_a(G_ia), and is kept in ``tables[0]``; a
+    target coset z.theta(G_ib) is built once per target edge b and recorded
+    for each of its members in ``tables[1]``.  Returns whether phi_v is
+    injective, the fiber failures as (kind, where) pairs, and
+    |G_f(v)| / |phi_v(G_v)|, or None when that does not divide.
+    """
+    group, fv, phi_v = key[:3]
+    listings, target_cosets = tables
+    elements = src.elements(v)
+    images = [phi_v(x) for x in elements]
+    phi_of = dict(zip(elements, images))
+    image = set(images)
+    total = len(tgt.elements(fv))
+    sheets = None if total % len(image) else total // len(image)
+
+    failures = []
+    fibers = {}
+    for a, b, fa in zip(src.in_edges(v), key[6::5], key[7::5]):
+        fibers.setdefault(b, []).append((a, fa))
+    for b in tgt.in_edges(fv):
+        got = target_cosets.get(b)
+        if got is None:
+            theta_sub = [tgt.psi(b, y) for y in tgt.elements(tgt.ends(b)[0])]
+            got = target_cosets[b] = (theta_sub, {})
+        theta_sub, coset_of = got
+        index = total // len(theta_sub)
+        image_cosets = []
+        for a, fa in fibers.get(b, ()):
+            sub = tuple(src.psi(a, x) for x in src.elements(src.ends(a)[0]))
+            cosets = listings.get((group, sub))
+            if cosets is None:
+                covered = set()
+                cosets = listings[group, sub] = []
+                for g in elements:
+                    if g not in covered:
+                        coset = [src.mult(v, g, s) for s in sub]
+                        covered.update(coset)
+                        cosets.append(coset)
+            for coset in cosets:
+                imgs = set()
+                for member in coset:
+                    x = phi_of.get(member)
+                    if x is None:
+                        x = phi_of[member] = phi_v(member)
+                    z = tgt.mult(fv, x, fa)
+                    found = coset_of.get(z)
+                    if found is None:
+                        found = frozenset(tgt.mult(fv, z, w) for w in theta_sub)
+                        coset_of.update(dict.fromkeys(found, found))
+                    imgs.add(found)
+                if len(imgs) != 1:
+                    failures.append(("fiber-welldef", (v, b, a)))
+                    imgs = {next(iter(imgs))}
+                image_cosets.append(imgs.pop())
+        if len(set(image_cosets)) != len(image_cosets) or len(image_cosets) != index:
+            failures.append(("fiber-bijection", (v, b)))
+    return len(image) == len(images), failures, sheets
+
+
+def _check_edge(src, tgt, a, key):
+    """The vertex-map and edge-diagram checks at the source edge ``a``, read
+    through its edge key (G_ta, f(ta), phi_ta, G_ia, f(ia), phi_ia, f(a),
+    phi_a): the kind that fails, or None."""
+    _, ft, phi_t, _, fi, phi_i, b, fa = key
+    ib, tb = tgt.ends(b)
+    if fi != ib or ft != tb:
+        return "vertex-map"
+    fa_inv = tgt.inv(ft, fa)
+    for x in src.elements(src.ends(a)[0]):
+        lhs = phi_t(src.psi(a, x))
+        rhs = tgt.mult(ft, tgt.mult(ft, fa, tgt.psi(b, phi_i(x))), fa_inv)
+        if lhs != rhs:
+            return "edge-diagram"
+    return None
 
 
 def check_covering(src, tgt, f_vertex, f_edge, phi_vertex, phi_edge) -> CoveringReport:
@@ -305,9 +432,21 @@ def check_covering(src, tgt, f_vertex, f_edge, phi_vertex, phi_edge) -> Covering
     cog axioms, bijectivity of every fiber coset map, and vertexwise
     consistency of the sheet count.
 
-    The fiber check does work per coset: the cosets of a subgroup are
-    listed once per source local group (``src.group``), each target coset
-    once per target edge, and every member of every coset is mapped.
+    A covering is a local condition, and the local checks are made once per
+    vertex key: the checks at a vertex v (``_check_vertex``) and at its
+    in-edges (``_check_edge``).  The key is ``src.group(v)``, f(v) and
+    phi_v, and for each in-edge a, ``src.group(ia)``, f(ia), phi_ia, f(a)
+    and phi_a; an in-edge's check reads the part of it that is its edge key
+    (both ends' groups, f and phi at both ends, f(a) and phi_a).  Besides
+    the target, which is the same for every key, that is everything the
+    checks read: a group fixes its elements and products, and ``src.psi``
+    depends only on the groups of the edge's two ends (it is the inclusion
+    in ``ComplexOfGroups``, the only ``src``).  Keys hold values, so maps
+    given as dicts key by what they hold, and per-vertex closures never
+    share a key.  A key is built in the pass over the vertices and dropped
+    there unless its checks all pass: a key that fails is checked again at
+    each vertex that has it, so every failure names its own place.
+    Failures are reported in check order.
     """
     report = CoveringReport()
 
@@ -344,29 +483,45 @@ def check_covering(src, tgt, f_vertex, f_edge, phi_vertex, phi_edge) -> Covering
             if lhs != rhs:
                 report.fail("target-cocycle", (a, b, c))
 
+    # the checks at each vertex and its in-edges, once per vertex key; the
+    # failures are reported in check order below
+    tables = ({}, {})  # source coset listings, target coset tables
+    sheets_by_key = {}  # vertex key that passed -> its sheet count
+    not_injective, edge_failures, fiber_failures, not_dividing = [], [], [], []
+    per_vertex = {}
     for v in src.vertices():
-        images = [phi_vertex[v](x) for x in src.elements(v)]
-        if len(set(images)) != len(images):
-            report.fail("local-injectivity", v)
-
-    for a in src.edges():
-        ia, ta = src.ends(a)
-        b = f_edge[a]
-        ib, tb = tgt.ends(b)
-        if f_vertex[ia] != ib or f_vertex[ta] != tb:
-            report.fail("vertex-map", a)
-            continue
-        fa = phi_edge[a]
-        tv = f_vertex[ta]
-        fa_inv = tgt.inv(tv, fa)
-        for x in src.elements(ia):
-            lhs = phi_vertex[ta](src.psi(a, x))
-            rhs = tgt.mult(
-                tv, tgt.mult(tv, fa, tgt.psi(b, phi_vertex[ia](x))), fa_inv
-            )
-            if lhs != rhs:
-                report.fail("edge-diagram", a)
-                break
+        gv, fv, phi_v = src.group(v), f_vertex[v], phi_vertex[v]
+        key = [gv, fv, phi_v]
+        for a in src.in_edges(v):
+            ia = src.ends(a)[0]
+            key += (src.group(ia), f_vertex[ia], phi_vertex[ia])
+            key += (f_edge[a], phi_edge[a])
+        key = tuple(key)
+        sheets = sheets_by_key.get(key)
+        if sheets is None:
+            edges_pass = True
+            for a, i in zip(src.in_edges(v), range(3, len(key), 5)):
+                kind = _check_edge(src, tgt, a, key[:3] + key[i : i + 5])
+                if kind is not None:
+                    edges_pass = False
+                    edge_failures.append((kind, a))
+            injective, failures, sheets = _check_vertex(src, tgt, v, key, tables)
+            if not injective:
+                not_injective.append(v)
+            fiber_failures += failures
+            if edges_pass and injective and not failures and sheets is not None:
+                sheets_by_key[key] = sheets
+        if sheets is None:
+            not_dividing.append(v)
+        else:
+            per_vertex[fv] = per_vertex.get(fv, 0) + sheets
+    for v in not_injective:
+        report.fail("local-injectivity", v)
+    if edge_failures:
+        order = {a: i for i, a in enumerate(src.edges())}
+        edge_failures.sort(key=lambda failure: order[failure[1]])
+    for kind, a in edge_failures:
+        report.fail(kind, a)
 
     for a, b, ab in src.composable_pairs():
         fa, fb, fab = f_edge[a], f_edge[b], f_edge[ab]
@@ -383,71 +538,10 @@ def check_covering(src, tgt, f_vertex, f_edge, phi_vertex, phi_edge) -> Covering
         if lhs != rhs:
             report.fail("compatibility", (a, b))
 
-    # fiber coset bijections.  Cosets partition a group, so a source coset
-    # is listed once, from its first element, and every member of it is
-    # mapped.  The listing depends only on the local group and the subgroup
-    # psi_a(G_ia), and at a vertex the local map is applied once per
-    # element.  A target coset z.theta(G_ib) is built once per target edge
-    # b and recorded for each of its members.
-    listings = {}
-    target_cosets = {}
-    for v in src.vertices():
-        fv = f_vertex[v]
-        group = src.group(v)
-        phi_v = phi_vertex[v]
-        phi_of = {}
-        fibers = {}
-        for a in src.in_edges(v):
-            fibers.setdefault(f_edge[a], []).append(a)
-        for b in tgt.in_edges(fv):
-            got = target_cosets.get(b)
-            if got is None:
-                theta_sub = [tgt.psi(b, y) for y in tgt.elements(tgt.ends(b)[0])]
-                got = target_cosets[b] = (theta_sub, {})
-            theta_sub, coset_of = got
-            index = len(tgt.elements(fv)) // len(theta_sub)
-            image_cosets = []
-            for a in fibers.get(b, ()):
-                sub = tuple(src.psi(a, x) for x in src.elements(src.ends(a)[0]))
-                cosets = listings.get((group, sub))
-                if cosets is None:
-                    covered = set()
-                    cosets = listings[group, sub] = []
-                    for g in src.elements(v):
-                        if g not in covered:
-                            coset = [src.mult(v, g, s) for s in sub]
-                            covered.update(coset)
-                            cosets.append(coset)
-                fa = phi_edge[a]
-                for coset in cosets:
-                    imgs = set()
-                    for member in coset:
-                        x = phi_of.get(member)
-                        if x is None:
-                            x = phi_of[member] = phi_v(member)
-                        z = tgt.mult(fv, x, fa)
-                        image = coset_of.get(z)
-                        if image is None:
-                            image = frozenset(tgt.mult(fv, z, w) for w in theta_sub)
-                            coset_of.update(dict.fromkeys(image, image))
-                        imgs.add(image)
-                    if len(imgs) != 1:
-                        report.fail("fiber-welldef", (v, b, a))
-                        imgs = {next(iter(imgs))}
-                    image_cosets.append(imgs.pop())
-            if len(set(image_cosets)) != len(image_cosets) or len(image_cosets) != index:
-                report.fail("fiber-bijection", (v, b))
-
-    # vertexwise sheet counts
-    per_vertex = {}
-    for v in src.vertices():
-        fv = f_vertex[v]
-        image = {phi_vertex[v](x) for x in src.elements(v)}
-        total = len(tgt.elements(fv))
-        if total % len(image):
-            report.fail("sheet-divisibility", v)
-            continue
-        per_vertex[fv] = per_vertex.get(fv, 0) + total // len(image)
+    for kind, where in fiber_failures:
+        report.fail(kind, where)
+    for v in not_dividing:
+        report.fail("sheet-divisibility", v)
     counts = set(per_vertex.values())
     report.sheet_counts = per_vertex
     if len(counts) != 1:

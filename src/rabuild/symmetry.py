@@ -1094,9 +1094,11 @@ def transitivity_witness(
     fragment disagree on the chambers born by step k, the chambers step k
     added to them lie in different sheets of it.  Swapping those sheets
     restores agreement: ``sheet_swap`` exchanges the wings behind the two
-    sheets, which fixes Y_(k-1) and acts on the whole ball at once.  One call
-    per fragment, from a fixed one, covers every pair: if h1 and h2 carry it
-    to frag1 and frag2, then h2 ∘ h1⁻¹ carries frag1 to frag2.
+    sheets, which fixes Y_(k-1) and acts on the whole ball at once, so the
+    walk compares only the chambers born at each step and images the first
+    fragment again only after a swap.  One call per fragment, from a fixed
+    one, covers every pair: if h1 and h2 carry it to frag1 and frag2, then
+    h2 ∘ h1⁻¹ carries frag1 to frag2.
     """
     building = ball.building
     n = frag1.radius
@@ -1113,13 +1115,15 @@ def transitivity_witness(
         if not frag.chambers <= ball.chambers or not frag.is_valid:
             raise DomainError("not an apartment fragment through the base")
     h = identity_automorphism(ball)
+    image = frag1.chambers  # h(frag1)
     for k, grown in enumerate(records, 1):
-        image = frozenset(h.mapping[c] for c in frag1.chambers)
-        a = {c for c in image if born[c] <= k}
-        b = {c for c in frag2.chambers if born[c] <= k}
+        # set intersection walks the smaller set
+        a, b = image & grown.chambers, frag2.chambers & grown.chambers
         if a == b:
             continue
-        if {c for c in a if born[c] < k} != {c for c in b if born[c] < k}:
+        if {c for c in image if born[c] < k} != {
+            c for c in frag2.chambers if born[c] < k
+        }:
             raise InternalError("fragments disagree before the current step")
         blocks = sheets(grown)
         blocks_a = {i for i, blk in enumerate(blocks) if blk & a}
@@ -1130,8 +1134,8 @@ def transitivity_witness(
         if ia == ib:
             raise InternalError("distinct fragments in the same sheet")
         h = sheet_swap(ball, grown, ia, ib).compose(h)
-    final = frozenset(h.mapping[c] for c in frag1.chambers)
-    if final != frag2.chambers:
+        image = frozenset(h.mapping[c] for c in frag1.chambers)
+    if image != frag2.chambers:
         raise InternalError("witness construction did not align the fragments")
     if h.mapping[()] != ():
         raise InternalError("witness moved the base chamber")

@@ -154,6 +154,127 @@ def test_index_equals_chamber_count(suite_traces):
         assert cov.sheet_count == len(lab.clump.chambers), name
 
 
+# -- the memoized checks against their references -----------------------------
+
+
+def _unshared(data):
+    """The same morphism with one fresh local map per source vertex.
+
+    check_covering keys a vertex by the local maps that it and its in-edges
+    read, so no two keys coincide and every vertex and edge is checked in
+    full.
+    """
+    src, tgt, f_vertex, f_edge, phi_vertex, phi_edge = data
+    fresh = {v: (lambda x, phi=phi_vertex[v]: phi(x)) for v in src.vertices()}
+    return src, tgt, f_vertex, f_edge, fresh, phi_edge
+
+
+def _same_report(data):
+    """check_covering on ``data``, asserted equal to its unshared reference:
+    the failures in order, the sheet counts in order, and the sheet count."""
+    report = check_covering(*data)
+    full = check_covering(*_unshared(data))
+    assert report.failures == full.failures
+    assert list(report.sheet_counts.items()) == list(full.sheet_counts.items())
+    assert report.sheet_count == full.sheet_count
+    return report
+
+
+def test_memoized_covering_equals_unshared_reference(suite_traces):
+    for name, trace in suite_traces.items():
+        lab = build_labeling(*trace)
+        tgt = chamber_clump(lab.clump.building).cog()
+        report = _same_report(covering_morphism(lab.clump.cog(), tgt, lab.labels))
+        assert report.ok and report.sheet_count == len(lab.clump.chambers), name
+
+
+def _signatures(lab):
+    """Each face's local signature, as verify_labeling reads it."""
+    cog = lab.clump.cog()
+    in_edges = cog.scwol.in_edges
+    return {
+        face: (
+            face[0],
+            cog.local_masks[face],
+            tuple(
+                (a[0][0], cog.local_masks[a[0]], lab.labels[a])
+                for a in in_edges.get(face, ())
+            ),
+        )
+        for face in cog.scwol.vertices
+    }
+
+
+def test_corrupted_label_in_a_shared_signature_names_only_its_face(suite_traces):
+    # The last face of the most frequent signature with a two-edge fiber
+    # gets one in-edge's label copied onto another of its fiber.  Both
+    # checks must name that face, and only it: a signature without the
+    # labels would hit the verdict of the faces before it.
+    lab = build_labeling(*suite_traces["hex2"])
+    bld = lab.clump.building
+    by_signature = {}
+    for face, sig in _signatures(lab).items():
+        types = [umask for umask, _, _ in sig[2]]
+        if len(set(types)) < len(types):
+            by_signature.setdefault(sig, []).append(face)
+    faces = max(by_signature.values(), key=len)
+    assert len(faces) >= 10
+    face = faces[-1]
+    ins = lab.clump.cog().scwol.in_edges[face]
+    a, a2 = next((a, a2) for a in ins for a2 in ins if a < a2 and a[0][0] == a2[0][0])
+    labels = dict(lab.labels)
+    labels[a2] = labels[a]
+    report = verify_labeling(EdgeLabeling(lab.clump, labels))
+    assert report.failures
+    assert {f["where"][0] for f in report.failures if f["kind"] == "fiber"} == {face}
+    data = covering_morphism(lab.clump.cog(), chamber_clump(bld).cog(), labels)
+    creport = _same_report(data)
+    named = {f["where"][0] for f in creport.failures if f["kind"] in FIBER_KINDS}
+    assert named == {face}
+
+
+def test_each_local_signature_is_checked_once(suite_traces, monkeypatch):
+    # hex2 r2: 757 faces with 77 distinct signatures, and as many distinct
+    # vertex keys.  Each signature's fibers and each vertex key's checks run
+    # once; the edge checks run for the in-edges of one vertex per key.
+    lab = build_labeling(*suite_traces["hex2"])
+    src = lab.clump.cog()
+    data = covering_morphism(src, chamber_clump(lab.clump.building).cog(), lab.labels)
+    _, _, f_vertex, f_edge, phi_vertex, phi_edge = data
+    first = {}  # vertex key -> its first vertex
+    for v in src.vertices():
+        key = (src.group(v), f_vertex[v], phi_vertex[v])
+        for a in src.in_edges(v):
+            key += (src.group(a[0]), f_vertex[a[0]], phi_vertex[a[0]])
+            key += (f_edge[a], phi_edge[a])
+        first.setdefault(key, v)
+    signatures = set(_signatures(lab).values())
+    assert len(src.vertices()) == 757 and len(src.edges()) == 1776
+    assert len(signatures) == len(first) == 77
+    in_edges = sum(len(src.in_edges(v)) for v in first.values())
+    assert in_edges < 1776 // 2
+    calls = {}
+
+    def counted(name):
+        helper = getattr(covering, name)
+
+        def run(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return helper(*args)
+
+        monkeypatch.setattr(covering, name, run)
+
+    for name in ("_fiber_failures", "_check_vertex", "_check_edge"):
+        counted(name)
+    cov = build_covering(lab)
+    assert cov.labeling_report.ok and cov.covering_report.ok
+    assert calls == {
+        "_fiber_failures": 77,
+        "_check_vertex": 77,
+        "_check_edge": in_edges,
+    }
+
+
 # -- the fiber checks against the quadratic listing -------------------------
 
 
@@ -240,14 +361,30 @@ FIBER_KINDS = ("fiber-welldef", "fiber-bijection")
 
 def _compare_with_quadratic_listing(lab):
     """Images and verdicts of both fiber checks against the quadratic
-    listing.  Returns the counts of failing and of bijective labeling
-    fibers, and whether check_covering found a fiber failure."""
+    listing, verify_labeling's whole report against one built face by face,
+    and check_covering against its unshared reference.  Returns the counts
+    of failing and of bijective labeling fibers, and whether check_covering
+    found a fiber failure."""
     clump = lab.clump
     bld = clump.building
     qs = bld.gp.qs
     cog = clump.cog()
     report = verify_labeling(lab)
-    expected = []
+    labels = lab.labels
+    expected = [
+        {"kind": "support", "where": (edge, g)}
+        for edge, vec in labels.items()
+        for g in range(len(qs))
+        if vec[g] and not (edge[1][0] >> g) & 1
+    ]
+    expected += [
+        {"kind": "composition", "where": (a, b)}
+        for a, b, ab in cog.scwol.composable_pairs()
+        if any(
+            (labels[a][g] + labels[b][g]) % qs[g] != labels[ab][g]
+            for g in range(len(qs))
+        )
+    ]
     counts = [0, 0]
     for face in cog.scwol.vertices:
         tmask = face[0]
@@ -270,9 +407,9 @@ def _compare_with_quadratic_listing(lab):
             if not bijective:
                 expected.append({"kind": "fiber", "where": (face, umask)})
     assert report.fibers_checked == sum(counts)
-    assert [f for f in report.failures if f["kind"] == "fiber"] == expected
+    assert report.failures == expected
     data = covering_morphism(cog, chamber_clump(bld).cog(), lab.labels)
-    found = [f for f in check_covering(*data).failures if f["kind"] in FIBER_KINDS]
+    found = [f for f in _same_report(data).failures if f["kind"] in FIBER_KINDS]
     assert found == _quadratic_fiber_failures(*data)
     return counts, bool(found)
 
@@ -371,7 +508,7 @@ def test_fiber_bijection_failure_names_vertex_and_edge(d23):
     ][0]
     doctored = {e: phi_edge[e] for e in src.edges()}
     doctored[a2] = phi_edge[a]
-    report = check_covering(src, tgt, f_vertex, f_edge, phi_vertex, doctored)
+    report = _same_report((src, tgt, f_vertex, f_edge, phi_vertex, doctored))
     assert {"kind": "fiber-bijection", "where": (v, f_edge[a])} in report.failures
     assert "fiber-welldef" not in _kinds(report)
 
@@ -410,7 +547,7 @@ def test_fiber_welldef_failure_names_vertex_and_edges(d23, suite):
 
     doctored = {w: phi_vertex[w] for w in src.vertices()}
     doctored[v] = not_a_homomorphism
-    report = check_covering(src, tgt, f_vertex, f_edge, doctored, phi_edge)
+    report = _same_report((src, tgt, f_vertex, f_edge, doctored, phi_edge))
     assert {"kind": "fiber-welldef", "where": (v, f_edge[a], a)} in report.failures
     assert "local-injectivity" not in _kinds(report)
 
@@ -509,5 +646,5 @@ def test_every_covering_failure_kind_is_reachable(kind):
     y0 = chamber_clump(bld)
     data = covering_morphism(y0.cog(), y0.cog(), label_initial(y0).labels)
     assert check_covering(*data).ok
-    report = check_covering(*_doctor(kind, bld, data))
+    report = _same_report(_doctor(kind, bld, data))
     assert kind in _kinds(report), report.failures
