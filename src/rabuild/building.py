@@ -140,10 +140,17 @@ class Building:
         """Inverse of ``serialize_chamber``; the pairs must be in normal form.
 
         Each pair is a known generator name and an ``int`` exponent in
-        [1, q); the syllables must be canonical as they stand.
+        [1, q); the syllables must be canonical as they stand.  That is
+        checked in one scan: each syllable looks left across the syllables
+        that commute with its generator.  Meeting its own generator there
+        means the word is not reduced, and meeting a larger one means a
+        shuffle puts it earlier, so the word is not the least.  The scans
+        for one generator cover disjoint stretches, since each stops at the
+        previous syllable of that generator, so the check is linear.
         """
         index = self.system.index
         qs = self.gp.qs
+        comm = self.gp.comm
         syls = []
         for s, e in pairs:
             g = index.get(s)
@@ -153,11 +160,14 @@ class Building:
                 raise InputError(f"exponent {e!r} is not an integer")
             if not 0 < e < qs[g]:
                 raise InputError(f"exponent {e} of {s!r} is not in [1, {qs[g]})")
+            cg = comm[g]
+            for h, _ in reversed(syls):
+                if h != g and not (cg >> h) & 1:
+                    break  # g cannot pass h
+                if h >= g:  # g itself, or a larger generator that g passes
+                    raise InputError(f"chamber {pairs!r} is not in normal form")
             syls.append((g, e))
-        syls = tuple(syls)
-        if self.gp.norm(syls) != syls:
-            raise InputError(f"chamber {pairs!r} is not in normal form")
-        return syls
+        return tuple(syls)
 
     def __repr__(self):
         return f"Building({self.config_dict()})"

@@ -110,8 +110,52 @@ def load_config(path: str) -> SystemConfig:
     return parse_config(text)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, pad, out):
+    """Append to ``out`` the pieces of ``json.dumps(value, sort_keys=True,
+    indent=2)``, laid out for a value at indent ``pad``.
+
+    ``json.dumps`` with an indent always runs json's pure-Python encoder.
+    Here strings, ints (not bools), and nonempty lists, tuples and dicts
+    with string keys are written directly, with the encoder's own string
+    escaping; any other value goes through ``json.dumps``, re-indented:
+    JSON text holds no raw newline inside a string, so every newline in it
+    starts a line.
+    """
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif type(value) is int:
+        out.append(int.__repr__(value))
+    elif value and isinstance(value, dict) and all(isinstance(k, str) for k in value):
+        inner = pad + "  "
+        head, sep = "{\n" + inner, ",\n" + inner
+        for key in sorted(value):
+            out.append(head + _encode_str(key) + ": ")
+            _json_text(value[key], inner, out)
+            head = sep
+        out.append("\n" + pad + "}")
+    elif value and isinstance(value, (list, tuple)):
+        inner = pad + "  "
+        head, sep = "[\n" + inner, ",\n" + inner
+        for item in value:
+            out.append(head)
+            _json_text(item, inner, out)
+            head = sep
+        out.append("\n" + pad + "]")
+    else:
+        text = json.dumps(value, sort_keys=True, indent=2)
+        out.append(text.replace("\n", "\n" + pad) if pad else text)
+
+
 def emit(payload) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    """Write the payload as ``json.dumps(payload, sort_keys=True, indent=2)``
+    and a newline, byte for byte."""
+    out = []
+    _json_text(payload, "", out)
+    out.append("\n")
+    sys.stdout.write("".join(out))
 
 
 def _check_radius(cfg: SystemConfig, radius: int):

@@ -23,19 +23,19 @@ log takes memory in proportion to the ball.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import kernel
 from .building import Building, syllable_key
 from .errors import DomainError, InternalError, SizeCapError
 
 
-@dataclass(frozen=True)
-class Side:
-    """Maximal type-connected union of boundary mirrors, of one type."""
+class Side(namedtuple("Side", "gen mirrors")):
+    """Maximal type-connected union of boundary mirrors, of one type: its
+    generator index ``gen`` and its panel representatives ``mirrors``
+    (raw syllable tuples, sorted)."""
 
-    gen: int  # generator index (the side's type)
-    mirrors: tuple  # sorted panel representatives (raw syllable tuples)
+    __slots__ = ()
 
     def __hash__(self):
         # the least mirror names the side; hashing every mirror costs O(|side|)
@@ -82,14 +82,23 @@ class _Sides:
     is skipped when read, since a panel never returns to the boundary once it
     has gained chambers.  A clump that is never unfolded has no index: it
     would take more memory than the sides themselves.
+
+    One routine, ``_update_type``, builds a table from nothing and keeps it
+    up to date.  It joins *units* numbered 0, 1, ...: first the mirrors it
+    must place (new ones, and those of dissolved sides), then each intact
+    side it meets, which moves as a whole.  The union-find is a list of
+    unit numbers, and each coset key of a mirror is computed once and
+    looked up once, mapping it to the first unit that had it.  Chambers are
+    tuples of tuples, whose hashes Python does not cache, so this keeps the
+    work per mirror to one descent scan and one hash per key, however long
+    the representatives grow.
     """
 
     def __init__(self, building):
-        self.building = building
         comm = self.comm = building.system.comm
         rank = len(comm)
         self.of_mirror = [{} for _ in range(rank)]  # per type: rep -> Side
-        self.by_least = {}  # (gen, least mirror) -> Side, one entry per side
+        self.by_least = [{} for _ in range(rank)]  # per type: least mirror -> Side
         self.cosets = None  # per type: (pair mask, coset rep) -> reps
         self.pairs = [  # per type g: (c, {g, c} mask) for each c commuting with g
             [(c, (1 << g) | (1 << c)) for c in range(rank) if (comm[g] >> c) & 1]
@@ -99,11 +108,10 @@ class _Sides:
     def _coset_keys(self, g, rep):
         """``(mask, coset rep)`` of the g-mirror ``rep`` for each pair mask."""
         visible = dict(kernel.right_descents(rep, self.comm))
-        keys = []
-        for c, mask in self.pairs[g]:
-            i = visible.get(c)
-            keys.append((mask, rep if i is None else rep[:i] + rep[i + 1 :]))
-        return keys
+        return [
+            (mask, rep if (i := visible.get(c)) is None else rep[:i] + rep[i + 1 :])
+            for c, mask in self.pairs[g]
+        ]
 
     def indexed(self):
         """This table, with its coset index built if it had none."""
@@ -116,6 +124,15 @@ class _Sides:
                         index[key] = index.get(key, ()) + (rep,)
         return self
 
+    def sides(self):
+        """Every side, by type and then by least mirror in shortlex order."""
+        out = []
+        for table in self.by_least:
+            least = sorted(table)
+            least.sort(key=len)  # stable: shortlex, as syllable_key sorts
+            out.extend(map(table.__getitem__, least))
+        return out
+
     def update(self, removed, added):
         """Take the ``removed`` mirrors off the boundary and put ``added`` on.
 
@@ -123,81 +140,97 @@ class _Sides:
         Their other mirrors and the added ones are joined again, to each other
         and to the sides they meet; every other side stays as it is.
         """
-        by_type = {}
+        gone = [[] for _ in self.of_mirror]
+        new = [[] for _ in self.of_mirror]
         for g, rep in removed:
-            by_type.setdefault(g, ([], []))[0].append(rep)
+            gone[g].append(rep)
         for g, rep in added:
-            by_type.setdefault(g, ([], []))[1].append(rep)
-        for g, (gone, new) in by_type.items():
-            self._update_type(g, gone, new)
+            new[g].append(rep)
+        for g in range(len(new)):
+            if gone[g] or new[g]:
+                self._update_type(g, gone[g], new[g])
 
     def _update_type(self, g, removed, added):
         of_mirror = self.of_mirror[g]
+        by_least = self.by_least[g]
         index = None if self.cosets is None else self.cosets[g]
-        broken = {}
+        broken = {}  # id -> side, for the sides losing a mirror
         for rep in removed:
             side = of_mirror.pop(rep)
-            broken[side.mirrors[0]] = side
-        dirty = dict.fromkeys(added, True)  # rep -> whether it is new
-        for least, side in broken.items():
-            del self.by_least[(g, least)]
-            for m in side.mirrors:
-                if m in of_mirror:
-                    dirty[m] = False
-        # union-find over the dirty mirrors and the intact sides they meet,
-        # an intact side standing in as its least mirror
-        parent = {}
-        met = {}
+            broken[id(side)] = side
+        # units 0 .. fresh - 1 are the added mirrors, fresh .. dirty - 1 the
+        # rest of the broken sides, and the intact sides met come after them
+        units = list(added)
+        fresh = len(units)
+        for side in broken.values():
+            del by_least[side.mirrors[0]]
+            units.extend(m for m in side.mirrors if m in of_mirror)
+        dirty = len(units)
+        parent = list(range(dirty))
+        met = {}  # id of an intact side met -> its unit
 
         def find(x):
-            root = x
-            while root in parent:
-                root = parent[root]
-            while x != root:
-                parent[x], x = root, parent[x]
-            return root
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
 
-        keys = {rep: self._coset_keys(g, rep) for rep in dirty}
-        for k in range(len(self.pairs[g])):
-            groups = {}
-            for rep in dirty:
-                groups.setdefault(keys[rep][k], []).append(rep)
-            for key, members in groups.items():
-                if index is not None:
+        def join(x, y):
+            x, y = find(x), find(y)
+            if x != y:
+                parent[x] = y
+
+        first = {}  # coset key -> the first unit seen in that coset
+        # a type that commutes with no other has no cosets to join along
+        for i in range(dirty if self.pairs[g] else 0):
+            rep = units[i]
+            for key in self._coset_keys(g, rep):
+                j = first.setdefault(key, i)
+                if j != i:
+                    join(i, j)
+                    if index is not None and i < fresh:
+                        index[key] = index.get(key, ()) + (rep,)
+                elif index is not None:
+                    # the key's first sighting: meet the sides in its coset
                     known = index.get(key, ())
-                    new = tuple(rep for rep in members if dirty[rep])
-                    if new:
-                        index[key] = known + new
-                    members += [rep for rep in known if rep not in dirty]
-                first = None
-                for rep in members:
-                    if rep not in dirty:
-                        side = of_mirror.get(rep)
-                        if side is None:
-                            continue  # no longer a boundary mirror
-                        rep = side.mirrors[0]
-                        met[rep] = side
-                    if first is None:
-                        first = rep
-                        continue
-                    a, b = find(first), find(rep)
-                    if a != b:
-                        parent[a] = b
-        groups = {}
-        for unit in list(dirty) + list(met):
-            groups.setdefault(find(unit), []).append(unit)
-        for units in groups.values():
-            reps = []
-            for unit in units:
-                side = met.get(unit)
-                if side is None:
-                    reps.append(unit)
-                else:
-                    del self.by_least[(g, unit)]
-                    reps.extend(side.mirrors)
-            side = Side(g, tuple(sorted(reps, key=syllable_key)))
-            self.by_least[(g, side.mirrors[0])] = side
-            for rep in side.mirrors:
+                    if i < fresh:
+                        index[key] = known + (rep,)
+                    for other in known:
+                        side = of_mirror.get(other)
+                        if side is None or id(side) in broken:
+                            continue  # off the boundary, or a dirty unit
+                        k = met.get(id(side))
+                        if k is None:
+                            k = met[id(side)] = len(units)
+                            units.append(side)
+                            parent.append(k)
+                        join(i, k)
+        groups = [None] * len(units)
+        for u in range(len(units)):
+            r = find(u)
+            if groups[r] is None:
+                groups[r] = [u]
+            else:
+                groups[r].append(u)
+        for members in groups:
+            if members is None:
+                continue
+            if len(members) == 1:  # a lone dirty mirror: nothing to sort
+                mirrors = (units[members[0]],)
+            else:
+                reps = []
+                for u in members:
+                    if u < dirty:
+                        reps.append(units[u])
+                    else:
+                        side = units[u]
+                        del by_least[side.mirrors[0]]
+                        reps.extend(side.mirrors)
+                reps.sort()
+                reps.sort(key=len)  # stable: shortlex, as syllable_key sorts
+                mirrors = tuple(reps)
+            side = Side(g, mirrors)
+            by_least[mirrors[0]] = side
+            for rep in mirrors:
                 of_mirror[rep] = side
 
 
@@ -321,10 +354,7 @@ class Clump:
         commuting with u.
         """
         if self._sides is None:
-            self._sides = sorted(
-                self._side_index().by_least.values(),
-                key=lambda k: (k.gen, syllable_key(k.mirrors[0])),
-            )
+            self._sides = self._side_index().sides()
         return self._sides
 
     def side_of_mirror(self, g, rep):

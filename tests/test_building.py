@@ -4,11 +4,13 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rabuild.building import Building, load_ball_cache, save_ball_cache, syllable_key
 from rabuild.coxeter import CoxeterSystem, reduce as w_reduce
 from rabuild.errors import DomainError, InputError, SizeCapError
-from tests.conftest import element, generator_word
+from tests.conftest import element, generator_word, make_suite
 
 
 def elem(bld, pairs):
@@ -347,3 +349,29 @@ def test_load_ball_cache_rejects_other_files(tmp_path, d23, rewrite):
     path.write_text(rewrite(json.loads(path.read_text())))
     with pytest.raises(InputError):
         load_ball_cache(path, d23)
+
+
+SUITE = {name: bld for name, bld, _ in make_suite()}
+
+
+@pytest.mark.parametrize("name", sorted(SUITE))
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_deserialize_accepts_exactly_the_normal_forms(name, data):
+    # the one-scan check against the kernel: a word of valid syllables is
+    # accepted exactly when normalizing leaves it as it is; half the words
+    # are normalized first, so canonical words are drawn as often as others
+    bld = SUITE[name]
+    qs = bld.gp.qs
+    syllable = st.integers(0, len(qs) - 1).flatmap(
+        lambda g: st.tuples(st.just(g), st.integers(1, qs[g] - 1))
+    )
+    word = tuple(data.draw(st.lists(syllable, max_size=10)))
+    if data.draw(st.booleans()):
+        word = bld.gp.norm(word)
+    pairs = bld.serialize_chamber(word)
+    if bld.gp.norm(word) == word:
+        assert bld.deserialize_chamber(pairs) == word
+    else:
+        with pytest.raises(InputError, match="not in normal form"):
+            bld.deserialize_chamber(pairs)

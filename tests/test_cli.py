@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rabuild import covering
-from rabuild.cli import SystemConfig, main, parse_config
+from rabuild.cli import SystemConfig, emit, main, parse_config
 from rabuild.errors import InputError
 from tests.conftest import corrupted_labeling
 
@@ -164,6 +164,38 @@ def test_byte_determinism(tmp_path, capsys):
         assert code == 0
         outs.add(out)
     assert len(outs) == 1
+
+
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**200), 2**200)
+    | st.floats()
+    | st.text()
+    | st.sampled_from(['"', "\\", "\n\t\x00", "\u00e9", "\U0001f600"])
+)
+
+
+JSON_PAYLOADS = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    | st.dictionaries(st.integers(-3, 3), inner, max_size=3),
+    max_leaves=25,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(payload=JSON_PAYLOADS)
+def test_emit_bytes_match_json_dumps(payload):
+    # nested and empty containers, escapes and non-ASCII text, large and
+    # negative ints, bools, None, floats (NaN and infinities too) and
+    # dicts with int keys, which emit hands to json.dumps
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        emit(payload)
+    assert out.getvalue() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def test_bad_config_exit_code(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """CLI output snapshot: exit code and SHA-256 of stdout for fixed runs.
 
 The runs cover the ball, unfolding, labeling, covering, apartment, quotient
-and witness commands on the shipped configs (``apartments`` on hexagon_q3 at
+and witness commands on the shipped configs (``ball`` on hexagon_q3 at
+radius 3 pins a 25,680-side table; ``apartments`` on hexagon_q3 at
 radius 2 pins the exit-3 payload of the apartment count cap; ``quotient``
 leaves out hexagon_q3 at radius 2, about 11 s), and the file ``ball
 --cache`` writes (its stdout names the cache path, so only the file is
@@ -51,6 +52,8 @@ def snapshot_runs():
                 runs.append((f"quotient {name} r{r}", argv))
     config = str(ROOT / "configs" / "tree_234.json")
     runs.append(("ball tree_234 r5", ("ball", config, "--radius", "5")))
+    config = str(ROOT / "configs" / "hexagon_q3.json")
+    runs.append(("ball hexagon_q3 r3", ("ball", config, "--radius", "3")))
     for name, rmax in WITNESS_RADII.items():
         config = str(ROOT / "configs" / f"{name}.json")
         for r in range(rmax + 1):

@@ -335,11 +335,14 @@ def test_side_coset_keys_are_strips(suite):
 
 
 def test_sides_match_coset_grouping(suite_traces):
-    # the first eight clumps are read while their side tables are carried
+    # the first eight clumps are read while their side tables are carried;
+    # each ball is also built fresh, its side table in one update
     for name, (final, records) in suite_traces.items():
         for clump in clumps_along(final.building, records[:8]):
             assert clump.sides() == _sides_oracle(clump), name
         assert final.sides() == _sides_oracle(final), name
+        fresh = Clump(final.building, final.chambers)
+        assert fresh.sides() == _sides_oracle(fresh), name
 
 
 @pytest.mark.parametrize("seed", [None, 5, 17])
