@@ -65,7 +65,9 @@ def label_unfold(building, labels: dict, grown: Unfolding) -> None:
     terminal face lies on the side, the side-type component is replaced by
     the constant assigned to the sheet of the chambers carrying the edge.
 
-    Only the edges the unfolding created are visited.
+    Only the edges the unfolding created are visited, in the record's
+    order: a label reads only the labels of old edges, so none depends on
+    that order.
     """
     u = grown.side.gen
     qu = building.gp.qs[u]
@@ -108,7 +110,7 @@ def label_unfold(building, labels: dict, grown: Unfolding) -> None:
     # Every new edge joins two faces of a new chamber, whose u-panel is a
     # mirror of the side: its terminal face is on the side exactly when its
     # type contains u.
-    for edge in sorted(grown.edges, key=lambda e: (face_key(e[0]), face_key(e[1]))):
+    for edge in grown.edges:
         if edge in labels:
             raise InternalError("new edge already labeled")
         src, dst = edge
@@ -442,11 +444,17 @@ def check_covering(src, tgt, f_vertex, f_edge, phi_vertex, phi_edge) -> Covering
     checks read: a group fixes its elements and products, and ``src.psi``
     depends only on the groups of the edge's two ends (it is the inclusion
     in ``ComplexOfGroups``, the only ``src``).  Keys hold values, so maps
-    given as dicts key by what they hold, and per-vertex closures never
-    share a key.  A key is built in the pass over the vertices and dropped
-    there unless its checks all pass: a key that fails is checked again at
-    each vertex that has it, so every failure names its own place.
-    Failures are reported in check order.
+    given as dicts key by what they hold, and a local map keys by its own
+    equality.  ``covering_morphism`` gives every vertex the same inclusion.
+    ``symmetry._quotient_morphism`` gives each cell a map x -> (k.x, 1)
+    that compares by the relabeling of generators k makes on the cell's
+    local group, and by the 1; the checks apply phi_v only to elements of
+    G_v, so that is all they read of it, and cells with the same local data
+    share a key.  A plain closure equals only itself and never shares one.
+    A key is built in the pass over the vertices and dropped there unless
+    its checks all pass: a key that fails is checked again at each vertex
+    that has it, so every failure names its own place.  Failures are
+    reported in check order.
     """
     report = CoveringReport()
 

@@ -323,9 +323,9 @@ def _action_has_inversions(clump, autos):
     for h in autos:
         if h.is_identity():
             continue
-        for src, dst in scwol.edges:
-            if h.face_image(src) == src and h.face_image(dst) != dst:
-                return True
+        fixed = {f for f in scwol.vertices if h.face_image(f) == f}
+        if any(src in fixed and dst not in fixed for src, dst in scwol.edges):
+            return True
     return False
 
 
@@ -370,6 +370,65 @@ def _cell_cog(clump, subdivide):
     )
 
 
+class _Relabel:
+    """A local map phi^h at one face: each generator g of the face's local
+    mask goes to h(g), exponents kept.
+
+    Equal and hashed by that table, which is everything the map reads of h
+    on the local group; each element's image is computed once.
+    """
+
+    __slots__ = ("pairs", "table", "memo", "_hash")
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+        self.table = dict(pairs)
+        self.memo = {}
+        self._hash = hash(pairs)
+
+    def __eq__(self, other):
+        return isinstance(other, _Relabel) and self.pairs == other.pairs
+
+    def __hash__(self):
+        return self._hash
+
+    def __call__(self, x):
+        got = self.memo.get(x)
+        if got is None:
+            table = self.table
+            got = self.memo[x] = tuple(sorted([(table[g], e) for g, e in x]))
+        return got
+
+
+class _IntoRep:
+    """A local map of the quotient covering at a cell: x -> (k.x, h), k the
+    cell's transporter to its orbit representative and h the identity.
+
+    Equal and hashed by its relabeling and h, which is everything it reads,
+    so cells with the same local data share a vertex key in
+    ``check_covering``.
+    """
+
+    __slots__ = ("relabel", "h")
+
+    def __init__(self, relabel, h):
+        self.relabel = relabel
+        self.h = h
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, _IntoRep)
+            and self.h == other.h
+            and self.relabel == other.relabel
+        )
+
+    def __hash__(self):
+        return hash((self.relabel, self.h))
+
+    def __call__(self, x):
+        return (self.relabel(x), self.h)
+
+
 class QuotientCog:
     """Complex of groups induced on the orbit space of a cell action.
 
@@ -379,10 +438,15 @@ class QuotientCog:
     and the covering data all come from fixed orbit-representative and
     transporter choices, every one canonical-least.
 
-    Automorphisms are referred to by their index in ``autos``.  Each cell's
-    images under all of them are computed once (``images``), and orbits,
-    stabilizers, transporters and representative edges are read off those
-    images and dictionaries built from them.
+    Automorphisms are referred to by their index in ``autos``, cells by
+    their position in the base's vertex order.  Each cell's images under
+    all automorphisms are computed once, as a tuple of positions, and an
+    edge is coded as (position of its start) * n + (position of its end),
+    which orders edges as the base does.  Orbit representatives (least
+    position), transporters, stabilizers, edge orbits (least code over the
+    group) and representative edges are read off those integers.  The
+    local maps phi^h are ``_Relabel`` objects, one per distinct table, and
+    products are memoized per argument.
     """
 
     def __init__(self, clump: Clump, autos):
@@ -401,10 +465,9 @@ class QuotientCog:
         self.subdivided = _action_has_inversions(clump, autos)
         self.cells = _cell_cog(clump, self.subdivided)
         self.simple = [extend_action(clump, h) for h in autos]
-        self.images = {
-            c: tuple(tuple(h.face_image(f) for f in c) for h in autos)
-            for c in self.cells.vertices()
-        }
+        self._relabels = {}  # (auto index, face) -> _Relabel
+        self._distinct = {}  # _Relabel -> itself, one per table
+        self._products = {}  # (rep, x, y) -> x y at rep
         self._build()
 
     # -- group action plumbing ------------------------------------------
@@ -415,59 +478,88 @@ class QuotientCog:
             raise DomainError("the automorphisms do not form a group")
         return got
 
-    def apply_local(self, hi, cell, x):
-        """phi^h at the cell's group face, on a canonical subgroup element."""
-        vmap = self.simple[hi].vertex_maps[cell[0]]
-        return tuple(sorted(((vmap[g], e) for g, e in x)))
+    def local_map(self, hi, face):
+        """phi^h at ``face``, on the canonical elements of its local group:
+        one ``_Relabel`` per distinct table."""
+        got = self._relabels.get((hi, face))
+        if got is None:
+            mask = self.clump.cog().local_masks[face]
+            vmap = self.simple[hi].vertex_maps[face]
+            pairs = tuple((g, vmap[g]) for g in sorted(vmap) if (mask >> g) & 1)
+            relabel = _Relabel(pairs)
+            got = self._relabels[hi, face] = self._distinct.setdefault(relabel, relabel)
+        return got
 
     # -- construction ------------------------------------------------------
 
     def _build(self):
         cells = self.cells.scwol
-        position = {c: i for i, c in enumerate(cells.vertices)}
-        images = self.images
+        vertices = cells.vertices
+        n = len(vertices)
+        order = len(self.autos)
+        position = {c: i for i, c in enumerate(vertices)}
 
-        def edge_key(e):
-            return (position[e[0]], position[e[1]])
+        # orbit[i][h]: position of the image of cell i under autos[h]
+        faces = self.clump.scwol().vertices
+        by_auto = []
+        for h in self.autos:
+            image = dict(zip(faces, map(h.face_image, faces))).__getitem__
+            by_auto.append([position[tuple(map(image, c))] for c in vertices])
+        orbit = list(zip(*by_auto))
 
         # orbit representatives, transporters to them, stabilizers
-        self.rep_of = {}
-        self.k_to_rep = {}
-        for c in cells.vertices:
-            imgs = images[c]
-            rep = min(imgs, key=position.__getitem__)
-            self.rep_of[c] = rep
-            self.k_to_rep[c] = imgs.index(rep)
-        self.reps = tuple(sorted(set(self.rep_of.values()), key=position.__getitem__))
+        rep_pos = [min(row) for row in orbit]
+        self.rep_of = {c: vertices[r] for c, r in zip(vertices, rep_pos)}
+        self.k_to_rep = {
+            c: row.index(r) for c, row, r in zip(vertices, orbit, rep_pos)
+        }
+        rep_positions = sorted(set(rep_pos))
+        self.reps = tuple(vertices[r] for r in rep_positions)
         self.stab = {
-            rep: tuple(i for i, x in enumerate(images[rep]) if x == rep)
-            for rep in self.reps
+            vertices[r]: tuple(i for i, x in enumerate(orbit[r]) if x == r)
+            for r in rep_positions
         }
 
-        # quotient edges: orbit of a cell edge, keyed by a canonical member;
-        # the representative edge of an orbit is its least member starting
-        # at the orbit representative of the orbit's initial vertices
+        # quotient edges: orbit of a cell edge, keyed by its least code; the
+        # representative edge of an orbit is its least member starting at
+        # the orbit representative of the orbit's initial vertices
+        scaled = [tuple(x * n for x in row) for row in orbit]
+        orbit_code = {}  # edge code -> code of its orbit
         edge_orbit = {}
         least_from = {}
+        decoded = {}
         for e in cells.edges:
-            b = min(zip(images[e[0]], images[e[1]]), key=edge_key)
+            i, j = position[e[0]], position[e[1]]
+            code = min(map(int.__add__, scaled[i], orbit[j]))
+            orbit_code[i * n + j] = code
+            b = decoded.get(code)
+            if b is None:
+                b = decoded[code] = (vertices[code // n], vertices[code % n])
             edge_orbit[e] = b
-            least_from.setdefault((b, e[0]), e)
+            least_from.setdefault((code, i), e)
         self.edge_orbit = edge_orbit
-        self.z_edges = tuple(
-            sorted(set(edge_orbit.values()), key=edge_key)
-        )
+        z_codes = sorted(decoded)
+        self.z_edges = tuple(decoded[code] for code in z_codes)
 
         # representative edge with initial vertex at the orbit rep, and the
         # transporter moving its terminal vertex to its own rep
         self.edge_rep = {}
         self.kappa = {}
-        for b in self.z_edges:
-            abar = least_from.get((b, self.rep_of[b[0]]))
+        # psi along b: phi^kappa at the end of its representative edge, and
+        # h -> kappa h kappa^-1 as a list over the automorphism indices
+        self._psi = {}
+        rep_edge = {}  # quotient edge -> positions of its representative edge
+        for code in z_codes:
+            b = decoded[code]
+            abar = least_from.get((code, rep_pos[code // n]))
             if abar is None:
                 raise InternalError("edge orbit misses its representative vertex")
             self.edge_rep[b] = abar
-            self.kappa[b] = self.k_to_rep[abar[1]]
+            k = self.kappa[b] = self.k_to_rep[abar[1]]
+            k_inv = self._inv[k]
+            conj = [self._comp[(k, self._comp[(h, k_inv)])] for h in range(order)]
+            self._psi[b] = (self.local_map(k, abar[1][0]), conj)
+            rep_edge[b] = (position[abar[0]], position[abar[1]])
 
         self.z_ends = {
             b: (self.rep_of[b[0]], self.rep_of[b[1]]) for b in self.z_edges
@@ -488,21 +580,19 @@ class QuotientCog:
         self.z_compose = {}
         self.z_twist = {}
         for b in self.z_edges:
+            b_start, b_end = rep_edge[b]
             for bp in self.z_in_edges.get(self.z_ends[b][0], ()):
-                abar_b = self.edge_rep[b]
-                abar_bp = self.edge_rep[bp]
+                bp_start, bp_end = rep_edge[bp]
                 kp_inv = self._inv[self.kappa[bp]]
-                moved = (images[abar_b[0]][kp_inv], images[abar_b[1]][kp_inv])
-                if moved[0] != abar_bp[1]:
+                if orbit[b_start][kp_inv] != bp_end:
                     raise InternalError("transporter does not align edges")
-                comp = (abar_bp[0], moved[1])
-                if comp not in cells.edge_set:
+                comp = orbit_code.get(bp_start * n + orbit[b_end][kp_inv])
+                if comp is None:
                     raise InternalError("missing composite of representative edges")
-                bb = self.edge_orbit[comp]
+                bb = decoded[comp]
                 self.z_compose[(b, bp)] = bb
-                tw = self._comp[
-                    (self.kappa[b], self._comp[(self.kappa[bp], self._inv[self.kappa[bb]])])
-                ]
+                kb, kbp, kbb = self.kappa[b], self.kappa[bp], self.kappa[bb]
+                tw = self._comp[(kb, self._comp[(kbp, self._inv[kbb])])]
                 if tw not in self.stab[self.z_ends[b][1]]:
                     raise InternalError("twist transporter does not stabilize")
                 self.z_twist[(b, bp)] = ((), tw)
@@ -510,19 +600,19 @@ class QuotientCog:
     # -- group operations at a representative cell -------------------------
 
     def mult(self, rep, x, y):
-        (g1, h1), (g2, h2) = x, y
-        return (
-            self.building.gp.mul(g1, self.apply_local(h1, rep, g2)),
-            self._comp[(h1, h2)],
-        )
+        got = self._products.get((rep, x, y))
+        if got is None:
+            (g1, h1), (g2, h2) = x, y
+            got = self._products[rep, x, y] = (
+                self.building.gp.mul(g1, self.local_map(h1, rep[0])(g2)),
+                self._comp[(h1, h2)],
+            )
+        return got
 
     def inv(self, rep, x):
         g, h = x
         hi = self._inv[h]
-        return (
-            self.apply_local(hi, rep, self.building.gp.inv(g)),
-            hi,
-        )
+        return (self.local_map(hi, rep[0])(self.building.gp.inv(g)), hi)
 
     # -- adapter protocol ----------------------------------------------------
 
@@ -546,12 +636,9 @@ class QuotientCog:
 
     def psi(self, b, x):
         """Monomorphism along a quotient edge."""
+        relabel, conj = self._psi[b]
         g, h = x
-        k = self.kappa[b]
-        return (
-            self.apply_local(k, self.edge_rep[b][1], g),
-            self._comp[(k, self._comp[(h, self._inv[k])])],
-        )
+        return (relabel(g), conj[h])
 
     def compose(self, b, bp):
         return self.z_compose.get((b, bp))
@@ -581,18 +668,13 @@ class QuotientResult:
 
 
 def _quotient_morphism(qc: QuotientCog):
-    f_vertex = {c: qc.rep_of[c] for c in qc.cells.vertices()}
-    f_edge = {e: qc.edge_orbit[e] for e in qc.cells.edges()}
-
-    def make_phi(c):
-        k = qc.k_to_rep[c]
-
-        def phi(x):
-            return (qc.apply_local(k, c, x), qc._id)
-
-        return phi
-
-    phi_vertex = {c: make_phi(c) for c in qc.cells.vertices()}
+    """The covering of the base onto the quotient, as ``check_covering``'s
+    maps: a cell goes to its orbit representative, an edge to its orbit,
+    and the local map at a cell is its transporter's relabeling, compared
+    by value."""
+    phi_vertex = {
+        c: _IntoRep(qc.local_map(k, c[0]), qc._id) for c, k in qc.k_to_rep.items()
+    }
     phi_edge = {}
     for e in qc.cells.edges():
         b = qc.edge_orbit[e]
@@ -603,7 +685,7 @@ def _quotient_morphism(qc: QuotientCog):
             )
         ]
         phi_edge[e] = ((), delta)
-    return f_vertex, f_edge, phi_vertex, phi_edge
+    return qc.rep_of, qc.edge_orbit, phi_vertex, phi_edge
 
 
 def quotient_cog(clump: Clump, autos) -> QuotientResult:

@@ -226,6 +226,174 @@ def test_composed_quotient_covering(d33):
     assert report.sheet_count == len(final.chambers) * len(autos)
 
 
+# -- the quotient's orbit tables and its memoized covering check --------------
+
+
+def _full_quotient(bld, n):
+    """The quotient of the radius-n ball under every type permutation."""
+    ball = bld.ball(n)
+    return sym.QuotientCog(ball, sym.automorphism_group_from_permutations(ball))
+
+
+def _reference_orbits(qc):
+    """The orbit tables of ``qc``, read off face-tuple images.
+
+    Each cell's images under the automorphisms are tuples of faces, and the
+    orbit representatives, transporters, stabilizers, edge orbits,
+    representative edges and the quotient's composition and twists are
+    chosen among them through vertex positions, with no integer coding.
+    """
+    cells = qc.cells.scwol
+    position = {c: i for i, c in enumerate(cells.vertices)}
+    images = {
+        c: tuple(tuple(h.face_image(f) for f in c) for h in qc.autos)
+        for c in cells.vertices
+    }
+
+    def edge_key(e):
+        return (position[e[0]], position[e[1]])
+
+    rep_of, k_to_rep = {}, {}
+    for c in cells.vertices:
+        rep = min(images[c], key=position.__getitem__)
+        rep_of[c] = rep
+        k_to_rep[c] = images[c].index(rep)
+    reps = sorted(set(rep_of.values()), key=position.__getitem__)
+    stab = {
+        rep: tuple(i for i, x in enumerate(images[rep]) if x == rep) for rep in reps
+    }
+    edge_orbit, least_from = {}, {}
+    for e in cells.edges:
+        b = min(zip(images[e[0]], images[e[1]]), key=edge_key)
+        edge_orbit[e] = b
+        least_from.setdefault((b, e[0]), e)
+    z_edges = tuple(sorted(set(edge_orbit.values()), key=edge_key))
+    edge_rep = {b: least_from[(b, rep_of[b[0]])] for b in z_edges}
+    kappa = {b: k_to_rep[edge_rep[b][1]] for b in z_edges}
+    into = {}
+    for b in z_edges:
+        into.setdefault(rep_of[b[1]], []).append(b)
+    comp, inv = qc._comp, qc._inv
+    z_compose, z_twist = {}, {}
+    for b in z_edges:
+        for bp in into.get(rep_of[b[0]], ()):
+            start, end = edge_rep[b]
+            kp_inv = inv[kappa[bp]]
+            assert images[start][kp_inv] == edge_rep[bp][1]
+            bb = edge_orbit[(edge_rep[bp][0], images[end][kp_inv])]
+            z_compose[(b, bp)] = bb
+            z_twist[(b, bp)] = ((), comp[(kappa[b], comp[(kappa[bp], inv[kappa[bb]])])])
+    return {
+        "rep_of": rep_of, "k_to_rep": k_to_rep, "stab": stab,
+        "edge_orbit": edge_orbit, "z_edges": z_edges, "edge_rep": edge_rep,
+        "kappa": kappa, "z_compose": z_compose, "z_twist": z_twist,
+    }
+
+
+def test_orbit_tables_match_face_tuple_reference(suite):
+    # Every suite ball to radius 2 (hex3 r2: 2,371 orbit vertices and 6,480
+    # orbit edges), and free3 (configs/tree_234.json) at radius 3.  The
+    # tables are compared in order, which fixes check_covering's order.
+    cases = [(name, bld, n) for name, bld, _ in suite for n in range(3)]
+    cases += [(name, bld, 3) for name, bld, _ in suite if name == "free3"]
+    for name, bld, n in cases:
+        qc = _full_quotient(bld, n)
+        for table, want in _reference_orbits(qc).items():
+            got = getattr(qc, table)
+            if isinstance(want, dict):
+                got, want = list(got.items()), list(want.items())
+            assert got == want, (name, n, table)
+
+
+def _vertex_keys(src, f_vertex, f_edge, phi_vertex, phi_edge):
+    """Each vertex key check_covering reads -> the vertices that have it."""
+    by_key = {}
+    for v in src.vertices():
+        key = (src.group(v), f_vertex[v], phi_vertex[v])
+        for a in src.in_edges(v):
+            key += (src.group(a[0]), f_vertex[a[0]], phi_vertex[a[0]])
+            key += (f_edge[a], phi_edge[a])
+        by_key.setdefault(key, []).append(v)
+    return by_key
+
+
+def test_quotient_covering_memo_equals_unshared_reference(suite):
+    # Every suite system at radius 1, and the quotients of perfbench's
+    # symmetry workload: hex2 r1, free3 (tree_234) r3 and mixed r2.
+    from tests.test_covering import _same_report
+
+    buildings = {name: bld for name, bld, _ in suite}
+    cases = [(name, 1) for name in buildings] + [("free3", 3), ("mixed", 2)]
+    for name, n in cases:
+        qc = _full_quotient(buildings[name], n)
+        report = _same_report((qc.cells, qc, *sym._quotient_morphism(qc)))
+        assert report.ok and report.sheet_count == len(qc.autos), (name, n)
+
+
+def test_doctored_local_map_in_a_shared_key_names_its_cell(suite):
+    # hex2 r1: the last cell of the most frequent vertex key whose orbit
+    # representative has a nontrivial stabilizer gets another map of its
+    # local group into the same target group, x -> (k.x, s) with s != 1
+    # in that stabilizer.  The checks must name that cell: a key without
+    # the map's value would hit the verdict of the cells before it.
+    from tests.test_covering import _same_report
+
+    qc = _full_quotient({name: bld for name, bld, _ in suite}["hex2"], 1)
+    src = qc.cells
+    f_vertex, f_edge, phi_vertex, phi_edge = sym._quotient_morphism(qc)
+    shared = [
+        cells
+        for cells in _vertex_keys(src, f_vertex, f_edge, phi_vertex, phi_edge).values()
+        if len(qc.stab[f_vertex[cells[-1]]]) > 1
+    ]
+    cells = max(shared, key=len)
+    assert len(cells) == 5
+    c = cells[-1]
+    s = next(s for s in qc.stab[f_vertex[c]] if s != qc._id)
+    doctored = dict(phi_vertex)
+    doctored[c] = sym._IntoRep(phi_vertex[c].relabel, s)
+    report = _same_report((src, qc, f_vertex, f_edge, doctored, phi_edge))
+    assert not report.ok
+    assert {f["kind"] for f in report.failures} == {"edge-diagram"}
+    for f in report.failures:
+        assert c in f["where"], f
+
+
+def test_each_quotient_vertex_key_is_checked_once(suite, monkeypatch):
+    # hex2 r1: 553 cells with 191 distinct vertex keys.  Each key's vertex
+    # checks run once, and the edge checks for the in-edges of one cell per
+    # key.
+    from rabuild import covering
+
+    calls = {}
+
+    def counted(name):
+        helper = getattr(covering, name)
+
+        def run(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return helper(*args)
+
+        monkeypatch.setattr(covering, name, run)
+
+    for name in ("_check_vertex", "_check_edge"):
+        counted(name)
+    ball = {name: bld for name, bld, _ in suite}["hex2"].ball(1)
+    result = sym.quotient_cog(ball, sym.automorphism_group_from_permutations(ball))
+    assert result.report.ok
+    qc = result.quotient
+    src = qc.cells
+    first = [
+        cells[0]
+        for cells in _vertex_keys(src, *sym._quotient_morphism(qc)).values()
+    ]
+    assert len(src.vertices()) == 553 and len(first) == 191
+    assert calls == {
+        "_check_vertex": 191,
+        "_check_edge": sum(len(src.in_edges(v)) for v in first),
+    }
+
+
 # -- discreteness ------------------------------------------------------------
 
 
