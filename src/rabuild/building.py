@@ -132,12 +132,9 @@ class Building:
         blob = json.dumps(self.config_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
-    def serialize_chamber(self, syls):
-        gens = self.system.generators
-        return [[gens[g], e] for g, e in syls]
-
     def deserialize_chamber(self, pairs):
-        """Inverse of ``serialize_chamber``; the pairs must be in normal form.
+        """The chamber of a list of [generator name, exponent] pairs, as a
+        ball cache stores it; the pairs must be in normal form.
 
         Each pair is a known generator name and an ``int`` exponent in
         [1, q); the syllables must be canonical as they stand.  That is
@@ -178,12 +175,12 @@ def save_ball_cache(path, building: Building, n: int, chambers):
 
     The bytes are those of ``json.dump(data, fh, sort_keys=True, indent=1)``
     and a newline, where ``data`` holds ``config``, ``config_hash``,
-    ``radius`` and ``chambers`` (each chamber as ``serialize_chamber`` gives
-    it, in shortlex order; a ball always holds the identity, so the list is
-    never empty).  ``json.dump`` with an indent always runs the
-    pure-Python encoder, so the chamber rows are joined here from one
-    string per distinct syllable, laid out as that encoder lays them out at
-    their depth; ``json.dumps`` writes only the small header.
+    ``radius`` and ``chambers`` (each chamber as its list of [generator
+    name, exponent] pairs, in shortlex order; a ball always holds the
+    identity, so the list is never empty).  ``json.dump`` with an indent
+    always runs the pure-Python encoder, so the chamber rows are joined here
+    from one string per distinct syllable, laid out as that encoder lays
+    them out at their depth; ``json.dumps`` writes only the small header.
     """
     names = [json.dumps(s) for s in building.system.generators]
     syllable_text = {

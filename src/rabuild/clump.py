@@ -242,7 +242,6 @@ class Clump:
         self._sides = None  # sorted list of the sides
         self._scwol = None
         self._cog = None
-        self._vertex_sides = None
         if not self._gallery_connected():  # which also counts the mirrors
             raise DomainError("chamber set is not gallery-connected")
 
@@ -361,36 +360,6 @@ class Clump:
         """The side holding the boundary mirror, or None."""
         return self._side_index().of_mirror[g].get(rep)
 
-    def vertex_sides(self):
-        """Scwol vertex -> {g: the side holding its boundary g-panels}.
-
-        One entry for each type g of the vertex's local group, the mask of
-        types with some boundary panel on the vertex.  Built once per clump.
-        """
-        if self._vertex_sides is None:
-            cog = self.cog()
-            faces = cog.scwol.face_chambers
-            table = {}
-            for face in cog.scwol.vertices:
-                mask = cog.local_masks[face]
-                at = table[face] = {}
-                for g, panels in self._panels_at(face).items():
-                    if not (mask >> g) & 1:
-                        continue
-                    owners = {
-                        self.side_of_mirror(g, p[1])
-                        for p in panels
-                        if len(faces[p]) == 1
-                    }
-                    owners.discard(None)
-                    if len(owners) != 1:
-                        raise InternalError(
-                            "boundary panels at a vertex span several sides"
-                        )
-                    at[g] = owners.pop()
-            self._vertex_sides = table
-        return self._vertex_sides
-
     # -- derived complexes (see rabuild.cog) ----------------------------------
 
     def scwol(self):
@@ -458,7 +427,7 @@ def unfold(clump: Clump, side: Side) -> Unfolding:
             joined.append(key)
     sides.update(removed, joined)
     clump.chambers.update(lift)
-    clump._sides = clump._cog = clump._vertex_sides = None
+    clump._sides = clump._cog = None
     clump._scwol = Scwol(faces, edges)
     return Unfolding(side, lift, added, created, new_edges)
 

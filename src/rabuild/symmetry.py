@@ -5,8 +5,8 @@ chambers together with a type permutation, checked to preserve adjacency
 and to map sides to sides.  They feed four pipelines:
 
 * ``extend_action``: a ball automorphism induces a simple automorphism of
-  the clump's complex of groups, with local maps permuting the cyclic
-  factors according to the images of the sides through each vertex;
+  the clump's complex of groups, whose local map at every vertex is the
+  automorphism's type permutation on the vertex's cyclic factors;
 * ``quotient_cog``: a finite automorphism group induces a complex of
   groups over the orbit space, together with a covering from the original,
   verified against the covering axioms (the base is subdivided into
@@ -23,6 +23,8 @@ and to map sides to sides.  They feed four pipelines:
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass
 
 from .building import Building, face_key, syllable_key
@@ -40,12 +42,19 @@ from .errors import DomainError, InternalError, SizeCapError
 RIGIDITY_RANK_CAP = 10
 
 
-def _commutation_automorphisms(sysm: CoxeterSystem, colours):
-    """Permutations of the generators preserving commutation and colours.
+# A quotient composes every pair of its automorphisms: a group of order N
+# makes a table of N² products, each a map of the whole ball.
+QUOTIENT_TABLE_CAP = 100_000
 
-    Backtracking over images in increasing order, so the permutations come
-    out in lexicographic order; a partial map is dropped as soon as one
-    image has the wrong colour or the wrong commutation with an earlier one.
+
+def _commutation_automorphisms(sysm: CoxeterSystem, colours):
+    """Permutations of the generators preserving commutation and colours,
+    yielded one at a time in lexicographic order.
+
+    A generator alone in its colour is fixed, so it is placed first.  The
+    others are placed in increasing order by backtracking over the images
+    of their colour in increasing order; a partial map is dropped as soon as
+    one image has the wrong commutation with a generator already placed.
     """
     rank = sysm.rank
     if rank > RIGIDITY_RANK_CAP:
@@ -53,32 +62,58 @@ def _commutation_automorphisms(sysm: CoxeterSystem, colours):
             f"rank {rank} exceeds the automorphism search cap {RIGIDITY_RANK_CAP}"
         )
     comm = sysm.comm
-    out = []
-    perm = []
+    classes = {}
+    for g, colour in enumerate(colours):
+        classes.setdefault(colour, []).append(g)
+    perm = [None] * rank
+    placed = []
+    free = []
+    for g in range(rank):
+        if len(classes[colours[g]]) == 1:
+            perm[g] = g
+            placed.append(g)
+        else:
+            free.append(g)
 
-    def extend(i):
-        if i == rank:
-            out.append(tuple(perm))
+    def extend(k):
+        if k == len(free):
+            yield tuple(perm)
             return
-        for image in range(rank):
-            if colours[image] != colours[i] or image in perm:
-                continue
-            if any(
+        i = free[k]
+        for image in classes[colours[i]]:
+            if image in perm or any(
                 ((comm[i] >> j) & 1) != ((comm[image] >> perm[j]) & 1)
-                for j in range(i)
+                for j in placed
             ):
                 continue
-            perm.append(image)
-            extend(i + 1)
-            perm.pop()
+            perm[i] = image
+            placed.append(i)
+            yield from extend(k + 1)
+            placed.pop()
+            perm[i] = None
 
-    extend(0)
-    return out
+    return extend(0)
 
 
 def type_permutation_group(building: Building):
-    """All permutations of the generators preserving both q and m."""
-    return _commutation_automorphisms(building.system, building.gp.qs)
+    """All permutations of the generators preserving both q and m.
+
+    The group acts on quotients, whose table of products must stay within
+    ``QUOTIENT_TABLE_CAP``: the listing stops with ``SizeCapError`` at the
+    first permutation past that bound, before any of them acts on a ball.
+    """
+    most = math.isqrt(QUOTIENT_TABLE_CAP)
+    perms = list(
+        itertools.islice(
+            _commutation_automorphisms(building.system, building.gp.qs), most + 1
+        )
+    )
+    if len(perms) > most:
+        raise SizeCapError(
+            f"more than {most} type permutations: the quotient's table of "
+            f"products would exceed its cap {QUOTIENT_TABLE_CAP}"
+        )
+    return perms
 
 
 def permute_mask(perm, mask):
@@ -124,22 +159,6 @@ class BallAutomorphism:
         return all(k == v for k, v in self.mapping.items()) and all(
             self.perm[i] == i for i in range(len(self.perm))
         )
-
-    def to_json(self):
-        """Witness certificate: the chamber bijection table."""
-        bld = self.clump.building
-        return {
-            "type_permutation": {
-                bld.system.generators[i]: bld.system.generators[p]
-                for i, p in enumerate(self.perm)
-            },
-            "chambers": [
-                [bld.serialize_chamber(c), bld.serialize_chamber(d)]
-                for c, d in sorted(
-                    self.mapping.items(), key=lambda kv: syllable_key(kv[0])
-                )
-            ],
-        }
 
     def face_image(self, face):
         got = self._face_cache.get(face)
@@ -272,45 +291,39 @@ def automorphism_group_from_permutations(clump: Clump):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SimpleCogAutomorphism:
-    auto: BallAutomorphism
-    vertex_maps: dict  # face -> {gen -> image gen} on the local mask
+def extend_action(clump: Clump, h: BallAutomorphism) -> None:
+    """Check that h induces a simple automorphism of the clump's complex of
+    groups; raise ``InternalError`` naming the face and the permutation if
+    it does not.
 
-
-def extend_action(clump: Clump, h: BallAutomorphism) -> SimpleCogAutomorphism:
-    """Local maps of the induced automorphism of the complex of groups.
-
-    At each boundary vertex the cyclic factor of type t is carried to the
-    factor named by the type of the image of the side through the vertex.
-    The sides through the vertices do not depend on h and are read from
-    ``Clump.vertex_sides``; each side's image is found once.
+    h carries each side of type g to a side of type perm[g]
+    (``BallAutomorphism.side_image``), as an automorphism of a right-angled
+    building carries s-panels to perm[s]-panels (Caprace, Fund. Math. 224,
+    2014).  So its local map at every vertex is g -> perm[g] on the
+    vertex's local mask: one type permutation gives all the local data
+    (Bridson & Haefliger, III.C).  Two checks remain that can fail: perm
+    keeps the cyclic order of every type of a local mask, and it carries
+    each face's local mask onto the local mask of the face's image.  The
+    local maps commute with the inclusions along every edge, being
+    restrictions of one permutation, wherever the local masks nest along
+    the edge; ``canonical_cog`` has already raised where they do not.
     """
     cog = clump.cog()
     qs = clump.building.gp.qs
-    sides_at = clump.vertex_sides()
-    image_gen = {}
-    vertex_maps = {}
+    perm = h.perm
+    broken = sum(1 << g for g, q in enumerate(qs) if q != qs[perm[g]])
     for face in cog.scwol.vertices:
         mask = cog.local_masks[face]
-        vmap = {}
-        for g, side in sides_at[face].items():
-            u = image_gen.get(side)
-            if u is None:
-                u = image_gen[side] = h.side_image(side).gen
-            vmap[g] = u
-        image_mask = cog.local_masks[h.face_image(face)]
-        if permute_mask(vmap, mask) != image_mask:
-            raise InternalError("local map does not hit the image local group")
-        if any(qs[g] != qs[u] for g, u in vmap.items()):
-            raise InternalError("local map does not preserve cyclic orders")
-        vertex_maps[face] = vmap
-    for src, dst in cog.scwol.edges:
-        sub = vertex_maps[src]
-        sup = vertex_maps[dst]
-        if any(sup.get(g) != u for g, u in sub.items()):
-            raise InternalError("local maps do not commute with inclusions")
-    return SimpleCogAutomorphism(h, vertex_maps)
+        if mask & broken:
+            raise InternalError(
+                f"local map at face {face!r} does not preserve cyclic orders "
+                f"under the type permutation {perm}"
+            )
+        if permute_mask(perm, mask) != cog.local_masks[h.face_image(face)]:
+            raise InternalError(
+                f"local map at face {face!r} does not hit the image local "
+                f"group under the type permutation {perm}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +384,8 @@ def _cell_cog(clump, subdivide):
 
 
 class _Relabel:
-    """A local map phi^h at one face: each generator g of the face's local
-    mask goes to h(g), exponents kept.
+    """A local map phi^h on one local group: each generator g of its mask
+    goes to perm[g], perm the type permutation of h, exponents kept.
 
     Equal and hashed by that table, which is everything the map reads of h
     on the local group; each element's image is computed once.
@@ -445,8 +458,10 @@ class QuotientCog:
     which orders edges as the base does.  Orbit representatives (least
     position), transporters, stabilizers, edge orbits (least code over the
     group) and representative edges are read off those integers.  The
-    local maps phi^h are ``_Relabel`` objects, one per distinct table, and
-    products are memoized per argument.
+    local map phi^h on a local group is h's type permutation on the group's
+    mask (``extend_action``, which checks each automorphism), a
+    ``_Relabel`` made once per automorphism and mask; products are memoized
+    per argument.
     """
 
     def __init__(self, clump: Clump, autos):
@@ -464,9 +479,9 @@ class QuotientCog:
         self._id = self._index(identity_automorphism(clump))
         self.subdivided = _action_has_inversions(clump, autos)
         self.cells = _cell_cog(clump, self.subdivided)
-        self.simple = [extend_action(clump, h) for h in autos]
-        self._relabels = {}  # (auto index, face) -> _Relabel
-        self._distinct = {}  # _Relabel -> itself, one per table
+        for h in autos:
+            extend_action(clump, h)
+        self._relabels = {}  # (auto index, mask) -> _Relabel
         self._products = {}  # (rep, x, y) -> x y at rep
         self._build()
 
@@ -478,16 +493,16 @@ class QuotientCog:
             raise DomainError("the automorphisms do not form a group")
         return got
 
-    def local_map(self, hi, face):
-        """phi^h at ``face``, on the canonical elements of its local group:
-        one ``_Relabel`` per distinct table."""
-        got = self._relabels.get((hi, face))
+    def local_map(self, hi, cell):
+        """phi^h at ``cell``, on the canonical elements of its local group:
+        one ``_Relabel`` per automorphism and local mask."""
+        mask = self.cells.local_masks[cell]
+        got = self._relabels.get((hi, mask))
         if got is None:
-            mask = self.clump.cog().local_masks[face]
-            vmap = self.simple[hi].vertex_maps[face]
-            pairs = tuple((g, vmap[g]) for g in sorted(vmap) if (mask >> g) & 1)
-            relabel = _Relabel(pairs)
-            got = self._relabels[hi, face] = self._distinct.setdefault(relabel, relabel)
+            perm = self.autos[hi].perm
+            got = self._relabels[hi, mask] = _Relabel(
+                tuple((g, perm[g]) for g in range(len(perm)) if (mask >> g) & 1)
+            )
         return got
 
     # -- construction ------------------------------------------------------
@@ -558,7 +573,7 @@ class QuotientCog:
             k = self.kappa[b] = self.k_to_rep[abar[1]]
             k_inv = self._inv[k]
             conj = [self._comp[(k, self._comp[(h, k_inv)])] for h in range(order)]
-            self._psi[b] = (self.local_map(k, abar[1][0]), conj)
+            self._psi[b] = (self.local_map(k, abar[1]), conj)
             rep_edge[b] = (position[abar[0]], position[abar[1]])
 
         self.z_ends = {
@@ -604,7 +619,7 @@ class QuotientCog:
         if got is None:
             (g1, h1), (g2, h2) = x, y
             got = self._products[rep, x, y] = (
-                self.building.gp.mul(g1, self.local_map(h1, rep[0])(g2)),
+                self.building.gp.mul(g1, self.local_map(h1, rep)(g2)),
                 self._comp[(h1, h2)],
             )
         return got
@@ -612,7 +627,7 @@ class QuotientCog:
     def inv(self, rep, x):
         g, h = x
         hi = self._inv[h]
-        return (self.local_map(hi, rep[0])(self.building.gp.inv(g)), hi)
+        return (self.local_map(hi, rep)(self.building.gp.inv(g)), hi)
 
     # -- adapter protocol ----------------------------------------------------
 
@@ -673,7 +688,7 @@ def _quotient_morphism(qc: QuotientCog):
     and the local map at a cell is its transporter's relabeling, compared
     by value."""
     phi_vertex = {
-        c: _IntoRep(qc.local_map(k, c[0]), qc._id) for c, k in qc.k_to_rep.items()
+        c: _IntoRep(qc.local_map(k, c), qc._id) for c, k in qc.k_to_rep.items()
     }
     phi_edge = {}
     for e in qc.cells.edges():
@@ -743,23 +758,22 @@ def composed_quotient_covering(labeling, autos_on_chamber) -> CoveringReport:
 # ---------------------------------------------------------------------------
 
 
-def nerve_automorphisms(sysm: CoxeterSystem):
-    return _commutation_automorphisms(sysm, (0,) * sysm.rank)
-
-
 def is_rigid(sysm: CoxeterSystem) -> bool:
-    """No nontrivial nerve automorphism fixes a closed vertex star pointwise."""
+    """No nontrivial nerve automorphism fixes a closed vertex star pointwise.
+
+    Per vertex, the automorphisms fixing its closed star are those keeping
+    a colouring that gives each star vertex a colour of its own.  Their
+    search yields the identity first, the least in lexicographic order, and
+    stops at the next one, so no group is listed.
+    """
     rank = sysm.rank
-    autos = nerve_automorphisms(sysm)
-    for perm in autos:
-        if all(perm[i] == i for i in range(rank)):
-            continue
-        for v in range(rank):
-            star = {v} | {
-                j for j in range(rank) if (sysm.comm[v] >> j) & 1
-            }
-            if all(perm[x] == x for x in star):
-                return False
+    for v in range(rank):
+        star = sysm.comm[v] | 1 << v
+        colours = [g + 1 if (star >> g) & 1 else 0 for g in range(rank)]
+        autos = _commutation_automorphisms(sysm, colours)
+        next(autos)  # the identity
+        if next(autos, None) is not None:
+            return False
     return True
 
 

@@ -18,6 +18,21 @@ def element(gp, pairs):
     return gp.norm(tuple((index[s], e) for s, e in pairs))
 
 
+def serialize_chamber(building, syls):
+    """A chamber as a list of [generator name, exponent] pairs, the rows a
+    ball cache holds."""
+    gens = building.system.generators
+    return [[gens[g], e] for g, e in syls]
+
+
+def nerve_automorphisms(sysm):
+    """Every automorphism of the commutation graph, in lexicographic order:
+    the full enumeration the rigidity search is held to."""
+    from rabuild.symmetry import _commutation_automorphisms
+
+    return list(_commutation_automorphisms(sysm, (0,) * sysm.rank))
+
+
 def generator_word(system, syls):
     """Image in W of a graph-product element: its generator names in order.
 

@@ -22,7 +22,12 @@ from rabuild.cog import is_admissible
 from rabuild.covering import build_covering, build_labeling, verify_labeling
 from rabuild.coxeter import CoxeterSystem, reduce as w_reduce
 from rabuild import symmetry as sym
-from tests.conftest import clumps_along, generator_word, hexagon_system
+from tests.conftest import (
+    clumps_along,
+    generator_word,
+    hexagon_system,
+    nerve_automorphisms,
+)
 
 
 @contextmanager
@@ -228,7 +233,7 @@ def test_criterion_7_discreteness_trichotomy():
                     }
                     if all(relabel[x] == x for x in star):
                         flexible = True
-            assert count == len(sym.nerve_automorphisms(sysm))
+            assert count == len(nerve_automorphisms(sysm))
             assert sym.is_rigid(sysm) == (not flexible)
 
         # exhaustive partition scan: rank <= 4, parameters in {2, 3}

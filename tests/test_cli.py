@@ -309,6 +309,21 @@ def test_quotient_rank_over_search_cap_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+def test_quotient_group_over_table_cap_exit_code(tmp_path, capsys):
+    # the free rank-7 system with q = 2 has 5,040 type permutations: the
+    # listing stops at the 317th, whose table would pass 100,000 products
+    names = [f"g{i}" for i in range(7)]
+    cfg = {"generators": names, "parameters": {g: 2 for g in names}}
+    start = time.perf_counter()
+    code, out = run(capsys, "quotient", write(tmp_path, cfg), "--radius", "0")
+    assert time.perf_counter() - start < 2
+    assert code == 3
+    assert json.loads(out)["error"] == (
+        "more than 316 type permutations: the quotient's table of products "
+        "would exceed its cap 100000"
+    )
+
+
 def test_verification_failure_payload(tmp_path, capsys, monkeypatch):
     lab, _ = corrupted_labeling(parse_config(json.dumps(D23)).building())
     monkeypatch.setattr(covering, "build_labeling", lambda ball, records: lab)

@@ -17,7 +17,7 @@ from rabuild.clump import (
 )
 from rabuild.cli import main
 from rabuild.errors import DomainError
-from tests.conftest import clumps_along
+from tests.conftest import clumps_along, serialize_chamber
 
 
 def boundary_mirrors(clump):
@@ -65,7 +65,7 @@ def test_boundary_mirrors_ball1(d23):
     assert not ball.is_whole_building
     # concretely: the s-mirrors of t and t^2, plus the t-mirror of s
     names = {
-        (d23.system.generators[g], tuple(tuple(p) for p in d23.serialize_chamber(r)))
+        (d23.system.generators[g], tuple(tuple(p) for p in serialize_chamber(d23, r)))
         for g, r in boundary_mirrors(ball)
     }
     assert names == {
@@ -116,7 +116,7 @@ def test_unfold_examples(d23):
     clump = chamber_clump(d23)
     tside = [k for k in clump.sides() if k.gen == 1][0]
     grown = unfold(clump, tside)
-    assert sorted(d23.serialize_chamber(c) for c in clump.chambers) == [
+    assert sorted(serialize_chamber(d23, c) for c in clump.chambers) == [
         [],
         [["t", 1]],
         [["t", 2]],

@@ -5,7 +5,7 @@ import pytest
 from rabuild.coxeter import CoxeterSystem, reduce
 from rabuild.errors import InputError
 from rabuild.graphprod import GraphProduct
-from tests.conftest import element, generator_word
+from tests.conftest import element, generator_word, serialize_chamber
 
 
 @pytest.fixture
@@ -134,6 +134,6 @@ def test_serialization_round_trip(gp23):
     rng = random.Random(14)
     for _ in range(50):
         g = random_element(rng, gp23)
-        pairs = bld.serialize_chamber(g)
+        pairs = serialize_chamber(bld, g)
         assert bld.deserialize_chamber(pairs) == g
         assert element(gp23, pairs) == g

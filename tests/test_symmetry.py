@@ -11,7 +11,13 @@ from rabuild.clump import chamber_clump, sheets, unfold, unfold_steps_to_ball
 from rabuild.coxeter import CoxeterSystem
 from rabuild.errors import DomainError, InternalError, SizeCapError
 from rabuild import symmetry as sym
-from tests.conftest import clumps_along, element, generator_word, hexagon_system
+from tests.conftest import (
+    clumps_along,
+    element,
+    generator_word,
+    hexagon_system,
+    nerve_automorphisms,
+)
 
 
 # -- type permutations -------------------------------------------------------
@@ -57,9 +63,28 @@ def test_automorphism_search_cap():
     names = [f"x{i}" for i in range(sym.RIGIDITY_RANK_CAP + 1)]
     sysm = CoxeterSystem(names)
     with pytest.raises(SizeCapError):
-        sym.nerve_automorphisms(sysm)
+        sym.is_rigid(sysm)
     with pytest.raises(SizeCapError):
         sym.type_permutation_group(Building(sysm, {s: 2 for s in names}))
+
+
+def test_quotient_table_cap_refuses_from_the_permutation_count(monkeypatch):
+    # free q = 2 systems: rank 5 has 120 type permutations, a table of
+    # 14,400 products, and its quotient runs; rank 6 has 720, and is refused
+    # before any automorphism is built
+    def free(rank):
+        names = [f"x{i}" for i in range(rank)]
+        return chamber_clump(Building(CoxeterSystem(names), {s: 2 for s in names}))
+
+    y0 = free(5)
+    assert sym.quotient_cog(y0, sym.automorphism_group_from_permutations(y0)).report.ok
+
+    def refuse(*args):
+        raise AssertionError("an automorphism was built")
+
+    monkeypatch.setattr(sym, "BallAutomorphism", refuse)
+    with pytest.raises(SizeCapError, match="more than 316 type permutations"):
+        sym.automorphism_group_from_permutations(free(6))
 
 
 # -- ball automorphisms ------------------------------------------------------
@@ -95,45 +120,20 @@ def test_automorphisms_map_sides_to_sides(d33, hex3):
 # -- induced simple automorphisms -------------------------------------------
 
 
-def test_extend_action_identity(d33):
-    ball = d33.ball(1)
-    act = sym.extend_action(ball, sym.identity_automorphism(ball))
-    for face, vmap in act.vertex_maps.items():
-        assert all(g == u for g, u in vmap.items())
-
-
-def test_extend_action_swap(d33):
-    ball = d33.ball(1)
-    h = sym.from_type_permutation(ball, (1, 0))
-    act = sym.extend_action(ball, h)
-    swapped = [vmap for vmap in act.vertex_maps.values() if vmap]
-    assert swapped
-    for vmap in swapped:
-        for g, u in vmap.items():
-            assert u == 1 - g
-
-
-def test_extend_action_composition_law(hex3):
-    ball = hex3.ball(1)
-    autos = sym.automorphism_group_from_permutations(ball)
-    rng = random.Random(3)
-    acts = {h: sym.extend_action(ball, h) for h in autos}
-    for _ in range(10):
-        h1, h2 = rng.choice(autos), rng.choice(autos)
-        h12 = h1.compose(h2)
-        a12 = sym.extend_action(ball, h12)
-        for face, vmap in acts[h2].vertex_maps.items():
-            face2 = h2.face_image(face)
-            composed = {
-                g: acts[h1].vertex_maps[face2][u] for g, u in vmap.items()
-            }
-            assert composed == a12.vertex_maps[face]
+def _perm_maps(clump, h):
+    """The local maps extend_action implies: g -> perm[g] on each vertex's
+    local mask."""
+    cog = clump.cog()
+    return {
+        face: {g: u for g, u in enumerate(h.perm) if (mask >> g) & 1}
+        for face, mask in cog.local_masks.items()
+    }
 
 
 def _vertex_maps_by_strips(clump, h):
-    """extend_action's local maps as they were found before the side table:
-    for every automorphism, each vertex's panels stripped from its chambers
-    and their sides looked up again."""
+    """The local maps as they were found before the side table: for every
+    automorphism, each vertex's panels stripped from its chambers and their
+    sides looked up again, and each side's image read off ``side_image``."""
     cog = clump.cog()
     gp = clump.building.gp
     vertex_maps = {}
@@ -156,10 +156,54 @@ def _vertex_maps_by_strips(clump, h):
     return vertex_maps
 
 
+def test_extend_action_identity(d33):
+    ball = d33.ball(1)
+    h = sym.identity_automorphism(ball)
+    sym.extend_action(ball, h)
+    maps = _vertex_maps_by_strips(ball, h)
+    assert maps == _perm_maps(ball, h)
+    for vmap in maps.values():
+        assert all(g == u for g, u in vmap.items())
+
+
+def test_extend_action_swap(d33):
+    ball = d33.ball(1)
+    h = sym.from_type_permutation(ball, (1, 0))
+    sym.extend_action(ball, h)
+    maps = _vertex_maps_by_strips(ball, h)
+    assert maps == _perm_maps(ball, h)
+    swapped = [vmap for vmap in maps.values() if vmap]
+    assert swapped
+    for vmap in swapped:
+        for g, u in vmap.items():
+            assert u == 1 - g
+
+
+def test_extend_action_composition_law(hex3):
+    ball = hex3.ball(1)
+    autos = sym.automorphism_group_from_permutations(ball)
+    rng = random.Random(3)
+    maps = {h: _vertex_maps_by_strips(ball, h) for h in autos}
+    for _ in range(10):
+        h1, h2 = rng.choice(autos), rng.choice(autos)
+        h12 = h1.compose(h2)
+        sym.extend_action(ball, h12)
+        m12 = _vertex_maps_by_strips(ball, h12)
+        assert m12 == _perm_maps(ball, h12)
+        for face, vmap in maps[h2].items():
+            face2 = h2.face_image(face)
+            composed = {g: maps[h1][face2][u] for g, u in vmap.items()}
+            assert composed == m12[face]
+
+
 def test_extend_action_matches_strip_reading(suite):
     # Every type-permutation automorphism of the balls that quotient builds:
     # each suite system at radius 0-2 (hex3 to radius 1, its radius-2 ball
-    # takes about 3 s) and free3 (the suite's tree_234) at radius 3.
+    # takes about 3 s) and free3 (the suite's tree_234) at radius 3.  Then
+    # the sheet swaps of the last unfolding of d33 r2 and of hex3 r1, which
+    # no type permutation induces (hex2 has q = 2, so one sheet per
+    # unfolding and no swap).  The side through each vertex, read off its
+    # strips, goes to a side of type perm[g] for every g of the local mask.
     cases = [
         (name, bld, n)
         for name, bld, _ in suite
@@ -169,10 +213,56 @@ def test_extend_action_matches_strip_reading(suite):
     for name, bld, n in cases:
         ball = bld.ball(n)
         for h in sym.automorphism_group_from_permutations(ball):
-            act = sym.extend_action(ball, h)
-            assert act.vertex_maps == _vertex_maps_by_strips(ball, h), (name, n)
+            sym.extend_action(ball, h)
+            assert _vertex_maps_by_strips(ball, h) == _perm_maps(ball, h), (name, n)
             autos_seen += 1
     assert autos_seen > len(cases)
+    buildings = {name: bld for name, bld, _ in suite}
+    swaps_seen = 0
+    for name, n in (("d33", 2), ("hex3", 1)):
+        ball, records = unfold_steps_to_ball(buildings[name], n)
+        grown = records[-1]
+        for i, j in itertools.permutations(range(len(sheets(grown))), 2):
+            h = sym.sheet_swap(ball, grown, i, j)
+            assert not h.is_identity()
+            sym.extend_action(ball, h)
+            assert _vertex_maps_by_strips(ball, h) == _perm_maps(ball, h), (name, i, j)
+            swaps_seen += 1
+    assert swaps_seen == 4
+
+
+def test_extend_action_refuses_a_broken_cyclic_order(d23):
+    # d23 r0: exchanging s (q = 2) and t (q = 3) keeps the one chamber's
+    # faces, so the chamber map verifies, but no local map of the s-panel's
+    # group onto the t-panel's preserves the order
+    ball = chamber_clump(d23)
+    h = sym.BallAutomorphism(ball, {(): ()}, (1, 0))
+    assert h.verify() == []
+    with pytest.raises(InternalError) as info:
+        sym.extend_action(ball, h)
+    assert str(info.value) == (
+        "local map at face (1, ()) does not preserve cyclic orders under the "
+        "type permutation (1, 0)"
+    )
+
+
+def test_extend_action_refuses_a_doctored_local_mask(d33):
+    # d33 r1 under the swap: one face the swap moves loses its local group,
+    # so the swap no longer carries the local masks onto each other there
+    ball = d33.ball(1)
+    h = sym.from_type_permutation(ball, (1, 0))
+    cog = ball.cog()
+    face = next(
+        f for f in cog.scwol.vertices if cog.local_masks[f] and h.face_image(f) != f
+    )
+    cog.local_masks[face] = 0
+    named = next(f for f in cog.scwol.vertices if f in (face, h.face_image(face)))
+    with pytest.raises(InternalError) as info:
+        sym.extend_action(ball, h)
+    assert str(info.value) == (
+        f"local map at face {named!r} does not hit the image local group "
+        "under the type permutation (1, 0)"
+    )
 
 
 # -- quotients ---------------------------------------------------------------
@@ -435,7 +525,8 @@ def test_rigidity_examples():
 
 def test_rigidity_matches_simplex_based_enumeration():
     # independent implementation: automorphisms from the simplex set of the
-    # nerve rather than the commutation graph
+    # nerve rather than the commutation graph, listed in full, against the
+    # per-vertex search of is_rigid on 40 random graphs up to rank 6
     from rabuild.coxeter import spherical_poset
 
     rng = random.Random(5)
@@ -444,13 +535,14 @@ def test_rigidity_matches_simplex_based_enumeration():
         hexagon_system(),
         CoxeterSystem(["a", "b", "c", "d"], [("a", "b"), ("c", "d")]),
     ]
-    for _ in range(12):
+    for _ in range(40):
         rank = rng.randint(2, 6)
         names = [f"x{i}" for i in range(rank)]
         pairs = [
             p for p in itertools.combinations(names, 2) if rng.random() < 0.4
         ]
         systems.append(CoxeterSystem(names, pairs))
+    verdicts = set()
     for sysm in systems:
         simplices = {frozenset(t) for t in spherical_poset(sysm).nerve}
         perms = []
@@ -462,7 +554,7 @@ def test_rigidity_matches_simplex_based_enumeration():
                 perms.append(perm)
         # same automorphism count
 
-        assert len(perms) == len(sym.nerve_automorphisms(sysm))
+        assert len(perms) == len(nerve_automorphisms(sysm))
         # same rigidity verdict
         flexible = False
         for perm in perms:
@@ -476,6 +568,22 @@ def test_rigidity_matches_simplex_based_enumeration():
                 if all(relabel[x] == x for x in star):
                     flexible = True
         assert sym.is_rigid(sysm) == (not flexible)
+        verdicts.add(flexible)
+    assert verdicts == {True, False}
+
+
+def test_rigidity_at_the_rank_cap_lists_no_group():
+    # rank 10: the free system and the complete graph each have 10!
+    # automorphisms, the 10-cycle 20; the search stops per vertex
+    rank = sym.RIGIDITY_RANK_CAP
+    names = [f"x{i}" for i in range(rank)]
+    cycle = [(names[i], names[(i + 1) % rank]) for i in range(rank)]
+    assert not sym.is_rigid(CoxeterSystem(names))
+    assert sym.is_rigid(CoxeterSystem(names, itertools.combinations(names, 2)))
+    assert sym.is_rigid(CoxeterSystem(names, cycle))
+    bld = Building(CoxeterSystem(names), {s: 2 for s in names})
+    verdict = sym.classify_discreteness(bld)
+    assert verdict.case == "2" and not verdict.nerve_rigid
 
 
 # -- apartments --------------------------------------------------------------
@@ -751,8 +859,7 @@ def test_witness_square_swaps_t_panel(square23):
     t2 = element(square23.gp, [("t", 2)])
     assert h.mapping[t] == t2
     assert h.mapping[()] == ()
-    cert = h.to_json()
-    assert cert["type_permutation"] == {"s": "s", "t": "t"}
+    assert h.perm == (0, 1)
 
 
 def test_witness_all_pairs_d23_radius2(d23):
