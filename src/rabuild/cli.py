@@ -348,8 +348,7 @@ def cmd_quotient(cfg: SystemConfig, args) -> int:
     _check_radius(cfg, args.radius)
     bld = cfg.building()
     ball = bld.ball(args.radius)
-    autos = symmetry.automorphism_group_from_permutations(ball)
-    result = symmetry.quotient_cog(ball, autos)
+    result = symmetry.quotient_cog(ball, symmetry.type_permutation_group(bld))
     emit(result.to_json())
     return 0 if result.report.ok else 4
 

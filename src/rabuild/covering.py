@@ -566,10 +566,7 @@ def check_covering(src, tgt, f_vertex, f_edge, phi_vertex, phi_edge) -> Covering
 
 @dataclass
 class Covering:
-    source: object  # ComplexOfGroups over the unfolded clump
-    target: object  # ComplexOfGroups over the single chamber
     labeling: EdgeLabeling
-    sheet_count: int
     labeling_report: LabelingReport
     covering_report: CoveringReport
 
@@ -659,14 +656,14 @@ def build_covering(lab: EdgeLabeling) -> Covering:
         raise VerificationError(
             f"covering axioms failed: {creport.failures[0]!r}", report=creport
         )
-    return Covering(src_cog, tgt_cog, lab, creport.sheet_count, lreport, creport)
+    return Covering(lab, lreport, creport)
 
 
 def covering_to_json(cov: Covering) -> dict:
     building = cov.labeling.clump.building
     sysm = building.system
     return {
-        "sheets": cov.sheet_count,
+        "sheets": cov.covering_report.sheet_count,
         "chambers": len(cov.labeling.clump.chambers),
         "edges_labeled": len(cov.labeling.labels),
         "fibers_checked": cov.labeling_report.fibers_checked,
@@ -685,6 +682,7 @@ def lattice_index(building, n: int) -> int:
     final, records = unfold_steps_to_ball(building, n)
     lab = build_labeling(final, records)
     cov = build_covering(lab)
-    if cov.sheet_count != len(final.chambers):
+    sheet_count = cov.covering_report.sheet_count
+    if sheet_count != len(final.chambers):
         raise InternalError("sheet count differs from the chamber count")
-    return cov.sheet_count
+    return sheet_count

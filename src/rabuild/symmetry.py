@@ -7,11 +7,13 @@ and to map sides to sides.  They feed four pipelines:
 * ``extend_action``: a ball automorphism induces a simple automorphism of
   the clump's complex of groups, whose local map at every vertex is the
   automorphism's type permutation on the vertex's cyclic factors;
-* ``quotient_cog``: a finite automorphism group induces a complex of
-  groups over the orbit space, together with a covering from the original,
-  verified against the covering axioms (the base is subdivided into
-  residue chains whenever a group element fixes a vertex but moves an edge
-  at it, which is the rule for type-rotating symmetries);
+* ``quotient_cog``: a finite group of type permutations induces a complex
+  of groups over the orbit space, together with a covering from the
+  original, verified against the covering axioms (the base is subdivided
+  into residue chains whenever a group element fixes a vertex but moves an
+  edge at it, which is the rule for type-rotating symmetries).  The group
+  multiplies as its permutations do; each permutation's ball automorphism
+  is built and verified once, and read only for its action on faces;
 * the discreteness classifier for full and type-preserving automorphism
   groups of the building, with the nerve rigidity oracle;
 * apartment fragments through the base chamber and the sheet-swap
@@ -42,8 +44,8 @@ from .errors import DomainError, InternalError, SizeCapError
 RIGIDITY_RANK_CAP = 10
 
 
-# A quotient composes every pair of its automorphisms: a group of order N
-# makes a table of N² products, each a map of the whole ball.
+# A quotient composes every pair of its type permutations: a group of order
+# N makes a table of N² products, and acts on the ball N times.
 QUOTIENT_TABLE_CAP = 100_000
 
 
@@ -140,21 +142,6 @@ class BallAutomorphism:
         self.perm = tuple(perm)
         self._face_cache = {}
 
-    @functools.cached_property
-    def _key(self):
-        """The type permutation and the sorted chamber map: the identity of
-        the automorphism, built on its first comparison or hash."""
-        return (
-            self.perm,
-            tuple(sorted(self.mapping.items(), key=lambda kv: syllable_key(kv[0]))),
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, BallAutomorphism) and self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
-
     def is_identity(self):
         return all(k == v for k, v in self.mapping.items()) and all(
             self.perm[i] == i for i in range(len(self.perm))
@@ -200,13 +187,6 @@ class BallAutomorphism:
         mapping = {c: self.mapping[other.mapping[c]] for c in other.mapping}
         perm = tuple(self.perm[other.perm[i]] for i in range(len(self.perm)))
         return BallAutomorphism(self.clump, mapping, perm)
-
-    def inverse(self):
-        mapping = {v: k for k, v in self.mapping.items()}
-        inv = [0] * len(self.perm)
-        for i, p in enumerate(self.perm):
-            inv[p] = i
-        return BallAutomorphism(self.clump, mapping, tuple(inv))
 
     def verify(self):
         """Structural problems, empty when this is an automorphism.
@@ -278,12 +258,9 @@ def from_type_permutation(clump: Clump, perm) -> BallAutomorphism:
     return h
 
 
-def automorphism_group_from_permutations(clump: Clump):
-    """Ball automorphisms induced by all q- and m-preserving permutations."""
-    return [
-        from_type_permutation(clump, perm)
-        for perm in type_permutation_group(clump.building)
-    ]
+def automorphism_group_from_permutations(clump: Clump, perms):
+    """The verified ball automorphism each type permutation induces, in order."""
+    return [from_type_permutation(clump, perm) for perm in perms]
 
 
 # ---------------------------------------------------------------------------
@@ -451,47 +428,52 @@ class QuotientCog:
     and the covering data all come from fixed orbit-representative and
     transporter choices, every one canonical-least.
 
-    Automorphisms are referred to by their index in ``autos``, cells by
-    their position in the base's vertex order.  Each cell's images under
-    all automorphisms are computed once, as a tuple of positions, and an
-    edge is coded as (position of its start) * n + (position of its end),
-    which orders edges as the base does.  Orbit representatives (least
-    position), transporters, stabilizers, edge orbits (least code over the
-    group) and representative edges are read off those integers.  The
-    local map phi^h on a local group is h's type permutation on the group's
-    mask (``extend_action``, which checks each automorphism), a
-    ``_Relabel`` made once per automorphism and mask; products are memoized
-    per argument.
+    The group is given as type permutations, and its elements are referred
+    to by their index in sorted order.  Products, inverses and the identity
+    are read off the permutation tuples, since the automorphism a type
+    permutation induces composes as the permutation does; a list that is
+    not closed under composition is refused before any automorphism is
+    built.  ``autos[i]``, the verified automorphism permutation i induces,
+    is read only for its type permutation and its action on faces.
+
+    Cells are referred to by their position in the base's vertex order.
+    Each cell's images under all automorphisms are computed once, as a
+    tuple of positions, and an edge is coded as (position of its start) * n
+    + (position of its end), which orders edges as the base does.  Orbit
+    representatives (least position), transporters, stabilizers, edge
+    orbits (least code over the group) and representative edges are read
+    off those integers.  The local map phi^h on a local group is h's type
+    permutation on the group's mask (``extend_action``, which checks each
+    automorphism), a ``_Relabel`` made once per automorphism and mask;
+    products are memoized per argument.
     """
 
-    def __init__(self, clump: Clump, autos):
-        autos = sorted(set(autos), key=lambda h: h._key)
-        self.autos = autos
+    def __init__(self, clump: Clump, perms):
+        perms = sorted(set(map(tuple, perms)))
+        index = {p: i for i, p in enumerate(perms)}
+        try:
+            # a after b, as ``BallAutomorphism.compose`` composes them
+            self._comp = {
+                (i, j): index[tuple(a[g] for g in b)]
+                for i, a in enumerate(perms)
+                for j, b in enumerate(perms)
+            }
+            self._inv = [index[tuple(map(p.index, range(len(p))))] for p in perms]
+            self._id = index[tuple(range(len(clump.building.gp.qs)))]
+        except KeyError:
+            raise DomainError("the automorphisms do not form a group") from None
+        self.autos = automorphism_group_from_permutations(clump, perms)
         self.clump = clump
         self.building = clump.building
-        self._hindex = {h: i for i, h in enumerate(autos)}
-        self._comp = {}
-        self._inv = {}
-        for i, a in enumerate(autos):
-            self._inv[i] = self._index(a.inverse())
-            for j, b in enumerate(autos):
-                self._comp[(i, j)] = self._index(a.compose(b))
-        self._id = self._index(identity_automorphism(clump))
-        self.subdivided = _action_has_inversions(clump, autos)
+        self.subdivided = _action_has_inversions(clump, self.autos)
         self.cells = _cell_cog(clump, self.subdivided)
-        for h in autos:
+        for h in self.autos:
             extend_action(clump, h)
         self._relabels = {}  # (auto index, mask) -> _Relabel
         self._products = {}  # (rep, x, y) -> x y at rep
         self._build()
 
     # -- group action plumbing ------------------------------------------
-
-    def _index(self, h):
-        got = self._hindex.get(h)
-        if got is None:
-            raise DomainError("the automorphisms do not form a group")
-        return got
 
     def local_map(self, hi, cell):
         """phi^h at ``cell``, on the canonical elements of its local group:
@@ -669,7 +651,6 @@ class QuotientCog:
 class QuotientResult:
     quotient: QuotientCog
     report: CoveringReport
-    sheet_count: int
 
     def to_json(self):
         return {
@@ -677,7 +658,7 @@ class QuotientResult:
             "group_order": len(self.quotient.autos),
             "orbit_vertices": len(self.quotient.reps),
             "orbit_edges": len(self.quotient.z_edges),
-            "sheets": self.sheet_count,
+            "sheets": self.report.sheet_count,
             "ok": self.report.ok,
         }
 
@@ -703,27 +684,28 @@ def _quotient_morphism(qc: QuotientCog):
     return qc.rep_of, qc.edge_orbit, phi_vertex, phi_edge
 
 
-def quotient_cog(clump: Clump, autos) -> QuotientResult:
-    """Quotient complex of groups and the verified covering onto it."""
-    qc = QuotientCog(clump, autos)
+def quotient_cog(clump: Clump, perms) -> QuotientResult:
+    """Quotient complex of groups under a group of type permutations, and
+    the verified covering onto it."""
+    qc = QuotientCog(clump, perms)
     f_vertex, f_edge, phi_vertex, phi_edge = _quotient_morphism(qc)
     report = check_covering(qc.cells, qc, f_vertex, f_edge, phi_vertex, phi_edge)
-    return QuotientResult(qc, report, report.sheet_count)
+    return QuotientResult(qc, report)
 
 
-def composed_quotient_covering(labeling, autos_on_chamber) -> CoveringReport:
+def composed_quotient_covering(labeling, perms) -> CoveringReport:
     """Verify the composite of the unfolding covering with a quotient.
 
     The unfolding covering onto the one-chamber complex of groups is
     re-presented over residue chains (labels transported to chain edges by
     their minimal faces), then composed with the quotient covering of the
-    single chamber under the given automorphisms.  The composite must again
-    satisfy every covering axiom.
+    single chamber under the given group of type permutations.  The
+    composite must again satisfy every covering axiom.
     """
     clump = labeling.clump
     building = clump.building
     y0 = chamber_clump(building)
-    qc = QuotientCog(y0, autos_on_chamber)
+    qc = QuotientCog(y0, perms)
     src_cells = _cell_cog(clump, qc.subdivided)
 
     def type_chain(cell):

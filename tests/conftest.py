@@ -25,6 +25,39 @@ def serialize_chamber(building, syls):
     return [[gens[g], e] for g, e in syls]
 
 
+def inverse_automorphism(h):
+    """The inverse of a ball automorphism, chamber by chamber."""
+    from rabuild.symmetry import BallAutomorphism
+
+    mapping = {v: k for k, v in h.mapping.items()}
+    perm = tuple(map(h.perm.index, range(len(h.perm))))
+    return BallAutomorphism(h.clump, mapping, perm)
+
+
+def automorphism_key(h):
+    """A ball automorphism as a hashable value: its type permutation and its
+    chamber map."""
+    return h.perm, frozenset(h.mapping.items())
+
+
+def whole_ball_group_table(autos):
+    """The group table of ``autos``, found by composing and inverting whole
+    chamber maps and looking each result up by value: products by index
+    pair, inverses by index, and the identity's index.  The reference the
+    quotient's table of type permutations is held to."""
+    from rabuild.symmetry import identity_automorphism
+
+    index = {automorphism_key(h): i for i, h in enumerate(autos)}
+    comp = {
+        (i, j): index[automorphism_key(a.compose(b))]
+        for i, a in enumerate(autos)
+        for j, b in enumerate(autos)
+    }
+    inv = [index[automorphism_key(inverse_automorphism(h))] for h in autos]
+    identity = index[automorphism_key(identity_automorphism(autos[0].clump))]
+    return comp, inv, identity
+
+
 def nerve_automorphisms(sysm):
     """Every automorphism of the commutation graph, in lexicographic order:
     the full enumeration the rigidity search is held to."""

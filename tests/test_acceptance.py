@@ -108,10 +108,12 @@ def test_criterion_4_index_consistency(suite_traces, d23, square23):
             counts = set(cov.covering_report.sheet_counts.values())
             assert counts == {len(lab.clump.chambers)}, name
         final, records = unfold_steps_to_ball(d23, 1)
-        assert build_covering(build_labeling(final, records)).sheet_count == 4
+        cov = build_covering(build_labeling(final, records))
+        assert cov.covering_report.sheet_count == 4
         finalc, recordsc = unfold_steps_to_ball(square23, 2)
         assert finalc.is_whole_building
-        assert build_covering(build_labeling(finalc, recordsc)).sheet_count == 6
+        cov = build_covering(build_labeling(finalc, recordsc))
+        assert cov.covering_report.sheet_count == 6
 
 
 def test_criterion_5_admissibility(suite_traces, tree_product):
@@ -337,20 +339,20 @@ def test_criterion_9_quotient_chain(d33, hex3):
         for bld, order in ((d33, 2), (hex3, 12)):
             for n in (0, 1):
                 ball = bld.ball(n)
-                autos = sym.automorphism_group_from_permutations(ball)
-                assert len(autos) == order
-                result = sym.quotient_cog(ball, autos)
+                perms = sym.type_permutation_group(bld)
+                assert len(perms) == order
+                result = sym.quotient_cog(ball, perms)
+                assert len(result.quotient.autos) == order
                 assert result.report.ok, result.report.failures[:3]
-                assert result.sheet_count == order
+                assert result.report.sheet_count == order
                 counts = set(result.report.sheet_counts.values())
                 assert counts == {order}
             # composing the ball covering with the chamber quotient also
             # verifies, with multiplicative sheet count
             final, records = unfold_steps_to_ball(bld, 1)
             lab = build_labeling(final, records)
-            chamber_autos = sym.automorphism_group_from_permutations(
-                chamber_clump(bld)
+            composite = sym.composed_quotient_covering(
+                lab, sym.type_permutation_group(bld)
             )
-            composite = sym.composed_quotient_covering(lab, chamber_autos)
             assert composite.ok, composite.failures[:3]
             assert composite.sheet_count == order * len(final.chambers)

@@ -36,7 +36,7 @@ def test_label_initial_zero(d23):
 def test_initial_covering_identity(d23):
     lab = label_initial(chamber_clump(d23))
     cov = build_covering(lab)
-    assert cov.sheet_count == 1
+    assert cov.covering_report.sheet_count == 1
 
 
 def test_label_unfold_assigns_remaining_components(d23):
@@ -90,7 +90,7 @@ def test_square_chamber_two_unfoldings():
     center_edge = ((0, far), corner)
     assert lab.labels[center_edge] == (1, 1)
     cov = build_covering(lab)
-    assert cov.sheet_count == 4
+    assert cov.covering_report.sheet_count == 4
 
 
 def test_build_labeling_refuses_records_of_another_clump(d23):
@@ -129,7 +129,7 @@ def test_corrupted_labeling_report_names_the_face(d23):
 def test_covering_sheet_counts(d23, square23, suite_traces):
     final, records = unfold_steps_to_ball(d23, 1)
     cov = build_covering(build_labeling(final, records))
-    assert cov.sheet_count == 4
+    assert cov.covering_report.sheet_count == 4
     # sheet count is the same at every target vertex
     assert len(set(cov.covering_report.sheet_counts.values())) == 1
     payload = covering_to_json(cov)
@@ -151,7 +151,7 @@ def test_index_equals_chamber_count(suite_traces):
         *_, clump = clumps_along(final.building, prefix)
         lab = build_labeling(clump, prefix)
         cov = build_covering(lab)
-        assert cov.sheet_count == len(lab.clump.chambers), name
+        assert cov.covering_report.sheet_count == len(lab.clump.chambers), name
 
 
 # -- the memoized checks against their references -----------------------------

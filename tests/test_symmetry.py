@@ -16,7 +16,9 @@ from tests.conftest import (
     element,
     generator_word,
     hexagon_system,
+    inverse_automorphism,
     nerve_automorphisms,
+    whole_ball_group_table,
 )
 
 
@@ -77,14 +79,15 @@ def test_quotient_table_cap_refuses_from_the_permutation_count(monkeypatch):
         return chamber_clump(Building(CoxeterSystem(names), {s: 2 for s in names}))
 
     y0 = free(5)
-    assert sym.quotient_cog(y0, sym.automorphism_group_from_permutations(y0)).report.ok
+    assert sym.quotient_cog(y0, sym.type_permutation_group(y0.building)).report.ok
 
     def refuse(*args):
         raise AssertionError("an automorphism was built")
 
     monkeypatch.setattr(sym, "BallAutomorphism", refuse)
+    y0 = free(6)
     with pytest.raises(SizeCapError, match="more than 316 type permutations"):
-        sym.automorphism_group_from_permutations(free(6))
+        sym.quotient_cog(y0, sym.type_permutation_group(y0.building))
 
 
 # -- ball automorphisms ------------------------------------------------------
@@ -105,13 +108,15 @@ def test_swap_automorphism_d33(d33):
     t = element(d33.gp, [("t", 1)])
     assert h.mapping[s] == t
     assert h.compose(h).is_identity()
-    assert h.inverse() == h
+    inv = inverse_automorphism(h)
+    assert (inv.perm, inv.mapping) == (h.perm, h.mapping)
 
 
 def test_automorphisms_map_sides_to_sides(d33, hex3):
     for bld in (d33, hex3):
         ball = bld.ball(1)
-        for h in sym.automorphism_group_from_permutations(ball):
+        perms = sym.type_permutation_group(bld)
+        for h in sym.automorphism_group_from_permutations(ball, perms):
             for side in ball.sides():
                 image = h.side_image(side)  # raises if not a side
                 assert image.gen == h.perm[side.gen]
@@ -181,18 +186,20 @@ def test_extend_action_swap(d33):
 
 def test_extend_action_composition_law(hex3):
     ball = hex3.ball(1)
-    autos = sym.automorphism_group_from_permutations(ball)
+    autos = sym.automorphism_group_from_permutations(
+        ball, sym.type_permutation_group(hex3)
+    )
     rng = random.Random(3)
-    maps = {h: _vertex_maps_by_strips(ball, h) for h in autos}
+    maps = {h.perm: _vertex_maps_by_strips(ball, h) for h in autos}
     for _ in range(10):
         h1, h2 = rng.choice(autos), rng.choice(autos)
         h12 = h1.compose(h2)
         sym.extend_action(ball, h12)
         m12 = _vertex_maps_by_strips(ball, h12)
         assert m12 == _perm_maps(ball, h12)
-        for face, vmap in maps[h2].items():
+        for face, vmap in maps[h2.perm].items():
             face2 = h2.face_image(face)
-            composed = {g: maps[h1][face2][u] for g, u in vmap.items()}
+            composed = {g: maps[h1.perm][face2][u] for g, u in vmap.items()}
             assert composed == m12[face]
 
 
@@ -212,7 +219,8 @@ def test_extend_action_matches_strip_reading(suite):
     autos_seen = 0
     for name, bld, n in cases:
         ball = bld.ball(n)
-        for h in sym.automorphism_group_from_permutations(ball):
+        perms = sym.type_permutation_group(bld)
+        for h in sym.automorphism_group_from_permutations(ball, perms):
             sym.extend_action(ball, h)
             assert _vertex_maps_by_strips(ball, h) == _perm_maps(ball, h), (name, n)
             autos_seen += 1
@@ -270,37 +278,94 @@ def test_extend_action_refuses_a_doctored_local_mask(d33):
 
 def test_quotient_trivial_group(d33):
     ball = d33.ball(1)
-    res = sym.quotient_cog(ball, [sym.identity_automorphism(ball)])
+    res = sym.quotient_cog(ball, [(0, 1)])
     assert res.report.ok
-    assert res.sheet_count == 1
+    assert res.report.sheet_count == 1
     assert not res.quotient.subdivided
 
 
-def test_quotient_rejects_non_group(d33):
-    ball = d33.ball(1)
-    swap = sym.from_type_permutation(ball, (1, 0))
-    with pytest.raises(DomainError):
-        sym.quotient_cog(ball, [swap])  # swap after swap is missing
-    assert sym.quotient_cog(ball, [sym.identity_automorphism(ball), swap]).report.ok
+def test_quotient_rejects_non_group(d33, hex3, monkeypatch):
+    # refused from the permutations alone, before any automorphism is built:
+    # the swap without the identity (swap after swap is missing), the empty
+    # list, and the identity with a rotation of the hexagon but not its powers
+    def refuse(*args):
+        raise AssertionError("an automorphism was built")
+
+    rotation = (1, 2, 3, 4, 5, 0)
+    cases = [
+        (d33.ball(1), [(1, 0)]),
+        (d33.ball(1), []),
+        (hex3.ball(0), [tuple(range(6)), rotation]),
+    ]
+    with monkeypatch.context() as patched:
+        patched.setattr(sym, "from_type_permutation", refuse)
+        for ball, perms in cases:
+            with pytest.raises(DomainError, match="do not form a group"):
+                sym.quotient_cog(ball, perms)
+    assert sym.quotient_cog(d33.ball(1), [(0, 1), (1, 0)]).report.ok
 
 
 def test_quotient_chamber_full_group(d33, hex3):
     for bld, order in ((d33, 2), (hex3, 12)):
         y0 = bld.ball(0)
-        autos = sym.automorphism_group_from_permutations(y0)
-        assert len(autos) == order
-        res = sym.quotient_cog(y0, autos)
+        perms = sym.type_permutation_group(bld)
+        assert len(perms) == order
+        res = sym.quotient_cog(y0, perms)
+        assert len(res.quotient.autos) == order
         assert res.report.ok
-        assert res.sheet_count == order
+        assert res.report.sheet_count == order
 
 
 def test_quotient_swap_on_ball(d33):
     ball = d33.ball(1)
-    autos = sym.automorphism_group_from_permutations(ball)
-    res = sym.quotient_cog(ball, autos)
+    res = sym.quotient_cog(ball, sym.type_permutation_group(d33))
     assert res.report.ok
-    assert res.sheet_count == 2
+    assert res.report.sheet_count == 2
     assert res.quotient.subdivided
+
+
+def test_quotient_group_table_equals_whole_ball_table(suite, d33):
+    # The products, inverses and identity read off the type permutations
+    # against those found by composing whole chamber maps: every suite ball
+    # at radius 0-2 under its full group (hex2 and hex3 under the dihedral
+    # group of order 12, where composing in the wrong order would show), and
+    # d33 r1 under its swap group, listed out of order.
+    cases = [
+        (bld.ball(n), sym.type_permutation_group(bld))
+        for name, bld, _ in suite
+        for n in range(3)
+    ]
+    cases.append((d33.ball(1), [(1, 0), (0, 1)]))
+    orders = set()
+    for ball, perms in cases:
+        qc = sym.QuotientCog(ball, perms)
+        assert [h.perm for h in qc.autos] == sorted(perms)
+        assert (qc._comp, qc._inv, qc._id) == whole_ball_group_table(qc.autos)
+        orders.add(len(qc.autos))
+    assert orders == {1, 2, 12}
+
+
+def test_quotient_composes_no_whole_ball_map(suite, monkeypatch):
+    # hex2 r1 under its 12 type permutations: the group table is the
+    # permutations' own, so no chamber map is composed, and each
+    # permutation's automorphism is built once
+    def refuse(self, other):
+        raise AssertionError("a chamber map was composed")
+
+    built = []
+    induced = sym.from_type_permutation
+
+    def counted(clump, perm):
+        built.append(perm)
+        return induced(clump, perm)
+
+    monkeypatch.setattr(sym.BallAutomorphism, "compose", refuse)
+    monkeypatch.setattr(sym, "from_type_permutation", counted)
+    bld = {name: bld for name, bld, _ in suite}["hex2"]
+    perms = sym.type_permutation_group(bld)
+    result = sym.quotient_cog(bld.ball(1), perms)
+    assert result.report.ok
+    assert len(perms) == 12 and built == perms
 
 
 def test_composed_quotient_covering(d33):
@@ -310,10 +375,10 @@ def test_composed_quotient_covering(d33):
 
     final, records = unfold_steps_to_ball(d33, 1)
     lab = build_labeling(final, records)
-    autos = sym.automorphism_group_from_permutations(chamber_clump(d33))
-    report = sym.composed_quotient_covering(lab, autos)
+    perms = sym.type_permutation_group(d33)
+    report = sym.composed_quotient_covering(lab, perms)
     assert report.ok
-    assert report.sheet_count == len(final.chambers) * len(autos)
+    assert report.sheet_count == len(final.chambers) * len(perms)
 
 
 # -- the quotient's orbit tables and its memoized covering check --------------
@@ -322,7 +387,7 @@ def test_composed_quotient_covering(d33):
 def _full_quotient(bld, n):
     """The quotient of the radius-n ball under every type permutation."""
     ball = bld.ball(n)
-    return sym.QuotientCog(ball, sym.automorphism_group_from_permutations(ball))
+    return sym.QuotientCog(ball, sym.type_permutation_group(bld))
 
 
 def _reference_orbits(qc):
@@ -469,7 +534,7 @@ def test_each_quotient_vertex_key_is_checked_once(suite, monkeypatch):
     for name in ("_check_vertex", "_check_edge"):
         counted(name)
     ball = {name: bld for name, bld, _ in suite}["hex2"].ball(1)
-    result = sym.quotient_cog(ball, sym.automorphism_group_from_permutations(ball))
+    result = sym.quotient_cog(ball, sym.type_permutation_group(ball.building))
     assert result.report.ok
     qc = result.quotient
     src = qc.cells
@@ -750,7 +815,8 @@ def test_sheet_swap_equals_reference_extension(suite):
                         for c in block:
                             assert partial[c] in target
                             assert bld.gp.strip(partial[c], mask) == bld.gp.strip(c, mask)
-                    assert sym.extend_to_ball(partial, ball) == h, (name, n, i, j)
+                    ext = sym.extend_to_ball(partial, ball)
+                    assert (ext.perm, ext.mapping) == (h.perm, h.mapping), (name, n, i, j)
                     count += 1
                 before |= grown.chambers
     assert count == 314
@@ -891,7 +957,7 @@ def test_star_witnesses_compose_to_every_pair(suite):
             ball, records = unfold_steps_to_ball(bld, n)
             star = [sym.transitivity_witness(ball, records, frags[0], f) for f in frags]
             for (fi, hi), (fj, hj) in itertools.product(zip(frags, star), repeat=2):
-                h = hj.compose(hi.inverse())
+                h = hj.compose(inverse_automorphism(hi))
                 assert frozenset(h.mapping[c] for c in fi.chambers) == fj.chambers
                 assert h.mapping[()] == ()
                 assert h.verify() == [], (name, n)
@@ -957,7 +1023,8 @@ def test_verify_matches_pairwise_adjacency_oracle(suite):
                 continue
             ball = bld.ball(n)
             order = sorted(chambers, key=lambda c: (len(c), c))
-            for h in sym.automorphism_group_from_permutations(ball):
+            perms = sym.type_permutation_group(bld)
+            for h in sym.automorphism_group_from_permutations(ball, perms):
                 maps = [h]
                 for _ in range(3):
                     c1, c2 = rng.sample(order, 2)
