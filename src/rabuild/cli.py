@@ -296,21 +296,16 @@ def cmd_apartments(cfg: SystemConfig, args) -> int:
     _check_radius(cfg, args.radius)
     bld = cfg.building()
     frags = symmetry.apartments_through_base(bld, args.radius)
+    gens = bld.system.generators
+    names = {
+        c: "".join(f"{gens[g]}{e if e != 1 else ''}" for g, e in c) or "1"
+        for c in frozenset().union(*(f.chambers for f in frags))
+    }
     emit(
         {
             "radius": args.radius,
             "count": len(frags),
-            "fragments": [
-                sorted(
-                    "".join(
-                        f"{bld.system.generators[g]}{e if e != 1 else ''}"
-                        for g, e in c
-                    )
-                    or "1"
-                    for c in f.chambers
-                )
-                for f in frags
-            ],
+            "fragments": [sorted(map(names.__getitem__, f.chambers)) for f in frags],
         }
     )
     return 0

@@ -191,6 +191,11 @@ class ComplexOfGroups:
         multiplication."""
         return self.local_masks[v]
 
+    def local_data(self, v):
+        """v's group and each in-edge's initial group (psi is the inclusion)."""
+        masks = self.local_masks
+        return masks[v], tuple(masks[a[0]] for a in self.in_edges(v))
+
     def mult(self, v, x, y):
         got = self._products.get((x, y))
         if got is None:

@@ -26,8 +26,9 @@ Bridson & Haefliger, III.C).  So each check runs once per distinct local
 configuration and its verdict is applied to every place that has it:
 ``verify_labeling`` checks the fibers once per local signature of a face,
 ``check_covering`` the checks at a vertex and at its in-edges once per
-vertex key.  Each docstring says what its key covers.  A check that runs
-lists each coset once and examines every member of it.
+vertex key, which reads the target's local data, not its vertices.  Each
+docstring says what its key covers.  A check that runs lists each coset
+once and examines every member of it.
 """
 
 from __future__ import annotations
@@ -335,21 +336,21 @@ class CoveringReport(Report):
     sheet_count: int = 0
 
 
-def _check_vertex(src, tgt, v, key, tables):
+def _check_vertex(src, tgt, v, fv, phi_v, ins, cosets_at, tables):
     """Local injectivity, the fiber coset bijections and the sheet count at
-    the source vertex ``v``, read through its vertex key.
+    the source vertex ``v``.
 
-    ``key`` is (G_v, f(v), phi_v) followed by G_ia, f(ia), phi_ia, f(a),
-    phi_a for each in-edge a of v, in ``src.in_edges`` order.  Cosets partition a
-    group, so a source coset is listed once, from its first element, and
-    every member of it is mapped.  The listing depends only on the local
-    group and the subgroup psi_a(G_ia), and is kept in ``tables[0]``; a
-    target coset z.theta(G_ib) is built once per target edge b and recorded
-    for each of its members in ``tables[1]``.  Returns whether phi_v is
-    injective, the fiber failures as (kind, where) pairs, and
-    |G_f(v)| / |phi_v(G_v)|, or None when that does not divide.
+    ``ins`` holds (a, f(a), phi_a) for each in-edge a of v, and
+    ``cosets_at`` names the coset table of each in-edge of f(v).  Cosets
+    partition a group, so a source coset is listed once, from its first
+    element, and every member of it is mapped.  The listing depends only on
+    the local group and psi_a(G_ia), and is kept in ``tables[0]``; a target
+    coset z.theta(G_ib) is built once per table and recorded for each of its
+    members in ``tables[1]``.  Returns whether phi_v is injective, the fiber
+    failures as (kind, where) pairs, and |G_f(v)| / |phi_v(G_v)|, or None
+    when that does not divide.
     """
-    group, fv, phi_v = key[:3]
+    group = src.group(v)
     listings, target_cosets = tables
     elements = src.elements(v)
     images = [phi_v(x) for x in elements]
@@ -360,13 +361,13 @@ def _check_vertex(src, tgt, v, key, tables):
 
     failures = []
     fibers = {}
-    for a, b, fa in zip(src.in_edges(v), key[6::5], key[7::5]):
+    for a, b, fa in ins:
         fibers.setdefault(b, []).append((a, fa))
-    for b in tgt.in_edges(fv):
-        got = target_cosets.get(b)
+    for b, table in zip(tgt.in_edges(fv), cosets_at):
+        got = target_cosets.get(table)
         if got is None:
             theta_sub = [tgt.psi(b, y) for y in tgt.elements(tgt.ends(b)[0])]
-            got = target_cosets[b] = (theta_sub, {})
+            got = target_cosets[table] = (theta_sub, {})
         theta_sub, coset_of = got
         index = total // len(theta_sub)
         image_cosets = []
@@ -402,21 +403,15 @@ def _check_vertex(src, tgt, v, key, tables):
     return len(image) == len(images), failures, sheets
 
 
-def _check_edge(src, tgt, a, key):
-    """The vertex-map and edge-diagram checks at the source edge ``a``, read
-    through its edge key (G_ta, f(ta), phi_ta, G_ia, f(ia), phi_ia, f(a),
-    phi_a): the kind that fails, or None."""
-    _, ft, phi_t, _, fi, phi_i, b, fa = key
-    ib, tb = tgt.ends(b)
-    if fi != ib or ft != tb:
-        return "vertex-map"
+def _check_edge(src, tgt, a, b, ft, phi_t, phi_i, fa):
+    """The edge diagram at the source edge ``a``, mapped to the target edge
+    ``b`` into f(t(a)) = ``ft``: whether phi_t psi_a = Ad(phi_a) psi_b phi_i
+    on G_ia."""
     fa_inv = tgt.inv(ft, fa)
-    for x in src.elements(src.ends(a)[0]):
-        lhs = phi_t(src.psi(a, x))
-        rhs = tgt.mult(ft, tgt.mult(ft, fa, tgt.psi(b, phi_i(x))), fa_inv)
-        if lhs != rhs:
-            return "edge-diagram"
-    return None
+    return all(
+        phi_t(src.psi(a, x)) == tgt.mult(ft, tgt.mult(ft, fa, tgt.psi(b, phi_i(x))), fa_inv)
+        for x in src.elements(src.ends(a)[0])
+    )
 
 
 def check_covering(src, tgt, f_vertex, f_edge, phi_vertex, phi_edge) -> CoveringReport:
@@ -435,25 +430,28 @@ def check_covering(src, tgt, f_vertex, f_edge, phi_vertex, phi_edge) -> Covering
     consistency of the sheet count.
 
     A covering is a local condition, and the local checks are made once per
-    vertex key: the checks at a vertex v (``_check_vertex``) and at its
-    in-edges (``_check_edge``).  The key is ``src.group(v)``, f(v) and
-    phi_v, and for each in-edge a, ``src.group(ia)``, f(ia), phi_ia, f(a)
-    and phi_a; an in-edge's check reads the part of it that is its edge key
-    (both ends' groups, f and phi at both ends, f(a) and phi_a).  Besides
-    the target, which is the same for every key, that is everything the
-    checks read: a group fixes its elements and products, and ``src.psi``
-    depends only on the groups of the edge's two ends (it is the inclusion
-    in ``ComplexOfGroups``, the only ``src``).  Keys hold values, so maps
-    given as dicts key by what they hold, and a local map keys by its own
-    equality.  ``covering_morphism`` gives every vertex the same inclusion.
-    ``symmetry._quotient_morphism`` gives each cell a map x -> (k.x, 1)
-    that compares by the relabeling of generators k makes on the cell's
-    local group, and by the 1; the checks apply phi_v only to elements of
-    G_v, so that is all they read of it, and cells with the same local data
-    share a key.  A plain closure equals only itself and never shares one.
-    A key is built in the pass over the vertices and dropped there unless
-    its checks all pass: a key that fails is checked again at each vertex
-    that has it, so every failure names its own place.  Failures are
+    vertex key: the checks at a vertex v (``_check_vertex``) and the edge
+    diagrams at its in-edges (``_check_edge``).  The key is ``src.group(v)``,
+    the target's local data at f(v) and phi_v, and for each in-edge a,
+    ``src.group(ia)``, phi_ia, the position of f(a) in ``tgt.in_edges(f(v))``
+    and phi_a.  The local data (``tgt.local_data``, interned as one int per
+    target vertex) are f(v)'s group and, for each of its in-edges, the
+    monomorphism's data and the initial vertex's group.  Given
+    f(ia) = i(f(a)) and f(v) = t(f(a)), checked at every edge outside the
+    key ("vertex-map"), that is everything the checks read: a group fixes
+    its elements and products, f(a)'s position names its monomorphism and
+    f(ia)'s group, and ``src.psi`` is the inclusion (``src`` is a
+    ``ComplexOfGroups``).  So vertices over distinct target vertices with
+    the same local data share a key, as a quotient's cells do under the
+    trivial group, and a target coset table is keyed by f(v)'s group and
+    the in-edge's data.  Keys hold values: maps given as dicts key by what
+    they hold, and a local map by its own equality.  ``covering_morphism``
+    gives every vertex one inclusion, ``symmetry._quotient_morphism`` each
+    cell a map x -> (k.x, 1) equal by the relabeling k makes on the cell's
+    group, all the checks read of it; a plain closure equals only itself.
+    A key is kept only if its checks all pass, and a vertex with a
+    "vertex-map" failure is checked in full, so every failure is found at
+    each vertex that has it and names its own place.  Failures are
     reported in check order.
     """
     report = CoveringReport()
@@ -494,30 +492,53 @@ def check_covering(src, tgt, f_vertex, f_edge, phi_vertex, phi_edge) -> Covering
     # the checks at each vertex and its in-edges, once per vertex key; the
     # failures are reported in check order below
     tables = ({}, {})  # source coset listings, target coset tables
+    local_ids, table_ids = {}, {}
+    at_target = {}  # f(v) -> its local data id, in-edge positions, table ids
     sheets_by_key = {}  # vertex key that passed -> its sheet count
     not_injective, edge_failures, fiber_failures, not_dividing = [], [], [], []
     per_vertex = {}
     for v in src.vertices():
-        gv, fv, phi_v = src.group(v), f_vertex[v], phi_vertex[v]
-        key = [gv, fv, phi_v]
+        fv, phi_v = f_vertex[v], phi_vertex[v]
+        at = at_target.get(fv)
+        if at is None:
+            group, in_data = data = tgt.local_data(fv)
+            at = at_target[fv] = (
+                local_ids.setdefault(data, len(local_ids)),
+                {b: (i, tgt.ends(b)[0]) for i, b in enumerate(tgt.in_edges(fv))},
+                [table_ids.setdefault((group, x), len(table_ids)) for x in in_data],
+            )
+        lid, position, cosets_at = at
+        # f(v) = t(f(a)) when f(a) is among f(v)'s in-edges (``position``)
+        key = [src.group(v), lid, phi_v]
+        mapped = True
         for a in src.in_edges(v):
             ia = src.ends(a)[0]
-            key += (src.group(ia), f_vertex[ia], phi_vertex[ia])
-            key += (f_edge[a], phi_edge[a])
+            got = position.get(f_edge[a])
+            if got is None or got[1] != f_vertex[ia]:
+                got = (None,)
+                mapped = False
+                edge_failures.append(("vertex-map", a))
+            key += (src.group(ia), phi_vertex[ia], got[0], phi_edge[a])
         key = tuple(key)
-        sheets = sheets_by_key.get(key)
+        sheets = sheets_by_key.get(key) if mapped else None
         if sheets is None:
-            edges_pass = True
-            for a, i in zip(src.in_edges(v), range(3, len(key), 5)):
-                kind = _check_edge(src, tgt, a, key[:3] + key[i : i + 5])
-                if kind is not None:
-                    edges_pass = False
-                    edge_failures.append((kind, a))
-            injective, failures, sheets = _check_vertex(src, tgt, v, key, tables)
+            passed = mapped
+            ins = []
+            for a, i in zip(src.in_edges(v), range(3, len(key), 4)):
+                _, phi_i, pos, fa = key[i : i + 4]
+                ins.append((a, f_edge[a], fa))
+                if pos is not None and not _check_edge(
+                    src, tgt, a, f_edge[a], fv, phi_v, phi_i, fa
+                ):
+                    passed = False
+                    edge_failures.append(("edge-diagram", a))
+            injective, failures, sheets = _check_vertex(
+                src, tgt, v, fv, phi_v, ins, cosets_at, tables
+            )
             if not injective:
                 not_injective.append(v)
             fiber_failures += failures
-            if edges_pass and injective and not failures and sheets is not None:
+            if passed and injective and not failures and sheets is not None:
                 sheets_by_key[key] = sheets
         if sheets is None:
             not_dividing.append(v)

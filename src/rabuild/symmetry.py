@@ -29,6 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from . import kernel
 from .building import Building, face_key, syllable_key
 from .clump import Clump, Unfolding, chamber_clump, sheets
 from .coxeter import CoxeterSystem, reduce as w_reduce
@@ -41,12 +42,14 @@ from .errors import DomainError, InternalError, SizeCapError
 # ---------------------------------------------------------------------------
 
 
-RIGIDITY_RANK_CAP = 10
-
-
 # A quotient composes every pair of its type permutations: a group of order
 # N makes a table of N² products, and acts on the ball N times.
 QUOTIENT_TABLE_CAP = 100_000
+
+
+# The search for commutation automorphisms tries one partial map, at a cost
+# linear in the rank, per image it gives a generator; it stops at this many.
+AUTOMORPHISM_SEARCH_CAP = 10_000_000
 
 
 def _commutation_automorphisms(sysm: CoxeterSystem, colours):
@@ -57,12 +60,9 @@ def _commutation_automorphisms(sysm: CoxeterSystem, colours):
     others are placed in increasing order by backtracking over the images
     of their colour in increasing order; a partial map is dropped as soon as
     one image has the wrong commutation with a generator already placed.
-    """
+    Each image tried is a partial map; past ``AUTOMORPHISM_SEARCH_CAP`` of
+    them the search raises ``SizeCapError``."""
     rank = sysm.rank
-    if rank > RIGIDITY_RANK_CAP:
-        raise SizeCapError(
-            f"rank {rank} exceeds the automorphism search cap {RIGIDITY_RANK_CAP}"
-        )
     comm = sysm.comm
     classes = {}
     for g, colour in enumerate(colours):
@@ -77,12 +77,21 @@ def _commutation_automorphisms(sysm: CoxeterSystem, colours):
         else:
             free.append(g)
 
+    tried = 0
+
     def extend(k):
+        nonlocal tried
         if k == len(free):
             yield tuple(perm)
             return
         i = free[k]
         for image in classes[colours[i]]:
+            tried += 1
+            if tried > AUTOMORPHISM_SEARCH_CAP:
+                raise SizeCapError(
+                    "the automorphism search would try more than "
+                    f"{AUTOMORPHISM_SEARCH_CAP} partial maps"
+                )
             if image in perm or any(
                 ((comm[i] >> j) & 1) != ((comm[image] >> perm[j]) & 1)
                 for j in placed
@@ -543,7 +552,7 @@ class QuotientCog:
         self.edge_rep = {}
         self.kappa = {}
         # psi along b: phi^kappa at the end of its representative edge, and
-        # h -> kappa h kappa^-1 as a list over the automorphism indices
+        # h -> kappa h kappa^-1 as a tuple over the automorphism indices
         self._psi = {}
         rep_edge = {}  # quotient edge -> positions of its representative edge
         for code in z_codes:
@@ -554,7 +563,7 @@ class QuotientCog:
             self.edge_rep[b] = abar
             k = self.kappa[b] = self.k_to_rep[abar[1]]
             k_inv = self._inv[k]
-            conj = [self._comp[(k, self._comp[(h, k_inv)])] for h in range(order)]
+            conj = tuple(self._comp[(k, self._comp[(h, k_inv)])] for h in range(order))
             self._psi[b] = (self.local_map(k, abar[1]), conj)
             rep_edge[b] = (position[abar[0]], position[abar[1]])
 
@@ -629,7 +638,14 @@ class QuotientCog:
         return self.elements_at[v]
 
     def group(self, v):
-        return v
+        """The local group's mask and stabilizer: they fix its products."""
+        return self.cells.local_masks[v], self.stab[v]
+
+    def local_data(self, v):
+        """v's group; each in-edge's monomorphism and initial group."""
+        return self.group(v), tuple(
+            (self._psi[b], self.group(self.z_ends[b][0])) for b in self.in_edges(v)
+        )
 
     def psi(self, b, x):
         """Monomorphism along a quotient edge."""
@@ -885,6 +901,16 @@ def apartments_through_base(building: Building, n: int):
     count is checked against the cap before anything is enumerated, and
     against the enumeration after it.  The thick ball comes first: its
     chamber cap then bounds the thin ball, which is never the larger.
+
+    Lemma: a chamber c at the word w is s-adjacent to a chamber at the
+    shorter word ws exactly when that chamber is c less its right-visible
+    s-syllable.  For c(s, e), e != 0, merges (s, e) into a right-visible
+    s-syllable (the kernel's ``_append``), deleting it or keeping the word
+    w, and else inserts it, at a longer word.  So each ball chamber is read
+    once, with one ``kernel.right_descents`` scan, and indexed by its word
+    and the chamber at the word's first descent; a search step compares
+    precomputed chambers and calls no kernel function.  Chambers are named
+    by their rank in shortlex order, which orders the fragments too.
     """
     sysm = building.system
     gp = building.gp
@@ -894,70 +920,65 @@ def apartments_through_base(building: Building, n: int):
         key=lambda w: (len(w), tuple(sysm.index[s] for s in w)),
     )
     windex = {w: k for k, w in enumerate(words)}
-    # descents: letters ending a reduced expression
-    descents = {}
+    # descents: letters ending a reduced expression, as (generator, word index)
+    descents = []
     count = 1
     for w in words:
-        ds = []
-        for s in sysm.generators:
-            shorter = w_reduce(sysm, w + (s,))
-            if len(shorter) < len(w) and shorter in windex:
-                ds.append((s, shorter))
-        descents[w] = ds
+        shorter = [(g, w_reduce(sysm, w + (s,))) for g, s in enumerate(sysm.generators)]
+        ds = [(g, windex[v]) for g, v in shorter if len(v) < len(w) and v in windex]
+        descents.append(ds)
         if len(ds) == 1:
-            count *= gp.q(ds[0][0]) - 1
+            count *= gp.qs[ds[0][0]] - 1
     if count > APARTMENT_COUNT_CAP:
         raise SizeCapError("apartment enumeration exceeded its cap")
 
-    assignment = {(): ()}
-
-    def candidates(w):
-        """The chambers that may stand at w, given those at shorter words."""
-        ds = descents[w]
-        if not ds:
+    chambers = sorted(ball, key=syllable_key)  # the base first
+    rank = {c: r for r, c in enumerate(chambers)}
+    # (word index, rank at its first descent) -> (rank, ranks at the other
+    # descents) of each chamber at the word
+    slots = {}
+    for r, c in enumerate(chambers[1:], 1):
+        k = windex.get(tuple(sysm.generators[g] for g, _ in c))
+        if k is None:
+            raise InternalError("ball chamber outside the thin ball")
+        if not descents[k]:
             raise InternalError("nonidentity element with no descent")
-        s0, v0 = ds[0]
-        g0 = sysm.index[s0]
-        base = assignment[v0]
-        for e in range(1, gp.qs[g0]):
-            cand = gp.mul(base, ((g0, e),))
-            if cand not in ball:
-                continue
-            ok = True
-            for s, v in ds[1:]:
-                d = gp.delta(assignment[v], cand)
-                if len(d) != 1 or d[0][0] != sysm.index[s]:
-                    ok = False
-                    break
-            if ok:
-                yield cand
-
+        less = {
+            g: rank.get(c[:i] + c[i + 1 :]) for g, i in kernel.right_descents(c, gp.comm)
+        }
+        first, *rest = [less[g] for g, _ in descents[k]]
+        slots.setdefault((k, first), []).append((r, tuple(rest)))
     # Depth first, with an explicit stack: the thin ball can hold more words
     # than Python's recursion limit.  stack[k - 1] yields the chambers left
     # to try at words[k], and every shorter word has its chamber assigned.
+    assignment = [0] * len(words)  # rank of the chamber at each word
     results = []
     stack = []
     while True:
         k = len(stack) + 1
         if k < len(words):
-            stack.append(candidates(words[k]))
+            (_, first), *rest = descents[k]
+            pinned = tuple(assignment[j] for _, j in rest)
+            cands = slots.get((k, assignment[first]), ())
+            stack.append(iter([r for r, at in cands if at == pinned]))
         else:
             if len(results) == count:
                 raise InternalError("more apartment fragments than counted")
-            results.append(frozenset(assignment.values()))
+            results.append(tuple(sorted(assignment)))
         while stack:
             cand = next(stack[-1], None)
             if cand is not None:
-                assignment[words[len(stack)]] = cand
+                assignment[len(stack)] = cand
                 break
             stack.pop()
         if not stack:
             break
     if len(results) != count:
         raise InternalError("fewer apartment fragments than counted")
-    fragments = [ApartmentFragment(building, n, chambers) for chambers in results]
-    fragments.sort(key=lambda f: tuple(sorted(syllable_key(c) for c in f.chambers)))
-    return fragments
+    return [
+        ApartmentFragment(building, n, frozenset(chambers[r] for r in ranks))
+        for ranks in sorted(results)
+    ]
 
 
 def is_apartment_fragment(building, n, chambers) -> bool:

@@ -66,6 +66,60 @@ def nerve_automorphisms(sysm):
     return list(_commutation_automorphisms(sysm, (0,) * sysm.rank))
 
 
+def reference_apartments(building, n):
+    """The chamber sets of the apartment fragments through the base chamber,
+    in the order ``apartments_through_base`` gives them, found by the search
+    it replaced: each candidate is its first descent's chamber times a
+    syllable, and is held to its other descents by ``gp.delta``.  No cap."""
+    from rabuild.building import syllable_key
+    from rabuild.coxeter import reduce as w_reduce
+    from rabuild.symmetry import w_ball
+
+    sysm = building.system
+    gp = building.gp
+    ball = building.ball_chambers(n)
+    words = sorted(
+        w_ball(sysm, n), key=lambda w: (len(w), tuple(sysm.index[s] for s in w))
+    )
+    thin = set(words)
+    descents = {}
+    for w in words:
+        shorter = [(s, w_reduce(sysm, w + (s,))) for s in sysm.generators]
+        descents[w] = [(s, v) for s, v in shorter if len(v) < len(w) and v in thin]
+    assignment = {(): ()}
+
+    def adjacent(v, s, cand):
+        d = gp.delta(assignment[v], cand)
+        return len(d) == 1 and d[0][0] == sysm.index[s]
+
+    def candidates(w):
+        (s0, v0), *rest = descents[w]
+        g0 = sysm.index[s0]
+        for e in range(1, gp.qs[g0]):
+            cand = gp.mul(assignment[v0], ((g0, e),))
+            if cand in ball and all(adjacent(v, s, cand) for s, v in rest):
+                yield cand
+
+    results = []
+    stack = []
+    while True:
+        k = len(stack) + 1
+        if k < len(words):
+            stack.append(candidates(words[k]))
+        else:
+            results.append(frozenset(assignment.values()))
+        while stack:
+            cand = next(stack[-1], None)
+            if cand is not None:
+                assignment[words[len(stack)]] = cand
+                break
+            stack.pop()
+        if not stack:
+            break
+    results.sort(key=lambda f: tuple(sorted(syllable_key(c) for c in f)))
+    return results
+
+
 def generator_word(system, syls):
     """Image in W of a graph-product element: its generator names in order.
 

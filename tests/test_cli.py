@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rabuild import covering
+from rabuild import covering, symmetry
 from rabuild.cli import SystemConfig, emit, main, parse_config
 from rabuild.errors import InputError
 from tests.conftest import corrupted_labeling
@@ -303,10 +303,39 @@ def test_subgroup_over_cap_is_not_built(tmp_path, capsys, monkeypatch):
 
 
 def test_quotient_rank_over_search_cap_exit_code(tmp_path, capsys):
+    # rank 11, every q = 2: refused by the quotient's table cap, since
+    # 11! type permutations pass 316, and not by the rank
     names = [f"g{i}" for i in range(11)]
     cfg = {"generators": names, "parameters": {g: 2 for g in names}}
-    code, _ = run(capsys, "quotient", write(tmp_path, cfg), "--radius", "0")
+    code, out = run(capsys, "quotient", write(tmp_path, cfg), "--radius", "0")
     assert code == 3
+    assert "more than 316 type permutations" in json.loads(out)["error"]
+
+
+def test_free_rank_11_with_distinct_parameters_classifies(tmp_path, capsys):
+    # q = 2..12 leaves only the identity type permutation, and the rigidity
+    # search stops after 65 partial maps: neither command is refused
+    names = [f"g{i}" for i in range(11)]
+    cfg = {"generators": names, "parameters": dict(zip(names, range(2, 13)))}
+    path = write(tmp_path, cfg)
+    code, out = run(capsys, "classify", path)
+    assert code == 0
+    assert json.loads(out)["case"] == "1" and not json.loads(out)["nerve_rigid"]
+    code, out = run(capsys, "quotient", path, "--radius", "0")
+    assert code == 0
+    data = json.loads(out)
+    assert data["ok"] and data["group_order"] == 1 and data["orbit_vertices"] == 12
+
+
+def test_automorphism_search_cap_exit_code(tmp_path, capsys, monkeypatch):
+    # the search bound, not the rank, refuses: classify on the free rank-11
+    # system exits 3 once the bound is below the 65 partial maps it needs
+    monkeypatch.setattr(symmetry, "AUTOMORPHISM_SEARCH_CAP", 64)
+    names = [f"g{i}" for i in range(11)]
+    cfg = {"generators": names, "parameters": dict(zip(names, range(2, 13)))}
+    code, out = run(capsys, "classify", write(tmp_path, cfg))
+    assert code == 3
+    assert "more than 64 partial maps" in json.loads(out)["error"]
 
 
 def test_quotient_group_over_table_cap_exit_code(tmp_path, capsys):

@@ -4,7 +4,9 @@ The runs cover the ball, unfolding, labeling, covering, apartment, quotient
 and witness commands on the shipped configs (``ball`` on hexagon_q3 at
 radius 3 pins a 25,680-side table; ``apartments`` on hexagon_q3 at
 radius 2 pins the exit-3 payload of the apartment count cap; ``quotient``
-on hexagon_q3 at radius 2, about 5 s, is the heaviest run), and the file
+on hexagon_q3 at radius 2, about 5 s, is the heaviest run; ``quotient`` on
+tree_234 at radius 3 pins a quotient under the trivial group, whose covering
+keys repeat only through the target's local data), and the file
 ``ball --cache`` writes (its stdout names the cache path, so only the file is
 hashed).  Any change in a hash is a change
 in what the CLI prints or writes.  To record the fixture again, run
@@ -51,6 +53,7 @@ def snapshot_runs():
             runs.append((f"quotient {name} r{r}", argv))
     config = str(ROOT / "configs" / "tree_234.json")
     runs.append(("ball tree_234 r5", ("ball", config, "--radius", "5")))
+    runs.append(("quotient tree_234 r3", ("quotient", config, "--radius", "3")))
     config = str(ROOT / "configs" / "hexagon_q3.json")
     runs.append(("ball hexagon_q3 r3", ("ball", config, "--radius", "3")))
     for name, rmax in WITNESS_RADII.items():

@@ -564,6 +564,10 @@ class _DoctoredTarget(ComplexOfGroups):
         f = self._psi.get(a)
         return x if f is None else f(x)
 
+    def local_data(self, v):
+        group, ins = super().local_data(v)
+        return group, tuple(zip(ins, map(self._psi.get, self.in_edges(v))))
+
     def twist(self, a, b):
         return self._twist.get((a, b), ())
 
@@ -621,6 +625,22 @@ def _doctor(kind, bld, data):
         elements = bld.subgroup(x | z)
         phi_vertex[face[x | z]] = lambda g: elements[min(elements.index(g), 3)]
     return src, tgt, f_vertex, f_edge, phi_vertex, phi_edge
+
+
+def test_vertex_map_failure_at_the_initial_vertex_names_the_edge():
+    # a = {x} -> {x, y} goes to {y} -> {x, y}: an in-edge of f(t(a)), but
+    # one that starts away from f(i(a)), which only the check of the
+    # initial vertex sees
+    bld = _cube()
+    y0 = chamber_clump(bld)
+    data = covering_morphism(y0.cog(), y0.cog(), label_initial(y0).labels)
+    src, tgt, f_vertex, f_edge, phi_vertex, phi_edge = data
+    x, y = (1 << bld.system.index[s] for s in "xy")
+    edge = {(e[0][0], e[1][0]): e for e in tgt.edges()}
+    f_edge = {a: f_edge[a] for a in src.edges()}
+    f_edge[edge[x, x | y]] = edge[y, x | y]
+    report = _same_report((src, tgt, f_vertex, f_edge, phi_vertex, phi_edge))
+    assert {"kind": "vertex-map", "where": edge[x, x | y]} in report.failures
 
 
 @pytest.mark.parametrize(

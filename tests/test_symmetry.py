@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import random
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from rabuild.building import Building
-from rabuild.cli import main
+from rabuild.cli import load_config, main
 from rabuild.clump import chamber_clump, sheets, unfold, unfold_steps_to_ball
 from rabuild.coxeter import CoxeterSystem
 from rabuild.errors import DomainError, InternalError, SizeCapError
@@ -18,6 +19,7 @@ from tests.conftest import (
     hexagon_system,
     inverse_automorphism,
     nerve_automorphisms,
+    reference_apartments,
     whole_ball_group_table,
 )
 
@@ -61,13 +63,25 @@ def test_type_permutation_search_matches_enumeration():
         assert sym.type_permutation_group(bld) == expected
 
 
-def test_automorphism_search_cap():
-    names = [f"x{i}" for i in range(sym.RIGIDITY_RANK_CAP + 1)]
-    sysm = CoxeterSystem(names)
-    with pytest.raises(SizeCapError):
-        sym.is_rigid(sysm)
-    with pytest.raises(SizeCapError):
-        sym.type_permutation_group(Building(sysm, {s: 2 for s in names}))
+def test_automorphism_search_cap(monkeypatch):
+    # The search counts the partial maps it tries, whatever the rank: the
+    # free rank-11 system takes 65 in is_rigid, and the free rank-5 q = 2
+    # system 1,030 in listing its 120 type permutations.  One fewer is
+    # refused.
+    def free(rank):
+        return CoxeterSystem([f"x{i}" for i in range(rank)])
+
+    bld = Building(free(5), {f"x{i}": 2 for i in range(5)})
+    searches = [
+        (65, lambda: sym.is_rigid(free(11))),
+        (1030, lambda: sym.type_permutation_group(bld)),
+    ]
+    for cap, search in searches:
+        monkeypatch.setattr(sym, "AUTOMORPHISM_SEARCH_CAP", cap)
+        search()
+        monkeypatch.setattr(sym, "AUTOMORPHISM_SEARCH_CAP", cap - 1)
+        with pytest.raises(SizeCapError, match=f"more than {cap - 1} partial maps"):
+            search()
 
 
 def test_quotient_table_cap_refuses_from_the_permutation_count(monkeypatch):
@@ -460,14 +474,20 @@ def test_orbit_tables_match_face_tuple_reference(suite):
             assert got == want, (name, n, table)
 
 
-def _vertex_keys(src, f_vertex, f_edge, phi_vertex, phi_edge):
-    """Each vertex key check_covering reads -> the vertices that have it."""
+def _vertex_keys(src, tgt, f_vertex, f_edge, phi_vertex, phi_edge):
+    """Each vertex key check_covering reads -> the vertices that have it.
+
+    The target enters through its local data at f(v), and f(a) through its
+    position among the in-edges of f(v).
+    """
     by_key = {}
     for v in src.vertices():
-        key = (src.group(v), f_vertex[v], phi_vertex[v])
+        fv = f_vertex[v]
+        key = (src.group(v), tgt.local_data(fv), phi_vertex[v])
+        into = tgt.in_edges(fv)
         for a in src.in_edges(v):
-            key += (src.group(a[0]), f_vertex[a[0]], phi_vertex[a[0]])
-            key += (f_edge[a], phi_edge[a])
+            key += (src.group(a[0]), phi_vertex[a[0]], into.index(f_edge[a]))
+            key += (phi_edge[a],)
         by_key.setdefault(key, []).append(v)
     return by_key
 
@@ -498,11 +518,11 @@ def test_doctored_local_map_in_a_shared_key_names_its_cell(suite):
     f_vertex, f_edge, phi_vertex, phi_edge = sym._quotient_morphism(qc)
     shared = [
         cells
-        for cells in _vertex_keys(src, f_vertex, f_edge, phi_vertex, phi_edge).values()
+        for cells in _vertex_keys(src, qc, f_vertex, f_edge, phi_vertex, phi_edge).values()
         if len(qc.stab[f_vertex[cells[-1]]]) > 1
     ]
     cells = max(shared, key=len)
-    assert len(cells) == 5
+    assert len(cells) == 15
     c = cells[-1]
     s = next(s for s in qc.stab[f_vertex[c]] if s != qc._id)
     doctored = dict(phi_vertex)
@@ -514,10 +534,42 @@ def test_doctored_local_map_in_a_shared_key_names_its_cell(suite):
         assert c in f["where"], f
 
 
+def test_doctored_target_psi_in_shared_local_data_names_its_cells(suite):
+    # hex3 r1: among the representatives whose local data an earlier one
+    # shares, the last with an in-edge from a nontrivial group (of exponent
+    # 3) gets that in-edge's monomorphism followed by inversion.  The
+    # target's local data must read the doctored map: the edge diagrams
+    # fail at the 12 source edges onto that in-edge, and only there, as in
+    # the unshared reference.
+    from tests.test_covering import _same_report
+
+    qc = _full_quotient({name: bld for name, bld, _ in suite}["hex3"], 1)
+    gp = qc.building.gp
+    first, picked = {}, None
+    for w in qc.vertices():
+        if first.setdefault(qc.local_data(w), w) == w:
+            continue
+        for b in qc.in_edges(w):
+            if qc.group(qc.ends(b)[0])[0]:
+                picked = b
+    assert picked is not None
+    f_vertex, f_edge, phi_vertex, phi_edge = sym._quotient_morphism(qc)
+    doctored = copy.copy(qc)
+    doctored._psi = dict(qc._psi)
+    relabel, conj = qc._psi[picked]
+    doctored._psi[picked] = (lambda g: gp.inv(relabel(g)), conj)
+    report = _same_report((qc.cells, doctored, f_vertex, f_edge, phi_vertex, phi_edge))
+    diagrams = [f["where"] for f in report.failures if f["kind"] == "edge-diagram"]
+    assert diagrams == [a for a in qc.cells.edges() if f_edge[a] == picked]
+    assert len(diagrams) == 12
+    assert {f["kind"] for f in report.failures} == {"edge-diagram"}
+
+
 def test_each_quotient_vertex_key_is_checked_once(suite, monkeypatch):
-    # hex2 r1: 553 cells with 191 distinct vertex keys.  Each key's vertex
-    # checks run once, and the edge checks for the in-edges of one cell per
-    # key.
+    # hex2 r1: 553 cells with 98 distinct vertex keys; free3 (tree_234) r3,
+    # under the trivial group: 340 cells, each its own orbit, with 7.  Each
+    # key's vertex checks run once, and the edge checks for the in-edges of
+    # one cell per key.
     from rabuild import covering
 
     calls = {}
@@ -533,20 +585,22 @@ def test_each_quotient_vertex_key_is_checked_once(suite, monkeypatch):
 
     for name in ("_check_vertex", "_check_edge"):
         counted(name)
-    ball = {name: bld for name, bld, _ in suite}["hex2"].ball(1)
-    result = sym.quotient_cog(ball, sym.type_permutation_group(ball.building))
-    assert result.report.ok
-    qc = result.quotient
-    src = qc.cells
-    first = [
-        cells[0]
-        for cells in _vertex_keys(src, *sym._quotient_morphism(qc)).values()
-    ]
-    assert len(src.vertices()) == 553 and len(first) == 191
-    assert calls == {
-        "_check_vertex": 191,
-        "_check_edge": sum(len(src.in_edges(v)) for v in first),
-    }
+    buildings = {name: bld for name, bld, _ in suite}
+    for name, n, cells, keys in (("hex2", 1, 553, 98), ("free3", 3, 340, 7)):
+        calls.clear()
+        ball = buildings[name].ball(n)
+        result = sym.quotient_cog(ball, sym.type_permutation_group(ball.building))
+        assert result.report.ok
+        qc = result.quotient
+        src = qc.cells
+        first = [
+            vs[0] for vs in _vertex_keys(src, qc, *sym._quotient_morphism(qc)).values()
+        ]
+        assert len(src.vertices()) == cells and len(first) == keys, name
+        assert calls == {
+            "_check_vertex": keys,
+            "_check_edge": sum(len(src.in_edges(v)) for v in first),
+        }, name
 
 
 # -- discreteness ------------------------------------------------------------
@@ -640,7 +694,7 @@ def test_rigidity_matches_simplex_based_enumeration():
 def test_rigidity_at_the_rank_cap_lists_no_group():
     # rank 10: the free system and the complete graph each have 10!
     # automorphisms, the 10-cycle 20; the search stops per vertex
-    rank = sym.RIGIDITY_RANK_CAP
+    rank = 10
     names = [f"x{i}" for i in range(rank)]
     cycle = [(names[i], names[(i + 1) % rank]) for i in range(rank)]
     assert not sym.is_rigid(CoxeterSystem(names))
@@ -744,6 +798,27 @@ def test_apartment_count_formula(suite):
             else:
                 assert len(sym.apartments_through_base(bld, n)) == expect, (name, n)
     assert counts["hex3", 2] == 2**36 and counts["free3", 3] == 279936
+
+
+def test_apartment_search_matches_the_delta_search(suite):
+    # The search over precomputed chambers against the gp.delta search it
+    # replaced: the same fragments in the same order, on every suite system
+    # at radius 0-3 and every shipped config at radius 0-2, wherever the
+    # count is under the cap.  Each fragment also passes the direct check,
+    # which reads adjacency through gp.delta.
+    cases = [(name, bld, n) for name, bld, _ in suite for n in range(4)]
+    for path in sorted((Path(__file__).parent.parent / "configs").glob("*.json")):
+        bld = load_config(str(path)).building()
+        cases += [(path.stem, bld, n) for n in range(3)]
+    checked = 0
+    for name, bld, n in cases:
+        if _fragment_count(bld, n) > sym.APARTMENT_COUNT_CAP:
+            continue
+        got = [f.chambers for f in sym.apartments_through_base(bld, n)]
+        assert got == reference_apartments(bld, n), (name, n)
+        assert all(sym.is_apartment_fragment(bld, n, f) for f in got), (name, n)
+        checked += 1
+    assert checked == 39
 
 
 def test_apartment_cap_refuses_before_enumerating(hex3, monkeypatch):
