@@ -3,8 +3,8 @@
 Chambers are canonical graph-product elements, stored as syllable tuples;
 a face of spherical type T is the right coset of the T-subgroup containing
 a chamber, stored as ``(type_mask, least element)``.  The W-distance from a
-to b is the generator word of ``gp.delta(a, b)``.  Residues and
-combinatorial balls are computed through the syllable kernel; nothing
+to b is the generator word of ``gp.delta(a, b)``.  Residues are computed
+through the syllable kernel, and balls listed as syllable heaps; nothing
 geometric is ever materialized.
 """
 
@@ -58,19 +58,20 @@ class Building:
         """
         got = self._subgroup_cache.get(tmask)
         if got is None:
-            order = math.prod(
-                q for g, q in enumerate(self.gp.qs) if (tmask >> g) & 1
-            )
-            if order > self.chamber_cap:
-                raise SizeCapError(
-                    f"subgroup of type {sorted(self.system.unmask(tmask))} has "
-                    f"order {order}, over the chamber cap {self.chamber_cap}"
-                )
+            self._refuse_over_cap(tmask)
             got = tuple(
                 sorted(self.gp.subgroup_elements(tmask), key=syllable_key)
             )
             self._subgroup_cache[tmask] = got
         return got
+
+    def _refuse_over_cap(self, tmask):
+        order = math.prod(q for g, q in enumerate(self.gp.qs) if (tmask >> g) & 1)
+        if order > self.chamber_cap:
+            raise SizeCapError(
+                f"subgroup of type {sorted(self.system.unmask(tmask))} has "
+                f"order {order}, over the chamber cap {self.chamber_cap}"
+            )
 
     def face_of(self, chamber, tmask):
         if not self.is_spherical_mask(tmask):
@@ -83,35 +84,77 @@ class Building:
         tmask, rep = face
         return [self.gp.mul(rep, x) for x in self.subgroup(tmask)]
 
+    def _heaps(self, n):
+        """The radius-n ball, each chamber once, in shortlex order: groups
+        ``(words, descents, nxt)`` of words sharing a parent and a last
+        generator, ``descents`` the mask of their right-visible generators
+        and ``nxt[g]`` the layer a g-syllable appended to them would take.
+
+        A canonical word's heap orders its syllables by dependence (equal or
+        non-commuting generators); a syllable's layer is one more than the
+        largest below it, and the word's height is its top layer.
+
+        Lemma 1: radius is height.  A layer's syllables are independent, so
+        lie in one spherical subgroup: radius <= height.  Right-multiplying
+        by an element of one merges or deletes right-visible syllables and
+        adds independent ones at most one layer higher: height <= radius.
+
+        Lemma 2: for g not right-visible in the canonical w, w (g, e) is
+        canonical as written iff no syllable after w's last one depending on
+        g has a generator >= g (``kernel._append`` then puts it last); the
+        mask ``allowed`` carries this.  The last syllable of a canonical word
+        is right-visible, and deleting one keeps the word canonical and
+        lowers no layer, so the ball is prefix-closed and each word is
+        listed once, from its prefix.
+
+        Lemma 3: deleting a right-visible syllable keeps a word in the ball,
+        so a g-panel of a ball chamber c holds q_g ball chambers if g is a
+        descent of c (they share c's heap shape) or ``nxt[g] <= n``, else c
+        alone.  Each chamber is adjacent to its prefix: the ball is
+        gallery-connected.
+        """
+        qs, comm = self.gp.qs, self.gp.comm
+        full = (1 << len(qs)) - 1
+        if n:
+            for tmask in self.maximal_masks:
+                self._refuse_over_cap(tmask)
+        count, tails = 1, {}
+        level = [((), [()], full, 0, (1,) * len(qs))]
+        while level:
+            below, level = level, []
+            for parent, tail, allowed, descents, nxt in below:
+                words = [parent + t for t in tail]
+                yield words, descents, nxt
+                moves = []
+                for g, top in enumerate(nxt):
+                    if (allowed >> g) & 1 and top <= n:
+                        cg = comm[g]
+                        moves.append((g, qs[g] - 1, (
+                            full & ~cg & ~(1 << g) | allowed & cg & -(2 << g),
+                            descents & cg | 1 << g,
+                            tuple(x if (cg >> h) & 1 or x > top else top + 1
+                                  for h, x in enumerate(nxt)),
+                        )))
+                for w in words:
+                    for g, k, state in moves:
+                        count += k  # checked before the children are listed
+                        if count > self.chamber_cap:
+                            raise SizeCapError(
+                                f"ball enumeration exceeded chamber cap "
+                                f"{self.chamber_cap}", partial_count=count)
+                        kids = tails.get(g) or tails.setdefault(
+                            g, [((g, e),) for e in range(1, k + 1)])
+                        level.append((w, kids, *state))
+
     def ball_chambers(self, n):
         """Chamber set of the combinatorial ball of radius n (raw tuples)."""
-        current = {()}
-        frontier = [()]
-        for _ in range(n):
-            new = []
-            for c in frontier:
-                for tmask in self.maximal_masks:
-                    for x in self.subgroup(tmask):
-                        cand = self.gp.mul(c, x)
-                        if cand not in current:
-                            current.add(cand)
-                            new.append(cand)
-                if len(current) > self.chamber_cap:
-                    raise SizeCapError(
-                        f"ball enumeration exceeded chamber cap {self.chamber_cap}",
-                        partial_count=len(current),
-                    )
-            frontier = new
-            if not frontier:
-                break
-        return frozenset(current)
+        return frozenset(c for words, _, _ in self._heaps(n) for c in words)
 
     def ball(self, n):
         """Combinatorial ball of radius n, as a clump."""
         from .clump import Clump
 
-        chambers = self.ball_chambers(n)
-        return Clump(self, chambers)
+        return Clump._of_heaps(self, n)
 
     # -- serialization ---------------------------------------------------
 

@@ -23,6 +23,7 @@ log takes memory in proportion to the ball.
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 
 from . import kernel
@@ -235,15 +236,30 @@ class _Sides:
 
 
 class Clump:
+    # derived data (_Sides table, sorted sides, scwol, cog), built when asked
+    _side_table = _sides = _scwol = _cog = None
+
     def __init__(self, building: Building, chambers):
         self.building = building
         self.chambers = set(chambers)  # unfold adds to it
-        self._side_table = None  # _Sides
-        self._sides = None  # sorted list of the sides
-        self._scwol = None
-        self._cog = None
         if not self._gallery_connected():  # which also counts the mirrors
             raise DomainError("chamber set is not gallery-connected")
+
+    @classmethod
+    def _of_heaps(cls, building, n):
+        """The radius-n ball from ``Building._heaps``: mirror counts read off
+        the layers, gallery-connected by the prefix tree (lemma 3 there)."""
+        clump = cls.__new__(cls)
+        clump.building, clump.chambers = building, set()
+        counts = clump._mirror_counts = {}
+        for words, descents, nxt in building._heaps(n):
+            clump.chambers.update(words)
+            for g, q in enumerate(building.gp.qs):
+                if not (descents >> g) & 1:
+                    k = q if nxt[g] <= n else 1
+                    for c in words:
+                        counts[g, c] = k
+        return clump
 
     def _gallery_connected(self):
         """Walk the clump panel by panel: two chambers are adjacent exactly
@@ -285,7 +301,7 @@ class Clump:
 
     def boundary_mirror_count(self):
         """Number of panels carrying exactly one chamber of the clump."""
-        return list(self._mirror_counts.values()).count(1)
+        return operator.countOf(self._mirror_counts.values(), 1)
 
     @property
     def is_whole_building(self):

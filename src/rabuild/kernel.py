@@ -66,8 +66,9 @@ when T ∩ D(a) is empty the face representative is ``a`` itself.
 Nothing here checks that a required-canonical argument is canonical.  Words
 from outside reach the kernel only through ``Building.deserialize_chamber``,
 which refuses a cached chamber that is not in normal form; every other
-argument is a kernel result.  ``tests/test_kernel.py`` checks that the pipelines keep to
-this.
+argument is a kernel result or a ball chamber that ``Building._heaps``
+lists as canonical by construction (its lemma 2).  ``tests/test_kernel.py``
+and ``tests/test_building.py`` check that the pipelines keep to this.
 
 See Hermiller & Meier, "Algorithms and geometry for graph products of
 groups", J. Algebra 171 (1995), and Diekert & Rozenberg (eds.), *The Book

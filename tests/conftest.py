@@ -66,6 +66,26 @@ def nerve_automorphisms(sysm):
     return list(_commutation_automorphisms(sysm, (0,) * sysm.rank))
 
 
+def reference_ball_chambers(building, n):
+    """The chamber set of the radius-n ball, found by the residue search
+    that ``Building.ball_chambers`` replaced: from each chamber of the last
+    layer, every chamber of every maximal residue on it.  Each chamber is
+    made by ``multiply`` as often as it lies in such a residue.  No cap."""
+    current = {()}
+    frontier = [()]
+    for _ in range(n):
+        new = []
+        for c in frontier:
+            for tmask in building.maximal_masks:
+                for x in building.subgroup(tmask):
+                    cand = building.gp.mul(c, x)
+                    if cand not in current:
+                        current.add(cand)
+                        new.append(cand)
+        frontier = new
+    return frozenset(current)
+
+
 def reference_apartments(building, n):
     """The chamber sets of the apartment fragments through the base chamber,
     in the order ``apartments_through_base`` gives them, found by the search

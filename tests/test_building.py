@@ -1,6 +1,7 @@
 import io
 import itertools
 import json
+import pathlib
 import random
 
 import pytest
@@ -8,9 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rabuild.building import Building, load_ball_cache, save_ball_cache, syllable_key
+from rabuild.cli import load_config
+from rabuild.clump import Clump
 from rabuild.coxeter import CoxeterSystem, reduce as w_reduce
 from rabuild.errors import DomainError, InputError, SizeCapError
-from tests.conftest import element, generator_word, make_suite, serialize_chamber
+from tests.conftest import (
+    element,
+    generator_word,
+    make_suite,
+    reference_ball_chambers,
+    serialize_chamber,
+)
+from tests.test_kernel import reference_normalize
+
+CONFIGS = sorted((pathlib.Path(__file__).parent.parent / "configs").glob("*.json"))
 
 
 def elem(bld, pairs):
@@ -194,6 +206,42 @@ def test_ball_cap(d23):
     capped = Building(d23.system, {"s": 2, "t": 3}, chamber_cap=5)
     with pytest.raises(SizeCapError):
         capped.ball_chambers(4)
+    # d23 r2 has 8 chambers; under a cap of 7 the enumeration stops at the
+    # panel whose children would pass it, before listing them
+    capped = Building(d23.system, {"s": 2, "t": 3}, chamber_cap=7)
+    with pytest.raises(SizeCapError, match="chamber cap 7") as info:
+        capped.ball(2)
+    assert info.value.partial_count == 8
+
+
+def _heap_cases():
+    """(name, building, radius): every suite system up to its suite radius,
+    the shipped configs up to radius 2, and hexagon_q3 at radius 3."""
+    for name, bld, radius in make_suite():
+        for n in range(radius + 1):
+            yield name, bld, n
+    for path in CONFIGS:
+        bld = load_config(str(path)).building()
+        for n in range(3 + (path.stem == "hexagon_q3")):
+            yield path.stem, bld, n
+
+
+def test_heap_ball_matches_residue_search():
+    # the heap enumeration against the residue search and the kernel's
+    # oracle, and the heap-built clump against the clump walk of its chambers
+    for name, bld, n in _heap_cases():
+        qs, comm = bld.gp.qs, bld.gp.comm
+        listed = [c for words, _, _ in bld._heaps(n) for c in words]
+        assert listed == sorted(listed, key=syllable_key), (name, n)
+        assert bld.ball_chambers(n) == reference_ball_chambers(bld, n), (name, n)
+        assert len(listed) == len(set(listed)), (name, n)
+        for c in listed:
+            assert reference_normalize(c, qs, comm) == c, (name, n, c)
+        heap, walk = bld.ball(n), Clump(bld, listed)
+        assert heap.chambers == walk.chambers, (name, n)
+        assert heap.mirror_counts() == walk.mirror_counts(), (name, n)
+        assert heap.boundary_mirror_count() == walk.boundary_mirror_count()
+        assert heap.sides() == walk.sides(), (name, n)
 
 
 def delta_gallery(bld, a, b):

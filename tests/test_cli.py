@@ -219,6 +219,15 @@ def test_chamber_cap_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("cap,expected", [("8", 0), ("7", 3)])
+def test_chamber_cap_boundary(tmp_path, capsys, cap, expected):
+    # the d23 radius-2 ball has 8 chambers: a cap of 8 holds it, 7 does not
+    code, _ = run(
+        capsys, "ball", write(tmp_path, D23), "--radius", "2", "--cap-chambers", cap
+    )
+    assert code == expected
+
+
 @pytest.mark.parametrize("cap", ["0", "-3"])
 def test_chamber_cap_flag_validated(tmp_path, capsys, cap):
     code, out = run(
