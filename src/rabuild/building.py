@@ -45,6 +45,7 @@ class Building:
         self.maximal_masks = tuple(system.mask(t) for t in self.poset.maximal())
         self._spherical_set = frozenset(self.spherical_masks)
         self._subgroup_cache = {}
+        self._thin_cache = {}
 
     def is_spherical_mask(self, mask):
         return mask in self._spherical_set
@@ -84,7 +85,7 @@ class Building:
         tmask, rep = face
         return [self.gp.mul(rep, x) for x in self.subgroup(tmask)]
 
-    def _heaps(self, n):
+    def _heaps(self, n, thin=False):
         """The radius-n ball, each chamber once, in shortlex order: groups
         ``(words, descents, nxt)`` of words sharing a parent and a last
         generator, ``descents`` the mask of their right-visible generators
@@ -112,10 +113,13 @@ class Building:
         descent of c (they share c's heap shape) or ``nxt[g] <= n``, else c
         alone.  Each chamber is adjacent to its prefix: the ball is
         gallery-connected.
+
+        With ``thin``, each move lists one child, exponent 1, as if every q
+        were 2: the heap shapes do not read q, so this is the thin ball.
         """
         qs, comm = self.gp.qs, self.gp.comm
         full = (1 << len(qs)) - 1
-        if n:
+        if n and not thin:
             for tmask in self.maximal_masks:
                 self._refuse_over_cap(tmask)
         count, tails = 1, {}
@@ -129,7 +133,7 @@ class Building:
                 for g, top in enumerate(nxt):
                     if (allowed >> g) & 1 and top <= n:
                         cg = comm[g]
-                        moves.append((g, qs[g] - 1, (
+                        moves.append((g, 1 if thin else qs[g] - 1, (
                             full & ~cg & ~(1 << g) | allowed & cg & -(2 << g),
                             descents & cg | 1 << g,
                             tuple(x if (cg >> h) & 1 or x > top else top + 1
@@ -149,6 +153,17 @@ class Building:
     def ball_chambers(self, n):
         """Chamber set of the combinatorial ball of radius n (raw tuples)."""
         return frozenset(c for words, _, _ in self._heaps(n) for c in words)
+
+    def thin_ball(self, n):
+        """W's radius-n ball, kept per radius: its canonical words as syllable
+        tuples of exponent 1, in shortlex order.  A chamber lies over the
+        word of its generator sequence, its image in W."""
+        got = self._thin_cache.get(n)
+        if got is None:
+            got = self._thin_cache[n] = tuple(
+                w for words, _, _ in self._heaps(n, thin=True) for w in words
+            )
+        return got
 
     def ball(self, n):
         """Combinatorial ball of radius n, as a clump."""

@@ -6,6 +6,10 @@ infinity (no relation).  Words are tuples of generator names.  An element
 of W is its canonical reduced word, a tuple of names (the least shuffle of
 any reduced word under the configured generator order), so equality is
 tuple comparison.
+
+No pipeline calls ``reduce``, since the thin ball is the heap listing with
+every q = 2 (``Building.thin_ball``): it stays as a perfbench tracer target
+and as the tests' reference for W.
 """
 
 from __future__ import annotations
@@ -44,8 +48,6 @@ class CoxeterSystem:
             comm[i] |= 1 << j
             comm[j] |= 1 << i
         self.comm = tuple(comm)
-        # All-exponent-one arithmetic: the kernel with every order = 2.
-        self._q2 = (2,) * len(generators)
 
     @property
     def rank(self):
@@ -81,13 +83,15 @@ class CoxeterSystem:
 
 
 def reduce(sys: CoxeterSystem, word) -> tuple:
-    """Canonical reduced word of an arbitrary word over the generators."""
+    """Canonical reduced word of an arbitrary word over the generators: the
+    kernel with every order 2.  No pipeline calls it (see the module
+    docstring); it moves into the tests with the next benchmark change."""
     word = tuple(word)
     for s in word:
         if s not in sys.index:
             raise InputError(f"unknown generator {s!r}")
     syls = tuple((sys.index[s], 1) for s in word)
-    norm = kernel.normalize(syls, sys._q2, sys.comm)
+    norm = kernel.normalize(syls, (2,) * sys.rank, sys.comm)
     return tuple(sys.generators[g] for g, _ in norm)
 
 

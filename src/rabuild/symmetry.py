@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from . import kernel
 from .building import Building, face_key, syllable_key
 from .clump import Clump, Unfolding, chamber_clump, sheets
-from .coxeter import CoxeterSystem, reduce as w_reduce
+from .coxeter import CoxeterSystem
 from .covering import CoveringReport, check_covering
 from .errors import DomainError, InternalError, SizeCapError
 
@@ -838,40 +838,6 @@ def classify_discreteness(building: Building) -> DiscretenessVerdict:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=8)
-def w_ball(system, n):
-    """Canonical words of the thin chamber system within combinatorial radius n.
-
-    Cached per system object and radius: a command that enumerates and then
-    validates fragments builds the set once.
-    """
-    from . import coxeter
-
-    poset = coxeter.spherical_poset(system)
-    maximal = poset.maximal()
-    subsets = []
-    for t in maximal:
-        words = [[]]
-        for s in sorted(t, key=lambda s: system.index[s]):
-            words += [w + [s] for w in words]
-        subsets.append([tuple(w) for w in words])
-    current = {()}
-    frontier = [()]
-    for _ in range(n):
-        new = []
-        for w in frontier:
-            for words in subsets:
-                for word in words:
-                    cand = w_reduce(system, w + word)
-                    if cand not in current:
-                        current.add(cand)
-                        new.append(cand)
-        frontier = new
-        if not frontier:
-            break
-    return frozenset(current)
-
-
 @dataclass(frozen=True)
 class ApartmentFragment:
     """Thin, distance-faithful section of the ball over the thin ball."""
@@ -892,40 +858,42 @@ APARTMENT_COUNT_CAP = 20000
 def apartments_through_base(building: Building, n: int):
     """Every apartment fragment through the base chamber in the radius-n ball.
 
-    A fragment assigns to each thin-ball element a chamber, adjacent in the
-    right type to each of its shorter neighbors; elements whose neighbors
-    leave the thin ball impose nothing.  An element with one descent s
-    takes any of the q_s - 1 chambers s-adjacent to its neighbor's, and one
-    with several descents is pinned by them, so the fragments number the
-    product of q_s - 1 over the elements with exactly one descent.  That
-    count is checked against the cap before anything is enumerated, and
-    against the enumeration after it.  The thick ball comes first: its
-    chamber cap then bounds the thin ball, which is never the larger.
+    A fragment assigns to each word w of the thin ball
+    (``Building.thin_ball``) a chamber over w, s-adjacent to the chamber at
+    ws for each descent s of w; ws is w less its right-visible s-syllable,
+    which keeps it in the thin ball.  A word with one descent s takes any of
+    the q_s - 1 chambers s-adjacent to its neighbour's, and one with several
+    descents is pinned by them, so the fragments number the product of
+    q_s - 1 over the words with exactly one descent.  That count is checked
+    against the cap before anything is enumerated, and against the
+    enumeration after it.  The thick ball comes first: its chamber cap then
+    bounds the thin ball, which is never the larger.
 
-    Lemma: a chamber c at the word w is s-adjacent to a chamber at the
+    Lemma: a chamber c over the word w is s-adjacent to a chamber over the
     shorter word ws exactly when that chamber is c less its right-visible
     s-syllable.  For c(s, e), e != 0, merges (s, e) into a right-visible
     s-syllable (the kernel's ``_append``), deleting it or keeping the word
-    w, and else inserts it, at a longer word.  So each ball chamber is read
-    once, with one ``kernel.right_descents`` scan, and indexed by its word
-    and the chamber at the word's first descent; a search step compares
-    precomputed chambers and calls no kernel function.  Chambers are named
-    by their rank in shortlex order, which orders the fragments too.
+    w, and else inserts it, at a longer word.  Right-visibility reads only
+    generators, so c's right-visible syllables stand where w's do: one
+    ``kernel.right_descents`` scan per thin word serves every chamber over
+    it.  Each ball chamber is read once and indexed by its word and the
+    chamber at the word's first descent; a search step compares precomputed
+    chambers and calls no kernel function.  Chambers are named by their
+    rank in shortlex order, which orders the fragments too.
     """
-    sysm = building.system
     gp = building.gp
     ball = building.ball_chambers(n)
-    words = sorted(
-        w_ball(sysm, n),
-        key=lambda w: (len(w), tuple(sysm.index[s] for s in w)),
-    )
+    words = building.thin_ball(n)
     windex = {w: k for k, w in enumerate(words)}
-    # descents: letters ending a reduced expression, as (generator, word index)
+    # descents[k]: (generator, position, index of the word less that
+    # syllable) for each right-visible syllable of words[k]
     descents = []
     count = 1
     for w in words:
-        shorter = [(g, w_reduce(sysm, w + (s,))) for g, s in enumerate(sysm.generators)]
-        ds = [(g, windex[v]) for g, v in shorter if len(v) < len(w) and v in windex]
+        ds = [
+            (g, i, windex[w[:i] + w[i + 1 :]])
+            for g, i in kernel.right_descents(w, gp.comm)
+        ]
         descents.append(ds)
         if len(ds) == 1:
             count *= gp.qs[ds[0][0]] - 1
@@ -938,15 +906,10 @@ def apartments_through_base(building: Building, n: int):
     # descents) of each chamber at the word
     slots = {}
     for r, c in enumerate(chambers[1:], 1):
-        k = windex.get(tuple(sysm.generators[g] for g, _ in c))
+        k = windex.get(tuple((g, 1) for g, _ in c))
         if k is None:
             raise InternalError("ball chamber outside the thin ball")
-        if not descents[k]:
-            raise InternalError("nonidentity element with no descent")
-        less = {
-            g: rank.get(c[:i] + c[i + 1 :]) for g, i in kernel.right_descents(c, gp.comm)
-        }
-        first, *rest = [less[g] for g, _ in descents[k]]
+        first, *rest = [rank[c[:i] + c[i + 1 :]] for _, i, _ in descents[k]]
         slots.setdefault((k, first), []).append((r, tuple(rest)))
     # Depth first, with an explicit stack: the thin ball can hold more words
     # than Python's recursion limit.  stack[k - 1] yields the chambers left
@@ -957,8 +920,8 @@ def apartments_through_base(building: Building, n: int):
     while True:
         k = len(stack) + 1
         if k < len(words):
-            (_, first), *rest = descents[k]
-            pinned = tuple(assignment[j] for _, j in rest)
+            (_, _, first), *rest = descents[k]
+            pinned = tuple(assignment[j] for _, _, j in rest)
             cands = slots.get((k, assignment[first]), ())
             stack.append(iter([r for r, at in cands if at == pinned]))
         else:
@@ -982,26 +945,19 @@ def apartments_through_base(building: Building, n: int):
 
 
 def is_apartment_fragment(building, n, chambers) -> bool:
-    """Direct validation of the fragment conditions on a chamber set."""
+    """Direct validation of the fragment conditions on a chamber set: one
+    chamber over each word w of the thin ball (the base over the empty one),
+    s-adjacent to the chamber over ws for each descent s of w.  Adjacency is
+    symmetric, so this covers every pair of words one letter apart."""
     chambers = frozenset(chambers)
-    if () not in chambers:
-        return False
-    words = w_ball(building.system, n)
-    shadows = {}
-    for c in chambers:
-        w = tuple(building.system.generators[g] for g, _ in c)
-        if w in shadows:
-            return False
-        shadows[w] = c
-    if set(shadows) != words:
+    gp = building.gp
+    shadows = {tuple((g, 1) for g, _ in c): c for c in chambers}
+    if len(shadows) != len(chambers) or shadows.keys() != set(building.thin_ball(n)):
         return False
     for w, c in shadows.items():
-        for s in building.system.generators:
-            ws = w_reduce(building.system, w + (s,))
-            if ws not in shadows:
-                continue
-            d = building.gp.delta(shadows[ws], c)
-            if len(d) != 1 or d[0][0] != building.system.index[s]:
+        for g, i in kernel.right_descents(w, gp.comm):
+            d = gp.delta(shadows[w[:i] + w[i + 1 :]], c)
+            if len(d) != 1 or d[0][0] != g:
                 return False
     return True
 

@@ -86,6 +86,34 @@ def reference_ball_chambers(building, n):
     return frozenset(current)
 
 
+def reference_thin_ball(system, n):
+    """The words of W within combinatorial radius n, as tuples of generator
+    names in shortlex order, found by the search ``Building.thin_ball``
+    replaced: from each word of the last layer, every word of every maximal
+    spherical subgroup appended to it, reduced by ``coxeter.reduce``."""
+    from rabuild.coxeter import reduce as w_reduce, spherical_poset
+
+    subsets = []
+    for t in spherical_poset(system).maximal():
+        words = [[]]
+        for s in sorted(t, key=system.index.__getitem__):
+            words += [w + [s] for w in words]
+        subsets.append([tuple(w) for w in words])
+    current = {()}
+    frontier = [()]
+    for _ in range(n):
+        new = []
+        for w in frontier:
+            for words in subsets:
+                for word in words:
+                    cand = w_reduce(system, w + word)
+                    if cand not in current:
+                        current.add(cand)
+                        new.append(cand)
+        frontier = new
+    return sorted(current, key=lambda w: (len(w), [system.index[s] for s in w]))
+
+
 def reference_apartments(building, n):
     """The chamber sets of the apartment fragments through the base chamber,
     in the order ``apartments_through_base`` gives them, found by the search
@@ -93,14 +121,11 @@ def reference_apartments(building, n):
     syllable, and is held to its other descents by ``gp.delta``.  No cap."""
     from rabuild.building import syllable_key
     from rabuild.coxeter import reduce as w_reduce
-    from rabuild.symmetry import w_ball
 
     sysm = building.system
     gp = building.gp
     ball = building.ball_chambers(n)
-    words = sorted(
-        w_ball(sysm, n), key=lambda w: (len(w), tuple(sysm.index[s] for s in w))
-    )
+    words = reference_thin_ball(sysm, n)
     thin = set(words)
     descents = {}
     for w in words:

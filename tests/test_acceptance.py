@@ -27,6 +27,7 @@ from tests.conftest import (
     generator_word,
     hexagon_system,
     nerve_automorphisms,
+    reference_thin_ball,
 )
 
 
@@ -141,7 +142,7 @@ def test_criterion_6_davis_specialization():
                 chambers = bld.ball_chambers(n)
                 words = {generator_word(sysm, c): c for c in chambers}
                 assert len(words) == len(chambers)
-                assert set(words) == sym.w_ball(sysm, n)
+                assert set(words) == set(reference_thin_ball(sysm, n))
             sample = sorted(bld.ball_chambers(2))
             rng = random.Random(11)
             for _ in range(60):
@@ -286,7 +287,7 @@ def test_criterion_7_discreteness_trichotomy():
 def _fragment_oracle(bld, n):
     """Brute force: subsets of the ball that are distance-faithful sections."""
     ball = sorted(bld.ball_chambers(n))
-    words = sorted(sym.w_ball(bld.system, n))
+    words = sorted(reference_thin_ball(bld.system, n))
     found = []
     target_len = len(words)
     for subset in itertools.combinations(ball, target_len):

@@ -18,6 +18,7 @@ from tests.conftest import (
     generator_word,
     make_suite,
     reference_ball_chambers,
+    reference_thin_ball,
     serialize_chamber,
 )
 from tests.test_kernel import reference_normalize
@@ -242,6 +243,25 @@ def test_heap_ball_matches_residue_search():
         assert heap.mirror_counts() == walk.mirror_counts(), (name, n)
         assert heap.boundary_mirror_count() == walk.boundary_mirror_count()
         assert heap.sides() == walk.sides(), (name, n)
+
+
+def test_thin_ball_matches_the_reduced_word_search():
+    # the heap listing with every q = 2 against the search over maximal
+    # spherical words it replaced: the same words in the same order, on
+    # every suite system to its test radius + 1 and every shipped config to
+    # radius 2; each listing is made once per radius and kept
+    cases = [(name, bld, n) for name, bld, nmax in make_suite() for n in range(nmax + 2)]
+    for path in CONFIGS:
+        bld = load_config(str(path)).building()
+        cases += [(path.stem, bld, n) for n in range(3)]
+    for name, bld, n in cases:
+        words = bld.thin_ball(n)
+        assert [generator_word(bld.system, w) for w in words] == reference_thin_ball(
+            bld.system, n
+        ), (name, n)
+        assert all(e == 1 for w in words for _, e in w), (name, n)
+        assert bld.thin_ball(n) is words, (name, n)
+    assert len(cases) == 47
 
 
 def delta_gallery(bld, a, b):

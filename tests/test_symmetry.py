@@ -20,6 +20,7 @@ from tests.conftest import (
     inverse_automorphism,
     nerve_automorphisms,
     reference_apartments,
+    reference_thin_ball,
     whole_ball_group_table,
 )
 
@@ -737,7 +738,7 @@ def test_apartment_fragments_brute_force_oracle(square23):
     # enumerate all chamber subsets and keep the distance-faithful sections
     bld = square23
     ball = bld.ball_chambers(1)
-    words = sorted(sym.w_ball(bld.system, 1))
+    words = sorted(reference_thin_ball(bld.system, 1))
     valid = []
     from rabuild.coxeter import reduce as w_reduce
 
@@ -778,7 +779,7 @@ def _fragment_count(bld, n):
 
     sysm = bld.system
     count = 1
-    for w in sym.w_ball(sysm, n):
+    for w in reference_thin_ball(sysm, n):
         ds = [s for s in sysm.generators if len(w_reduce(sysm, w + (s,))) < len(w)]
         if len(ds) == 1:
             count *= bld.gp.q(ds[0]) - 1
@@ -819,6 +820,37 @@ def test_apartment_search_matches_the_delta_search(suite):
         assert all(sym.is_apartment_fragment(bld, n, f) for f in got), (name, n)
         checked += 1
     assert checked == 39
+
+
+def test_fragment_validator_accepts_exactly_the_listed_fragments(suite):
+    # Every set one step from a listed fragment: one chamber swapped for
+    # another over the same word, or one chamber dropped.  The validator
+    # checks adjacency at each chamber's right descents only; it must accept
+    # such a set exactly when the enumeration lists it.  Every suite system
+    # at every radius to its test radius, wherever the count is under the cap.
+    checked = accepted = 0
+    for name, bld, nmax in suite:
+        for n in range(nmax + 1):
+            if _fragment_count(bld, n) > sym.APARTMENT_COUNT_CAP:
+                continue
+            frags = {f.chambers for f in sym.apartments_through_base(bld, n)}
+            over = {}
+            for c in bld.ball_chambers(n):
+                over.setdefault(generator_word(bld.system, c), []).append(c)
+            near = set()
+            for f in frags:
+                for c in f:
+                    rest = f - {c}
+                    near.add(rest)
+                    near.update(
+                        rest | {d} for d in over[generator_word(bld.system, c)] if d != c
+                    )
+            for chambers in near:
+                ok = sym.is_apartment_fragment(bld, n, chambers)
+                assert ok == (chambers in frags), (name, n, sorted(chambers))
+                accepted += ok
+            checked += len(near)
+    assert (checked, accepted) == (32252, 320)
 
 
 def test_apartment_cap_refuses_before_enumerating(hex3, monkeypatch):
@@ -921,20 +953,27 @@ def test_witness_rejects_fragment_of_another_building(d23):
 def test_witness_command_validates_each_fragment_once(monkeypatch, capsys):
     # one thin ball and one validation per fragment, not one per ordered pair
     calls = []
+    thin_listings = []
     original = sym.is_apartment_fragment
+    heaps = Building._heaps
 
     def counting(building, n, chambers):
         calls.append(chambers)
         return original(building, n, chambers)
 
+    def counting_heaps(self, n, thin=False):
+        if thin:
+            thin_listings.append(n)
+        return heaps(self, n, thin)
+
     monkeypatch.setattr(sym, "is_apartment_fragment", counting)
-    sym.w_ball.cache_clear()
+    monkeypatch.setattr(Building, "_heaps", counting_heaps)
     config = str(Path(__file__).parent.parent / "configs" / "d23.json")
     assert main(["witness", config, "--radius", "3"]) == 0
     fragments = json.loads(capsys.readouterr().out)["fragments"]
     assert fragments == 8
     assert len(calls) == len(set(calls)) == fragments
-    assert sym.w_ball.cache_info().misses == 1
+    assert thin_listings == [3]
 
 
 def test_witness_command_searches_nothing_and_builds_no_scwol(monkeypatch, capsys):
