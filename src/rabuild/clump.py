@@ -311,47 +311,6 @@ class Clump:
     def panel_count(self, g, rep):
         return self._mirror_counts.get((g, rep), 0)
 
-    # -- vertex (face) queries ----------------------------------------------
-
-    def _panels_at(self, face):
-        """Per type g of the face: the clump's g-panels on it, as faces.
-
-        Read from the scwol: a g-panel on the face is the initial vertex of
-        an in-edge of type {g}, or the face itself when it is a g-panel.
-        """
-        scwol = self.scwol()
-        if not scwol.face_chambers.get(face):
-            raise DomainError("face is not incident to the clump")
-        tmask = face[0]
-        if tmask & (tmask - 1) == 0:
-            return {tmask.bit_length() - 1: [face]} if tmask else {}
-        out = {}
-        for src, _ in scwol.in_edges[face]:
-            t = src[0]
-            if t and t & (t - 1) == 0:
-                out.setdefault(t.bit_length() - 1, []).append(src)
-        return out
-
-    def _boundary_type(self, face, reading):
-        """Mask of the types g of the face for which ``reading`` (``any`` or
-        ``all``) holds over its incident g-panels being boundary panels.
-
-        A panel's chamber count is read from the face table."""
-        faces = self.scwol().face_chambers
-        out = 0
-        for g, panels in self._panels_at(face).items():
-            if reading(len(faces[p]) == 1 for p in panels):
-                out |= 1 << g
-        return out
-
-    def boundary_type_mask(self, face):
-        """Types s in the face's type with SOME boundary s-panel on it."""
-        return self._boundary_type(face, any)
-
-    def boundary_type_mask_all_variant(self, face):
-        """Types s in the face's type with EVERY incident s-panel boundary."""
-        return self._boundary_type(face, all)
-
     # -- sides ---------------------------------------------------------------
 
     def _side_index(self):

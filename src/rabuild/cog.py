@@ -12,23 +12,24 @@ One helper, ``add_chambers``, puts chambers into a face table and an edge
 set.  ``scwol_of`` runs it on a whole clump; ``clump.unfold`` runs it on the
 new chambers of an unfolding, against the clump's own table.
 
-A clump is accepted as admissible when the local development at every
-vertex of maximal spherical type is complete: the chambers on the vertex
-form a full subproduct of the residue, constant in the boundary
-directions.  The admissibility report also compares the two boundary-type
-readings (some incident panel on the boundary vs. all of them), which must
-agree on admissible clumps.
+Every face's boundary type is read in one pass over the rank-one faces
+(``_panel_types``).  A clump is admissible when the local development at
+every vertex of maximal spherical type is complete: the chambers on the
+vertex form a full subproduct of the residue, constant in the boundary
+directions.  ``is_admissible`` also checks that the two readings of the
+boundary type (some panel of a type on the face is a boundary panel, or
+every one is) agree, and reports both checks as one ``covering.Report``.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+import math
 from functools import cached_property
 
 from . import kernel
 from .building import face_key, syllable_key
-from .errors import DomainError, InternalError
+from .covering import Report
+from .errors import InternalError
 
 
 class Scwol:
@@ -219,124 +220,93 @@ class ComplexOfGroups:
         return ()
 
 
+def _panel_types(scwol, boundary):
+    """face -> mask of the types g of which some g-panel on the face is a
+    boundary panel (one chamber in the face table), or an interior one.
+
+    ``add_chambers`` joins every pair of faces of each chamber, so a g-panel
+    P lies on a face F of larger type (is the g-panel of a chamber on F)
+    exactly when the edge P -> F exists: that chamber has both as faces,
+    and the chamber whose faces gave the edge is on F with P its g-panel.
+    So one pass over the panels marks each panel itself (it may have no
+    out-edge: its generator may commute with no other) and the ends of its
+    out-edges.
+    """
+    types = dict.fromkeys(scwol.vertices, 0)
+    out_edges = scwol.out_edges
+    for face, members in scwol.face_chambers.items():
+        t = face[0]
+        if t and not t & (t - 1) and (len(members) == 1) == boundary:
+            types[face] |= t
+            for _, dst in out_edges.get(face, ()):
+                types[dst] |= t
+    return types
+
+
 def canonical_cog(clump) -> ComplexOfGroups:
+    """The complex of groups whose local group at a face is the product over
+    its boundary type: the types with some boundary panel on the face."""
     scwol = clump.scwol()
-    local = {}
-    for face in scwol.vertices:
-        local[face] = clump.boundary_type_mask(face)
+    local = _panel_types(scwol, True)
+    # A panel on src lies on dst too, so the masks nest along every edge of
+    # a scwol that holds its composites; an edge set that lacks one fails.
     for src, dst in scwol.edges:
         if local[src] & ~local[dst]:
             raise InternalError(
-                "local groups do not include along an edge; "
+                f"local groups do not include along the edge {(src, dst)!r}; "
                 "boundary types failed to nest"
             )
     return ComplexOfGroups(clump.building, scwol, local)
 
 
-@dataclass(frozen=True)
-class LocalDevelopment:
-    face: tuple
-    type_mask: int
-    boundary_mask: int
-    vectors: tuple  # chamber exponent vectors on the residue, sorted
-    cardinalities: dict  # generator index -> q in the developed link join
-    complete: bool
-    is_join: bool
-    chamber_count: int
-    developed_count: int
-    expected_count: int
-
-
-def local_development(cog: ComplexOfGroups, face) -> LocalDevelopment:
-    """Join structure of the vertex's link and its development.
-
-    Only vertices of maximal spherical type are supported; completeness at
-    those suffices for the admissibility verdict.
-    """
-    building = cog.building
+def _complete(gp, face, members, bmask):
+    """The local development at a face is complete: the chambers on it are
+    constant in the boundary types, and their exponents in the other types
+    of the face run once through every value."""
     tmask, rep = face
-    if tmask not in building.maximal_masks:
-        raise DomainError("local development is only computed at maximal types")
-    gens = [g for g in range(len(building.gp.qs)) if (tmask >> g) & 1]
-    members = cog.scwol.face_chambers[face]
-    vectors = []
+    free = [g for g in range(len(gp.qs)) if (tmask & ~bmask) >> g & 1]
+    bound = [g for g in range(len(gp.qs)) if (tmask & bmask) >> g & 1]
+    free_seen, bound_seen = set(), set()
     for c in members:
-        d = building.gp.delta(rep, c)
-        exps = dict(d)
-        vectors.append(tuple(exps.get(g, 0) for g in gens))
-    vectors = tuple(sorted(vectors))
-    bmask = cog.local_masks[face]
-    qs = building.gp.qs
-    free = [g for g in gens if not (bmask >> g) & 1]
-    bound = [g for g in gens if (bmask >> g) & 1]
-    proj = {g: sorted({v[i] for v in vectors}) for i, g in enumerate(gens)}
-    constant_on_boundary = all(len(proj[g]) == 1 for g in bound)
-    expected = 1
-    for g in free:
-        expected *= qs[g]
-    full_free = set(
-        itertools.product(*[range(qs[g]) for g in free])
-    ) == {
-        tuple(v[gens.index(g)] for g in free) for v in vectors
-    }
-    complete = (
-        constant_on_boundary and full_free and len(vectors) == expected
-    )
-    is_join = len(vectors) == len(set(itertools.product(*[proj[g] for g in gens])))
-    cards = {g: qs[g] for g in gens}
-    dev_count = len(vectors)
-    for g in bound:
-        dev_count *= qs[g]
-    return LocalDevelopment(
-        face=face,
-        type_mask=tmask,
-        boundary_mask=bmask,
-        vectors=vectors,
-        cardinalities=cards,
-        complete=complete,
-        is_join=is_join,
-        chamber_count=len(vectors),
-        developed_count=dev_count,
-        expected_count=expected,
-    )
+        exps = dict(gp.delta(rep, c))
+        free_seen.add(tuple(exps.get(g, 0) for g in free))
+        bound_seen.add(tuple(exps.get(g, 0) for g in bound))
+    expected = math.prod(gp.qs[g] for g in free)
+    return len(bound_seen) == 1 and len(free_seen) == len(members) == expected
 
 
-@dataclass
-class AdmissibilityReport:
-    admissible: bool
-    vertices: list = field(default_factory=list)  # per maximal-type vertex
-    variant_mismatches: list = field(default_factory=list)
+def is_admissible(clump) -> Report:
+    """Admissibility of the clump's complex of groups, as a ``Report``.
 
-
-def is_admissible(clump):
-    """Completeness of every maximal-type local development, with report."""
+    Failures, each at a face: ``development``, a maximal-type face whose
+    local development is not complete, and ``boundary-type-variants``, a
+    face where the some-panel reading of the boundary type (its local mask)
+    differs from the every-panel one (its type less the types of its
+    interior panels).  The readings agree on admissible clumps, so a
+    disagreement on a clump with no ``development`` failure raises
+    ``InternalError``.
+    """
     cog = clump.cog()
-    building = clump.building
-    report = AdmissibilityReport(admissible=True)
-    for face in cog.scwol.vertices:
-        if face[0] not in building.maximal_masks:
-            continue
-        dev = local_development(cog, face)
-        report.vertices.append(
-            {
-                "face": face,
-                "complete": dev.complete,
-                "is_join": dev.is_join,
-                "chambers": dev.chamber_count,
-                "expected": dev.expected_count,
-            }
+    scwol = cog.scwol
+    gp = clump.building.gp
+    maximal = clump.building.maximal_masks
+    local = cog.local_masks
+    report = Report()
+    for face in scwol.vertices:
+        if face[0] in maximal and not _complete(
+            gp, face, scwol.face_chambers[face], local[face]
+        ):
+            report.fail("development", face)
+    interior = _panel_types(scwol, False)
+    differ = [f for f in scwol.vertices if local[f] != f[0] & ~interior[f]]
+    if report.ok and differ:
+        # a mismatch here means the completeness check let a bad clump by
+        raise InternalError(
+            f"boundary-type readings disagree on an admissible clump at face "
+            f"{differ[0]!r}"
         )
-        if not dev.complete:
-            report.admissible = False
-    for face in cog.scwol.vertices:
-        some = clump.boundary_type_mask(face)
-        every = clump.boundary_type_mask_all_variant(face)
-        if some != every:
-            report.variant_mismatches.append(face)
-    if report.admissible and report.variant_mismatches:
-        # On admissible clumps the two readings of the boundary type agree;
-        # a mismatch here means the completeness check let a bad clump by.
-        raise InternalError("boundary-type variants disagree on an admissible clump")
+    for face in differ:
+        report.fail("boundary-type-variants", face)
     return report
 
 

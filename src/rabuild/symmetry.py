@@ -10,8 +10,8 @@ and to map sides to sides.  They feed four pipelines:
 * ``quotient_cog``: a finite group of type permutations induces a complex
   of groups over the orbit space, together with a covering from the
   original, verified against the covering axioms (the base is subdivided
-  into residue chains whenever a group element fixes a vertex but moves an
-  edge at it, which is the rule for type-rotating symmetries).  The group
+  into residue chains when the group is not trivial, since an element that
+  moves a type fixes a vertex but moves an edge at it).  The group
   multiplies as its permutations do; each permutation's ball automorphism
   is built and verified once, and read only for its action on faces;
 * the discreteness classifier for full and type-preserving automorphism
@@ -150,11 +150,6 @@ class BallAutomorphism:
         self.mapping = dict(mapping)
         self.perm = tuple(perm)
         self._face_cache = {}
-
-    def is_identity(self):
-        return all(k == v for k, v in self.mapping.items()) and all(
-            self.perm[i] == i for i in range(len(self.perm))
-        )
 
     def face_image(self, face):
         got = self._face_cache.get(face)
@@ -317,17 +312,6 @@ def extend_action(clump: Clump, h: BallAutomorphism) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _action_has_inversions(clump, autos):
-    scwol = clump.scwol()
-    for h in autos:
-        if h.is_identity():
-            continue
-        fixed = {f for f in scwol.vertices if h.face_image(f) == f}
-        if any(src in fixed and dst not in fixed for src, dst in scwol.edges):
-            return True
-    return False
-
-
 def _cell_cog(clump, subdivide):
     """The quotient base, a ``cog.ComplexOfGroups``: scwol vertices, or
     residue chains when subdividing.
@@ -445,6 +429,10 @@ class QuotientCog:
     built.  ``autos[i]``, the verified automorphism permutation i induces,
     is read only for its type permutation and its action on faces.
 
+    The base is subdivided exactly when the group is not trivial: every
+    automorphism fixes the base face (0, ()), and one whose permutation
+    moves g moves the end of the edge (0, ()) -> ({g}, ()), in every ball.
+
     Cells are referred to by their position in the base's vertex order.
     Each cell's images under all automorphisms are computed once, as a
     tuple of positions, and an edge is coded as (position of its start) * n
@@ -474,7 +462,7 @@ class QuotientCog:
         self.autos = automorphism_group_from_permutations(clump, perms)
         self.clump = clump
         self.building = clump.building
-        self.subdivided = _action_has_inversions(clump, self.autos)
+        self.subdivided = len(perms) > 1
         self.cells = _cell_cog(clump, self.subdivided)
         for h in self.autos:
             extend_action(clump, h)

@@ -121,11 +121,11 @@ def test_criterion_5_admissibility(suite_traces, tree_product):
     with criterion(5, "every unfolded clump is admissible; the bad clump fails"):
         for name, (final, records) in suite_traces.items():
             for clump in clumps_along(final.building, records):
-                assert is_admissible(clump).admissible, name
+                assert is_admissible(clump).ok, name
         i_s1 = tree_product.system.index["s1"]
         i_t1 = tree_product.system.index["t1"]
         bad = Clump(tree_product, {(), ((i_s1, 1),), ((i_t1, 1),)})
-        assert not is_admissible(bad).admissible
+        assert not is_admissible(bad).ok
 
 
 def test_criterion_6_davis_specialization():

@@ -16,6 +16,7 @@ from rabuild.clump import (
     unfold_steps_to_ball,
 )
 from rabuild.cli import main
+from rabuild.cog import _panel_types
 from rabuild.errors import DomainError
 from tests.conftest import clumps_along, serialize_chamber
 
@@ -78,21 +79,22 @@ def test_boundary_mirrors_ball1(d23):
 def test_boundary_type_examples(d23):
     clump = chamber_clump(d23)
     s_vertex = d23.face_of((), 1 << 0)
-    assert clump.boundary_type_mask(s_vertex) == d23.system.mask({"s"})
+    assert clump.cog().local_masks[s_vertex] == d23.system.mask({"s"})
     # after unfolding along the t-side, the t-mirror is interior
     tside = [k for k in clump.sides() if k.gen == 1][0]
     unfold(clump, tside)
     t_vertex = d23.face_of((), 1 << 1)
-    assert clump.boundary_type_mask(t_vertex) == d23.system.mask(set())
-    with pytest.raises(DomainError):
-        clump.boundary_type_mask(d23.face_of(((0, 1), (1, 1)), 1 << 0))
+    local = clump.cog().local_masks
+    assert local[t_vertex] == d23.system.mask(set())
+    # a face of no clump chamber has no local group
+    assert d23.face_of(((0, 1), (1, 1)), 1 << 0) not in local
 
 
 def test_fully_interior_vertex(square23):
     whole = square23.ball(1)
     for tmask in square23.spherical_masks:
         face = square23.face_of((), tmask)
-        assert whole.boundary_type_mask(face) == square23.system.mask(set())
+        assert whole.cog().local_masks[face] == square23.system.mask(set())
 
 
 def test_sides_basic(d23, hex3):
@@ -237,18 +239,19 @@ def test_boundary_type_three_case_law(d23, d33, square23, hex3):
             gp = bld.gp
             before_scwol = current.scwol()
             after_scwol = after.scwol()
+            bt_before = current.cog().local_masks
             assert after.chambers - current.chambers == grown.chambers
             for face in after_scwol.vertices:
-                bt_after = after.boundary_type_mask(face)
+                bt_after = after.cog().local_masks[face]
                 old = face in before_scwol.face_chambers
                 on_side = bool((face[0] >> u) & 1) and any(
                     gp.strip(c, 1 << u) in set(side.mirrors)
                     for c in after_scwol.face_chambers[face]
                 )
                 if old and not on_side:
-                    assert bt_after == current.boundary_type_mask(face)
+                    assert bt_after == bt_before[face]
                 elif old and on_side:
-                    assert bt_after == current.boundary_type_mask(face) & ~(1 << u)
+                    assert bt_after == bt_before[face] & ~(1 << u)
                 else:
                     # new face: companion through the side's panels
                     c = after_scwol.face_chambers[face][0]
@@ -259,8 +262,7 @@ def test_boundary_type_three_case_law(d23, d33, square23, hex3):
                     ]
                     companion = [p for p in panel if p in current.chambers][0]
                     lift = bld.face_of(companion, face[0])
-                    assert current.boundary_type_mask(lift) & bt_after == \
-                        current.boundary_type_mask(lift)
+                    assert bt_before[lift] & bt_after == bt_before[lift]
 
 
 def _sides_oracle(clump):
@@ -417,12 +419,15 @@ def _boundary_type_by_strips(clump, face, reading):
 
 
 def _assert_boundary_types_match(clump, name):
-    for face in clump.scwol().vertices:
-        for reading, method in (
-            (any, clump.boundary_type_mask),
-            (all, clump.boundary_type_mask_all_variant),
-        ):
-            assert method(face) == _boundary_type_by_strips(clump, face, reading), (
+    # the local masks are the some-panel reading; the every-panel reading
+    # is the face's type less the types with an interior panel on it
+    scwol = clump.scwol()
+    some = clump.cog().local_masks
+    interior = _panel_types(scwol, False)
+    for face in scwol.vertices:
+        every = face[0] & ~interior[face]
+        for reading, mask in ((any, some[face]), (all, every)):
+            assert mask == _boundary_type_by_strips(clump, face, reading), (
                 name,
                 face,
             )

@@ -2,16 +2,13 @@ import itertools
 
 import pytest
 
+from rabuild import cog as cog_mod
+from rabuild.building import Building
 from rabuild.clump import Clump, chamber_clump
-from rabuild.cog import (
-    ComplexOfGroups,
-    Scwol,
-    is_admissible,
-    local_development,
-    scwol_to_dot,
-)
+from rabuild.cog import ComplexOfGroups, Scwol, is_admissible, scwol_to_dot
+from rabuild.coxeter import CoxeterSystem
 from rabuild.covering import check_covering, covering_morphism
-from rabuild.errors import DomainError, InternalError
+from rabuild.errors import InternalError
 from tests.conftest import clumps_along
 
 
@@ -110,45 +107,75 @@ def test_nonadmissible_clump_local_groups(tree_product):
     assert cog.local_masks[corner] == sysm.mask(["s1", "t1"])
 
 
-def test_local_development_single_chamber(hex3):
-    cog = chamber_clump(hex3).cog()
-    corner = hex3.face_of((), hex3.system.mask(["s1", "s2"]))
-    dev = local_development(cog, corner)
-    assert dev.complete and dev.is_join
-    assert sorted(dev.cardinalities.values()) == [3, 3]
-    assert dev.developed_count == 9
+def test_admissible_single_chamber(hex3):
+    report = is_admissible(chamber_clump(hex3))
+    assert report.ok and report.failures == []
 
 
-def test_local_development_interior(square23):
-    cog = square23.ball(1).cog()
-    corner = square23.face_of((), square23.system.mask(["s", "t"]))
-    dev = local_development(cog, corner)
-    assert dev.complete
-    assert dev.chamber_count == 6
+def test_admissible_interior(square23):
+    report = is_admissible(square23.ball(1))
+    assert report.ok and report.failures == []
 
 
-def test_local_development_requires_maximal_type(hex3):
-    cog = chamber_clump(hex3).cog()
-    mirror = hex3.face_of((), hex3.system.mask(["s1"]))
-    with pytest.raises(DomainError):
-        local_development(cog, mirror)
-
-
-def test_local_development_not_join_on_bad_clump(tree_product):
-    clump = l_clump(tree_product)
-    cog = clump.cog()
+def test_inadmissible_l_clump_fails_at_its_corner(tree_product):
     sysm = tree_product.system
     corner = tree_product.face_of((), sysm.mask(["s1", "t1"]))
-    dev = local_development(cog, corner)
-    assert not dev.is_join
-    assert not dev.complete
+    report = is_admissible(l_clump(tree_product))
+    assert not report.ok
+    development = [f["where"] for f in report.failures if f["kind"] == "development"]
+    assert development == [corner]
 
 
 def test_admissibility_verdicts(d23, tree_product, suite):
-    assert is_admissible(chamber_clump(d23)).admissible
+    assert is_admissible(chamber_clump(d23)).ok
     bad = is_admissible(l_clump(tree_product))
-    assert not bad.admissible
-    assert bad.variant_mismatches  # boundary-type readings disagree here
+    assert not bad.ok
+    # the boundary-type readings disagree here, after the development failures
+    kinds = [f["kind"] for f in bad.failures]
+    assert kinds[0] == "development" and "boundary-type-variants" in kinds
+    assert kinds == sorted(kinds, key=lambda k: k != "development")
+
+
+def _pairwise_commuting_chamber():
+    """a, b and c pairwise commute: the radius-zero clump of their building."""
+    sysm = CoxeterSystem(["a", "b", "c"], [("a", "b"), ("a", "c"), ("b", "c")])
+    return chamber_clump(Building(sysm, {"a": 2, "b": 2, "c": 2}))
+
+
+def test_nesting_failure_names_its_edge():
+    # with the edge from the a-panel to the chamber's whole face dropped,
+    # the a-panel no longer marks that face, and the first edge (in scwol
+    # order) whose local masks fail to nest is {a, b} -> {a, b, c}
+    clump = _pairwise_commuting_chamber()
+    clump.scwol().edge_set.discard(((0b001, ()), (0b111, ())))
+    with pytest.raises(InternalError) as info:
+        clump.cog()
+    assert str(info.value) == (
+        "local groups do not include along the edge ((3, ()), (7, ())); "
+        "boundary types failed to nest"
+    )
+
+
+def test_admissibility_disagreement_names_its_first_face(monkeypatch):
+    # the every-panel reading, doctored to find an interior a-panel on the
+    # {a, b} face of an admissible clump: the disagreement is an internal
+    # error that names that face
+    clump = _pairwise_commuting_chamber()
+    real = cog_mod._panel_types
+
+    def doctored(scwol, boundary):
+        types = real(scwol, boundary)
+        if not boundary:
+            types[0b011, ()] |= 0b001
+        return types
+
+    clump.cog()
+    monkeypatch.setattr(cog_mod, "_panel_types", doctored)
+    with pytest.raises(InternalError) as info:
+        is_admissible(clump)
+    assert str(info.value) == (
+        "boundary-type readings disagree on an admissible clump at face (3, ())"
+    )
 
 
 def test_chamber_count_law(suite_traces):

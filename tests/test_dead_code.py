@@ -1,11 +1,13 @@
-"""Dead-code guard: every public definition in ``src/rabuild`` has a caller.
+"""Dead-code guard: every definition in ``src/rabuild`` has a caller.
 
 A public top-level function or class, or a public method, must be referenced
 somewhere in ``src/rabuild/*.py`` or ``perfbench/*.py`` outside its own
-definition.  References are names, attribute names and imported names; in
-``perfbench`` the identifiers inside string constants count too, because the
-tracer names its targets by strings (``"GraphProduct.delta"``).  Tests do not
-count: code that only a test calls is not part of any pipeline.
+definition.  A private one (dunders excluded) must be referenced in
+``src/rabuild/*.py`` outside its own definition.  References are names,
+attribute names and imported names; in ``perfbench`` the identifiers inside
+string constants count too, because the tracer names its targets by strings
+(``"GraphProduct.delta"``).  Tests do not count: code that only a test calls
+is not part of any pipeline.
 
 A definition that only ``perfbench`` names is kept for the benchmark alone.
 Those are listed in ``BENCHMARK_ONLY`` and the list is held to the computed
@@ -74,17 +76,26 @@ def _references(path, with_strings):
                 yield word, node.lineno, True
 
 
-def _definitions(path):
-    """(qualified name, bare name, is a method, first line, last line)."""
+def _definitions(path, private=False):
+    """(qualified name, bare name, is a method, first line, last line) of the
+    public definitions, or of the private ones: a private method is one of
+    any class, dunders excluded."""
     tree = ast.parse(path.read_text())
     kinds = (ast.FunctionDef, ast.ClassDef)
+
+    def wanted(name):
+        if name.startswith("__") and name.endswith("__"):
+            return False
+        return name.startswith("_") == private
+
     for node in tree.body:
-        if not isinstance(node, kinds) or node.name.startswith("_"):
+        if not isinstance(node, kinds):
             continue
-        yield f"{path.stem}.{node.name}", node.name, False, node.lineno, node.end_lineno
-        if isinstance(node, ast.ClassDef):
+        if wanted(node.name):
+            yield f"{path.stem}.{node.name}", node.name, False, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef) and (private or wanted(node.name)):
             for sub in node.body:
-                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                if isinstance(sub, ast.FunctionDef) and wanted(sub.name):
                     yield (
                         f"{path.stem}.{node.name}.{sub.name}",
                         sub.name,
@@ -125,3 +136,21 @@ def test_every_public_definition_has_a_caller():
     assert benchmark_only == BENCHMARK_ONLY, (
         f"kept for perfbench alone: {sorted(benchmark_only)}"
     )
+
+
+def test_every_private_definition_has_a_caller():
+    # a private top-level function or class, or a private method, is
+    # referenced in ``src/rabuild`` outside its own body
+    refs = {path: list(_references(path, with_strings=False)) for path in SRC.glob("*.py")}
+    dead = []
+    for path in sorted(SRC.glob("*.py")):
+        for qualname, name, method, first, last in _definitions(path, private=True):
+            if not any(
+                word == name
+                and (dotted or not method)
+                and not (where == path and first <= line <= last)
+                for where, found in refs.items()
+                for word, line, dotted in found
+            ):
+                dead.append(qualname)
+    assert not dead, f"private definitions without a caller: {dead}"

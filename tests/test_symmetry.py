@@ -108,10 +108,15 @@ def test_quotient_table_cap_refuses_from_the_permutation_count(monkeypatch):
 # -- ball automorphisms ------------------------------------------------------
 
 
+def _identity_on(clump, rank):
+    """(perm, mapping) of the identity automorphism of the clump."""
+    return tuple(range(rank)), {c: c for c in clump.chambers}
+
+
 def test_identity_automorphism(d33):
     ball = d33.ball(1)
     h = sym.identity_automorphism(ball)
-    assert h.is_identity()
+    assert (h.perm, h.mapping) == _identity_on(ball, 2)
     assert h.verify() == []
 
 
@@ -122,7 +127,8 @@ def test_swap_automorphism_d33(d33):
     s = element(d33.gp, [("s", 1)])
     t = element(d33.gp, [("t", 1)])
     assert h.mapping[s] == t
-    assert h.compose(h).is_identity()
+    hh = h.compose(h)
+    assert (hh.perm, hh.mapping) == _identity_on(ball, 2)
     inv = inverse_automorphism(h)
     assert (inv.perm, inv.mapping) == (h.perm, h.mapping)
 
@@ -247,7 +253,7 @@ def test_extend_action_matches_strip_reading(suite):
         grown = records[-1]
         for i, j in itertools.permutations(range(len(sheets(grown))), 2):
             h = sym.sheet_swap(ball, grown, i, j)
-            assert not h.is_identity()
+            assert h.mapping != _identity_on(ball, len(h.perm))[1]
             sym.extend_action(ball, h)
             assert _vertex_maps_by_strips(ball, h) == _perm_maps(ball, h), (name, i, j)
             swaps_seen += 1
@@ -337,6 +343,52 @@ def test_quotient_swap_on_ball(d33):
     assert res.report.ok
     assert res.report.sheet_count == 2
     assert res.quotient.subdivided
+
+
+def _has_inversions(clump, autos):
+    """Reference: some automorphism fixes a scwol vertex and moves the end
+    of an edge out of it, found by listing every automorphism's fixed faces."""
+    scwol = clump.scwol()
+    for h in autos:
+        fixed = {f for f in scwol.vertices if h.face_image(f) == f}
+        if any(src in fixed and dst not in fixed for src, dst in scwol.edges):
+            return True
+    return False
+
+
+def _cyclic_subgroup(perm):
+    """The powers of a type permutation, sorted."""
+    identity = tuple(range(len(perm)))
+    out, power = [identity], perm
+    while power != identity:
+        out.append(power)
+        power = tuple(perm[g] for g in power)
+    return sorted(out)
+
+
+def test_subdivision_follows_from_the_group(suite):
+    # the base is subdivided exactly when the group has a nonidentity
+    # permutation: the inversion search agrees on the full group and each
+    # of its cyclic subgroups, on every suite ball at radius 0-2 (hex3 to
+    # radius 1), and so does QuotientCog on the one-chamber balls
+    cases = 0
+    for name, bld, _ in suite:
+        group = sym.type_permutation_group(bld)
+        identity = tuple(range(len(bld.gp.qs)))
+        subgroups = {tuple(group)} | {tuple(_cyclic_subgroup(p)) for p in group}
+        for n in range(2 if name == "hex3" else 3):
+            ball = bld.ball(n)
+            autos = dict(
+                zip(group, sym.automorphism_group_from_permutations(ball, group))
+            )
+            for sub in subgroups:
+                rule = any(p != identity for p in sub)
+                found = _has_inversions(ball, [autos[p] for p in sub])
+                assert found == rule, (name, n, sub)
+                if n == 0:
+                    assert sym.QuotientCog(ball, sub).subdivided == rule
+                cases += 1
+    assert cases == 76
 
 
 def test_quotient_group_table_equals_whole_ball_table(suite, d33):
@@ -883,7 +935,8 @@ def test_sheet_swap_involution(d23):
     h = sym.sheet_swap(clump, grown, 0, 1)
     assert h.verify() == []
     assert h.mapping[()] == ()
-    assert h.compose(h).is_identity()
+    hh = h.compose(h)
+    assert (hh.perm, hh.mapping) == _identity_on(clump, 2)
 
 
 def test_sheet_swap_fixes_old_clump(d33):
@@ -894,7 +947,7 @@ def test_sheet_swap_fixes_old_clump(d33):
         h = sym.sheet_swap(ball, grown, 0, 1)
         for c in before:
             assert h.mapping[c] == c
-        assert not h.is_identity()
+        assert h.mapping != _identity_on(ball, 2)[1]
         before |= grown.chambers
 
 
@@ -931,8 +984,9 @@ def test_sheet_swap_equals_reference_extension(suite):
 
 def test_witness_identity(square23):
     frags = sym.apartments_through_base(square23, 1)
-    h = sym.transitivity_witness(*unfold_steps_to_ball(square23, 1), frags[0], frags[0])
-    assert h.is_identity()
+    ball, records = unfold_steps_to_ball(square23, 1)
+    h = sym.transitivity_witness(ball, records, frags[0], frags[0])
+    assert (h.perm, h.mapping) == _identity_on(ball, 2)
 
 
 def test_witness_rejects_non_fragment(d23):
