@@ -150,6 +150,23 @@ class Building:
                             g, [((g, e),) for e in range(1, k + 1)])
                         level.append((w, kids, *state))
 
+    def ball(self, n):
+        """Combinatorial ball of radius n, as a clump.  Its mirror counts are
+        read off the heap layers by lemma 3, each g-panel at its
+        representative: the chamber of it that g is not a descent of."""
+        from .clump import Clump
+
+        chambers, counts = set(), {}
+        qs = self.gp.qs
+        for words, descents, nxt in self._heaps(n):
+            chambers.update(words)
+            for g, q in enumerate(qs):
+                if not (descents >> g) & 1:
+                    k = q if nxt[g] <= n else 1
+                    for c in words:
+                        counts[g, c] = k
+        return Clump(self, chambers, counts)
+
     def ball_chambers(self, n):
         """Chamber set of the combinatorial ball of radius n (raw tuples)."""
         return frozenset(c for words, _, _ in self._heaps(n) for c in words)
@@ -164,12 +181,6 @@ class Building:
                 w for words, _, _ in self._heaps(n, thin=True) for w in words
             )
         return got
-
-    def ball(self, n):
-        """Combinatorial ball of radius n, as a clump."""
-        from .clump import Clump
-
-        return Clump._of_heaps(self, n)
 
     # -- serialization ---------------------------------------------------
 

@@ -26,7 +26,7 @@ from . import covering as covering_mod
 from . import kernel
 from . import symmetry
 from .building import DEFAULT_CHAMBER_CAP, Building, save_ball_cache
-from .clump import unfold_steps_to_ball, sheets
+from .clump import unfold_steps_to_ball
 from .coxeter import CoxeterSystem
 from .errors import InputError, RabuildError
 
@@ -235,7 +235,7 @@ def cmd_unfold_trace(cfg: SystemConfig, args) -> int:
             {
                 "type": bld.system.generators[grown.side.gen],
                 "mirrors": len(grown.side.mirrors),
-                "sheets": len(sheets(grown)),
+                "sheets": len(grown.sheets),
                 "new_chambers": len(grown.chambers),
                 "chambers_after": total,
             }

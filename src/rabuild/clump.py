@@ -1,4 +1,4 @@
-"""Clumps: gallery-connected chamber sets with boundary structure.
+"""Clumps: the balls of the building and the chamber sets unfolded from one.
 
 A mirror of a clump is a rank-one face (panel) carrying at least one of its
 chambers; it is a boundary mirror when it carries exactly one.  Boundary
@@ -7,13 +7,14 @@ rank-two faces), and unfolding along a side adjoins every chamber of every
 panel in the side.  The new chambers split into *sheets*: components under
 adjacency in the remaining types.
 
-Chambers are raw syllable tuples throughout.  A clump counts its mirrors
-when it is built and computes its other derived data (sides, scwol) from its
-chambers when first asked.  ``unfold`` grows a clump in place: it adds the
-new chambers to the chamber set and updates the mirror counts, side table,
-face table and edge set for them only, so a step costs work in proportion to
-the chambers it adds.  The earlier state is not kept; a caller that needs it
-builds a clump from saved chambers.
+Chambers are raw syllable tuples throughout.  Every clump starts as
+``Building.ball(n)``, which lists the ball's chambers with its mirror counts
+read off the heap layers; the one-chamber clump is ``ball(0)``.  A clump
+computes its other derived data (sides, scwol) from its chambers when first
+asked.  ``unfold`` grows a clump in place: it adds the new chambers to the
+chamber set and updates the mirror counts, side table, face table and edge
+set for them only, so a step costs work in proportion to the chambers it
+adds.  The earlier state is not kept.
 
 The sequence of unfoldings from one chamber to a ball is kept as a log: one
 ``Unfolding`` record per step, holding what the step added and no clump.
@@ -43,23 +44,13 @@ class Side(namedtuple("Side", "gen mirrors")):
         return hash((self.gen, self.mirrors[0]))
 
 
-def _panels(c, comm):
-    """``(g, c's g-panel representative)`` for every type g: ``c`` less its
-    right-visible g-syllable, or ``c`` itself when it has none (the lemma
-    in ``rabuild.kernel``)."""
-    keys = [(g, c) for g in range(len(comm))]
-    for g, i in kernel.right_descents(c, comm):
-        keys[g] = (g, c[:i] + c[i + 1 :])
-    return keys
-
-
 class Unfolding:
     """What an unfolding added to the clump it grew.
 
     A plain class: a dataclass would cost a millisecond at every import.
     """
 
-    __slots__ = ("side", "chambers", "lift", "faces", "created", "edges")
+    __slots__ = ("side", "chambers", "lift", "faces", "created", "edges", "sheets")
 
     def __init__(self, side, lift, faces, created, edges):
         self.side = side  # the side that was unfolded
@@ -68,6 +59,7 @@ class Unfolding:
         self.faces = faces  # face of a new chamber -> the new chambers on it
         self.created = created  # faces of new chambers the old clump lacked
         self.edges = edges  # scwol edges that the old clump lacked
+        self.sheets = sheets(self)  # the new chambers' sheets, found once
 
 
 class _Sides:
@@ -239,53 +231,14 @@ class Clump:
     # derived data (_Sides table, sorted sides, scwol, cog), built when asked
     _side_table = _sides = _scwol = _cog = None
 
-    def __init__(self, building: Building, chambers):
+    def __init__(self, building: Building, chambers: set, mirror_counts: dict):
+        """A clump of ``chambers`` whose panels carry ``mirror_counts``:
+        (gen, panel representative) -> the number of its chambers on the
+        panel, for every panel of a chamber.  Both are kept as given, not
+        copied, and ``unfold`` updates them in place."""
         self.building = building
-        self.chambers = set(chambers)  # unfold adds to it
-        if not self._gallery_connected():  # which also counts the mirrors
-            raise DomainError("chamber set is not gallery-connected")
-
-    @classmethod
-    def _of_heaps(cls, building, n):
-        """The radius-n ball from ``Building._heaps``: mirror counts read off
-        the layers, gallery-connected by the prefix tree (lemma 3 there)."""
-        clump = cls.__new__(cls)
-        clump.building, clump.chambers = building, set()
-        counts = clump._mirror_counts = {}
-        for words, descents, nxt in building._heaps(n):
-            clump.chambers.update(words)
-            for g, q in enumerate(building.gp.qs):
-                if not (descents >> g) & 1:
-                    k = q if nxt[g] <= n else 1
-                    for c in words:
-                        counts[g, c] = k
-        return clump
-
-    def _gallery_connected(self):
-        """Walk the clump panel by panel: two chambers are adjacent exactly
-        when they share a panel, so the walk costs one descent scan per
-        chamber, whatever the panel orders are.  The panel sizes are kept
-        as the mirror counts."""
-        if not self.chambers:
-            return False
-        comm = self.building.gp.comm
-        keys = {}
-        panels = {}  # (gen, panel representative) -> clump chambers on it
-        for c in self.chambers:
-            keys[c] = _panels(c, comm)
-            for key in keys[c]:
-                panels.setdefault(key, []).append(c)
-        self._mirror_counts = {k: len(v) for k, v in panels.items()}
-        start = next(iter(self.chambers))
-        seen = {start}
-        stack = [start]
-        while stack:
-            for key in keys[stack.pop()]:
-                for nb in panels.pop(key, ()):
-                    if nb not in seen:
-                        seen.add(nb)
-                        stack.append(nb)
-        return len(seen) == len(self.chambers)
+        self.chambers = chambers
+        self._mirror_counts = mirror_counts
 
     def __len__(self):
         return len(self.chambers)
@@ -307,9 +260,6 @@ class Clump:
     def is_whole_building(self):
         """Finite building fully enumerated: no boundary at all."""
         return 1 not in self._mirror_counts.values()
-
-    def panel_count(self, g, rep):
-        return self._mirror_counts.get((g, rep), 0)
 
     # -- sides ---------------------------------------------------------------
 
@@ -352,11 +302,6 @@ class Clump:
         return self._cog
 
 
-def chamber_clump(building: Building) -> Clump:
-    """The radius-zero ball: a single chamber."""
-    return Clump(building, {()})
-
-
 def unfold(clump: Clump, side: Side) -> Unfolding:
     """Adjoin every chamber of every panel of the side to the clump, in place,
     and return the step's record.
@@ -364,9 +309,9 @@ def unfold(clump: Clump, side: Side) -> Unfolding:
     The clump's derived data is updated for the new chambers only: one
     descent scan per new chamber for the face table and the edges, panel
     counts from the new chambers' panels, and sides from the mirrors that
-    leave or join the boundary.  The views read from them (sorted sides,
-    scwol, complex of groups, vertex sides) are dropped and rebuilt when
-    next read.
+    leave or join the boundary.  The face table and edge set are kept under
+    a fresh ``Scwol``, so the scwol's sorted views, the sorted sides and the
+    complex of groups are dropped and rebuilt when next read.
     """
     found = clump.side_of_mirror(side.gen, side.mirrors[0])
     if found != side:
@@ -449,22 +394,23 @@ def unfold_steps_to_ball(building: Building, n: int, rng=None):
     are processed in canonical order; pass ``rng`` to shuffle them.
     """
     cap = building.chamber_cap
-    current = chamber_clump(building)
+    current = building.ball(0)
     records = []
     for _ in range(n):
         pending = list(current.sides())
         if rng is not None:
             rng.shuffle(pending)
         for orig in pending:
+            # the sides now holding its mirrors still on the boundary
             alive = [
-                m for m in orig.mirrors if current.panel_count(orig.gen, m) == 1
+                s
+                for m in orig.mirrors
+                if (s := current.side_of_mirror(orig.gen, m)) is not None
             ]
             if not alive:
                 continue
-            side = current.side_of_mirror(orig.gen, alive[0])
-            if side is None or any(
-                current.side_of_mirror(orig.gen, m) is not side for m in alive
-            ):
+            side = alive[0]
+            if any(s is not side for s in alive):
                 raise InternalError(
                     "pending side does not extend to a unique side"
                 )

@@ -35,8 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .building import face_key, syllable_key
-from .clump import Clump, Unfolding, chamber_clump, sheets, unfold_steps_to_ball
+from .building import face_key
+from .clump import Clump, Unfolding, unfold_steps_to_ball
 from .errors import DomainError, InternalError, VerificationError
 
 
@@ -88,7 +88,7 @@ def label_unfold(building, labels: dict, grown: Unfolding) -> None:
             got = lifted_faces[face] = lifted.pop()
         return got
 
-    blocks = sheets(grown)
+    blocks = grown.sheets
     sheet_of = {}
     for idx, blk in enumerate(blocks):
         for c in blk:
@@ -97,7 +97,7 @@ def label_unfold(building, labels: dict, grown: Unfolding) -> None:
     # Component already used at a chosen mirror of the side: the label of
     # the edge from the old chamber's center into the mirror's center.  The
     # old chamber is the lift of any new chamber on the mirror.
-    k_u = min(grown.side.mirrors, key=syllable_key)
+    k_u = grown.side.mirrors[0]
     psi0 = grown.lift[grown.faces[(1 << u, k_u)][0]]
     c_edge = ((0, psi0), (1 << u, k_u))
     if c_edge not in labels:
@@ -142,7 +142,7 @@ def build_labeling(ball: Clump, records) -> EdgeLabeling:
     if len(ball.chambers) != 1 + sum(len(grown.chambers) for grown in records):
         raise DomainError("the unfoldings do not make the clump")
     building = ball.building
-    labels = label_initial(chamber_clump(building)).labels
+    labels = label_initial(building.ball(0)).labels
     for grown in records:
         label_unfold(building, labels, grown)
     return EdgeLabeling(ball, labels)
@@ -671,7 +671,7 @@ def build_covering(lab: EdgeLabeling) -> Covering:
             report=lreport,
         )
     src_cog = lab.clump.cog()
-    tgt_cog = chamber_clump(lab.clump.building).cog()
+    tgt_cog = lab.clump.building.ball(0).cog()
     creport = check_covering(*covering_morphism(src_cog, tgt_cog, lab.labels))
     if not creport.ok:
         raise VerificationError(

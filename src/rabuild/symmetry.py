@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from . import kernel
 from .building import Building, face_key, syllable_key
-from .clump import Clump, Unfolding, chamber_clump, sheets
+from .clump import Clump, Unfolding
 from .coxeter import CoxeterSystem
 from .covering import CoveringReport, check_covering
 from .errors import DomainError, InternalError, SizeCapError
@@ -535,9 +535,8 @@ class QuotientCog:
         z_codes = sorted(decoded)
         self.z_edges = tuple(decoded[code] for code in z_codes)
 
-        # representative edge with initial vertex at the orbit rep, and the
-        # transporter moving its terminal vertex to its own rep
-        self.edge_rep = {}
+        # the transporter moving the terminal vertex of the representative
+        # edge (initial vertex at the orbit rep) to its own rep
         self.kappa = {}
         # psi along b: phi^kappa at the end of its representative edge, and
         # h -> kappa h kappa^-1 as a tuple over the automorphism indices
@@ -548,7 +547,6 @@ class QuotientCog:
             abar = least_from.get((code, rep_pos[code // n]))
             if abar is None:
                 raise InternalError("edge orbit misses its representative vertex")
-            self.edge_rep[b] = abar
             k = self.kappa[b] = self.k_to_rep[abar[1]]
             k_inv = self._inv[k]
             conj = tuple(self._comp[(k, self._comp[(h, k_inv)])] for h in range(order))
@@ -708,7 +706,7 @@ def composed_quotient_covering(labeling, perms) -> CoveringReport:
     """
     clump = labeling.clump
     building = clump.building
-    y0 = chamber_clump(building)
+    y0 = building.ball(0)
     qc = QuotientCog(y0, perms)
     src_cells = _cell_cog(clump, qc.subdivided)
 
@@ -970,7 +968,7 @@ def sheet_swap(ball: Clump, grown: Unfolding, i: int, j: int) -> BallAutomorphis
     224, 2014); it is verified panel by panel on the ball all the same, and a
     failure, a fault of the construction, raises ``InternalError`` naming it.
     """
-    blocks = sheets(grown)
+    blocks = grown.sheets
     nblocks = len(blocks)
     if i == j or not (0 <= i < nblocks and 0 <= j < nblocks):
         raise DomainError(f"invalid sheet indices {i},{j} among {nblocks}")
@@ -1168,7 +1166,7 @@ def transitivity_witness(
             c for c in frag2.chambers if born[c] < k
         }:
             raise InternalError("fragments disagree before the current step")
-        blocks = sheets(grown)
+        blocks = grown.sheets
         blocks_a = {i for i, blk in enumerate(blocks) if blk & a}
         blocks_b = {i for i, blk in enumerate(blocks) if blk & b}
         if len(blocks_a) != 1 or len(blocks_b) != 1:

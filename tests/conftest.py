@@ -199,6 +199,41 @@ def corrupted_labeling(bld, seed=17):
     return lab, edge
 
 
+def reference_clump(building, chambers):
+    """The clump on a gallery-connected set of chambers, its mirror counts
+    found by the walk that ``Building.ball`` replaced.  Two chambers are
+    adjacent exactly when they share a panel, so the walk goes panel by
+    panel: each chamber's g-panel is keyed by the chamber less its
+    right-visible g-syllable, or by the chamber itself when it has none (the
+    lemma in ``rabuild.kernel``), and the panel sizes are the counts."""
+    from rabuild import kernel
+    from rabuild.clump import Clump
+
+    chambers = set(chambers)
+    assert chambers, "empty chamber set"
+    comm = building.gp.comm
+    keys = {}
+    panels = {}  # (gen, panel representative) -> chambers on it
+    for c in chambers:
+        keys[c] = [(g, c) for g in range(len(comm))]
+        for g, i in kernel.right_descents(c, comm):
+            keys[c][g] = (g, c[:i] + c[i + 1 :])
+        for key in keys[c]:
+            panels.setdefault(key, []).append(c)
+    counts = {k: len(v) for k, v in panels.items()}
+    start = next(iter(chambers))
+    seen = {start}
+    stack = [start]
+    while stack:
+        for key in keys[stack.pop()]:
+            for nb in panels.pop(key, ()):
+                if nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+    assert seen == chambers, "chamber set is not gallery-connected"
+    return Clump(building, chambers, counts)
+
+
 def clumps_along(building, records):
     """Replay an unfolding log on one clump, yielding it after each step.
 
@@ -207,9 +242,9 @@ def clumps_along(building, records):
     same clump in its next state: read each state before asking for the
     next, and rebuild an earlier one from saved chambers.
     """
-    from rabuild.clump import chamber_clump, unfold
+    from rabuild.clump import unfold
 
-    current = chamber_clump(building)
+    current = building.ball(0)
     for grown in records:
         assert unfold(current, grown.side).chambers == grown.chambers
         yield current
@@ -273,6 +308,52 @@ def suite_traces(suite):
     for name, bld, nmax in suite:
         out[name] = unfold_steps_to_ball(bld, nmax)
     return out
+
+
+@pytest.fixture(scope="session")
+def canonical_words_checked():
+    """The kernel arguments ``canonical_first_argument`` has found
+    canonical, shared by every test that uses it."""
+    return set()
+
+
+@pytest.fixture
+def canonical_first_argument(monkeypatch, canonical_words_checked):
+    """Wrap ``multiply``, ``strip_coset`` and ``right_descents`` so that
+    every call asserts that its first argument is canonical, as the kernel
+    requires.
+
+    Each distinct argument is checked against the oracle once per test run;
+    the set of checked arguments is returned.  ``right_descents`` gets no
+    orders, and exponents play no part in it, so its word is checked with
+    orders above each of its exponents: reduced, in canonical order,
+    exponents >= 1.
+    """
+    from rabuild import kernel
+    from tests.test_kernel import reference_normalize
+
+    checked = canonical_words_checked
+
+    def guard(name):
+        fn = getattr(kernel, name)
+
+        def wrapper(a, *rest):
+            key = (a,) + rest[-2:]  # the word with its qs and comm
+            if key not in checked:
+                word = key
+                if name == "right_descents":
+                    comm = rest[-1]
+                    top = max((e for _, e in a), default=1)
+                    word = (a, (top + 1,) * len(comm), comm)
+                assert a == reference_normalize(*word), (name, a)
+                checked.add(key)
+            return fn(a, *rest)
+
+        return wrapper
+
+    for name in ("multiply", "strip_coset", "right_descents"):
+        monkeypatch.setattr(kernel, name, guard(name))
+    return checked
 
 
 @pytest.fixture

@@ -11,13 +11,7 @@ from contextlib import contextmanager
 import pytest
 
 from rabuild.building import Building
-from rabuild.clump import (
-    Clump,
-    chamber_clump,
-    sheets,
-    unfold,
-    unfold_steps_to_ball,
-)
+from rabuild.clump import unfold, unfold_steps_to_ball
 from rabuild.cog import is_admissible
 from rabuild.covering import build_covering, build_labeling, verify_labeling
 from rabuild.coxeter import CoxeterSystem, reduce as w_reduce
@@ -27,6 +21,7 @@ from tests.conftest import (
     generator_word,
     hexagon_system,
     nerve_automorphisms,
+    reference_clump,
     reference_thin_ball,
 )
 
@@ -52,14 +47,14 @@ def test_criterion_1_sheet_law(suite):
         systems_used = set()
         while total < 200:
             for name, bld, _ in suite:
-                cur = chamber_clump(bld)
+                cur = bld.ball(0)
                 for _ in range(6):
                     sides = cur.sides()
                     if not sides or len(cur.chambers) > 300:
                         break
                     side = rng.choice(sides)
                     grown = unfold(cur, side)
-                    assert len(sheets(grown)) == bld.gp.qs[side.gen] - 1
+                    assert len(grown.sheets) == bld.gp.qs[side.gen] - 1
                     total += 1
                     systems_used.add(name)
         elapsed = time.monotonic() - t0
@@ -124,7 +119,7 @@ def test_criterion_5_admissibility(suite_traces, tree_product):
                 assert is_admissible(clump).ok, name
         i_s1 = tree_product.system.index["s1"]
         i_t1 = tree_product.system.index["t1"]
-        bad = Clump(tree_product, {(), ((i_s1, 1),), ((i_t1, 1),)})
+        bad = reference_clump(tree_product, {(), ((i_s1, 1),), ((i_t1, 1),)})
         assert not is_admissible(bad).ok
 
 

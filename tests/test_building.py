@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from rabuild.building import Building, load_ball_cache, save_ball_cache, syllable_key
 from rabuild.cli import load_config
-from rabuild.clump import Clump
 from rabuild.coxeter import CoxeterSystem, reduce as w_reduce
 from rabuild.errors import DomainError, InputError, SizeCapError
 from tests.conftest import (
@@ -18,6 +17,7 @@ from tests.conftest import (
     generator_word,
     make_suite,
     reference_ball_chambers,
+    reference_clump,
     reference_thin_ball,
     serialize_chamber,
 )
@@ -182,8 +182,8 @@ def test_ball_closure_property(d23):
 
 
 def test_ball_is_gallery_connected(d23):
-    ball = d23.ball(2)
-    assert ball._gallery_connected()
+    # the walk from panel to panel asserts that it reaches every chamber
+    reference_clump(d23, d23.ball_chambers(2))
 
 
 def test_panel_partition_of_ball(d23, hex3):
@@ -229,7 +229,7 @@ def _heap_cases():
 
 def test_heap_ball_matches_residue_search():
     # the heap enumeration against the residue search and the kernel's
-    # oracle, and the heap-built clump against the clump walk of its chambers
+    # oracle, and the heap-built clump against the walk of its chambers
     for name, bld, n in _heap_cases():
         qs, comm = bld.gp.qs, bld.gp.comm
         listed = [c for words, _, _ in bld._heaps(n) for c in words]
@@ -238,7 +238,7 @@ def test_heap_ball_matches_residue_search():
         assert len(listed) == len(set(listed)), (name, n)
         for c in listed:
             assert reference_normalize(c, qs, comm) == c, (name, n, c)
-        heap, walk = bld.ball(n), Clump(bld, listed)
+        heap, walk = bld.ball(n), reference_clump(bld, listed)
         assert heap.chambers == walk.chambers, (name, n)
         assert heap.mirror_counts() == walk.mirror_counts(), (name, n)
         assert heap.boundary_mirror_count() == walk.boundary_mirror_count()

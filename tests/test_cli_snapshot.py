@@ -9,7 +9,10 @@ tree_234 at radius 3 pins a quotient under the trivial group, whose covering
 keys repeat only through the target's local data), and the file
 ``ball --cache`` writes (its stdout names the cache path, so only the file is
 hashed).  Any change in a hash is a change
-in what the CLI prints or writes.  To record the fixture again, run
+in what the CLI prints or writes.  Each printing run also passes the
+canonical-word guard ``canonical_first_argument`` (``tests/conftest.py``):
+every ``multiply``, ``strip_coset`` and ``right_descents`` call it makes
+gets a canonical first argument.  To record the fixture again, run
 ``PYTHONPATH=src python -m tests.test_cli_snapshot`` from the repository
 root.
 """
@@ -96,7 +99,8 @@ def expected():
 
 
 @pytest.mark.parametrize("key,argv", RUNS, ids=[key for key, _ in RUNS])
-def test_cli_output_matches_snapshot(key, argv):
+def test_cli_output_matches_snapshot(key, argv, canonical_first_argument):
+    # every kernel call of the run must get a canonical first argument
     assert run_once(argv) == expected()[key]
 
 

@@ -10,7 +10,6 @@ from rabuild.clump import (
     Clump,
     Side,
     Unfolding,
-    chamber_clump,
     sheets,
     unfold,
     unfold_steps_to_ball,
@@ -18,7 +17,7 @@ from rabuild.clump import (
 from rabuild.cli import main
 from rabuild.cog import _panel_types
 from rabuild.errors import DomainError
-from tests.conftest import clumps_along, serialize_chamber
+from tests.conftest import clumps_along, reference_clump, serialize_chamber
 
 
 def boundary_mirrors(clump):
@@ -29,13 +28,8 @@ def boundary_mirrors(clump):
     )
 
 
-def test_gallery_connectivity_required(d23):
-    with pytest.raises(DomainError):
-        Clump(d23, {(), ((1, 1), (0, 1))})  # 1 and ts are not adjacent
-
-
 def test_boundary_mirrors_single_chamber(d23):
-    y0 = chamber_clump(d23)
+    y0 = d23.ball(0)
     mirrors = boundary_mirrors(y0)
     assert len(mirrors) == y0.boundary_mirror_count() == 2
     assert {g for g, _ in mirrors} == {0, 1}
@@ -77,7 +71,7 @@ def test_boundary_mirrors_ball1(d23):
 
 
 def test_boundary_type_examples(d23):
-    clump = chamber_clump(d23)
+    clump = d23.ball(0)
     s_vertex = d23.face_of((), 1 << 0)
     assert clump.cog().local_masks[s_vertex] == d23.system.mask({"s"})
     # after unfolding along the t-side, the t-mirror is interior
@@ -98,15 +92,15 @@ def test_fully_interior_vertex(square23):
 
 
 def test_sides_basic(d23, hex3):
-    assert len(chamber_clump(d23).sides()) == 2
-    hex_sides = chamber_clump(hex3).sides()
+    assert len(d23.ball(0).sides()) == 2
+    hex_sides = hex3.ball(0).sides()
     assert len(hex_sides) == 6
     assert sorted(s.gen for s in hex_sides) == list(range(6))
 
 
 def test_same_type_mirrors_one_side(square23):
     # the t-mirrors of two s-adjacent chambers lie in one side
-    clump = chamber_clump(square23)
+    clump = square23.ball(0)
     sside = [k for k in clump.sides() if k.gen == square23.system.index["s"]][0]
     unfold(clump, sside)
     tsides = [k for k in clump.sides() if k.gen == square23.system.index["t"]]
@@ -115,7 +109,7 @@ def test_same_type_mirrors_one_side(square23):
 
 
 def test_unfold_examples(d23):
-    clump = chamber_clump(d23)
+    clump = d23.ball(0)
     tside = [k for k in clump.sides() if k.gen == 1][0]
     grown = unfold(clump, tside)
     assert sorted(serialize_chamber(d23, c) for c in clump.chambers) == [
@@ -130,18 +124,20 @@ def test_unfold_examples(d23):
 
 
 def test_unfolded_mirrors_become_interior(d23):
-    for side in chamber_clump(d23).sides():
-        clump = chamber_clump(d23)
+    for side in d23.ball(0).sides():
+        clump = d23.ball(0)
         unfold(clump, side)
         for rep in side.mirrors:
-            assert clump.panel_count(side.gen, rep) == d23.gp.qs[side.gen]
+            assert clump.mirror_counts()[side.gen, rep] == d23.gp.qs[side.gen]
 
 
 def test_sheets_counts(d23, d33):
+    # the record's sheets, found when it was made, are those of its faces
     for bld in (d23, d33):
-        for side in chamber_clump(bld).sides():
-            blocks = sheets(unfold(chamber_clump(bld), side))
-            assert len(blocks) == bld.gp.qs[side.gen] - 1
+        for side in bld.ball(0).sides():
+            grown = unfold(bld.ball(0), side)
+            assert grown.sheets == sheets(grown)
+            assert len(grown.sheets) == bld.gp.qs[side.gen] - 1
 
 
 def test_sheet_mirror_bijection(suite_traces):
@@ -227,14 +223,14 @@ def test_boundary_type_three_case_law(d23, d33, square23, hex3):
     # relative to their companion in the old clump; the old clump is
     # rebuilt from its chambers, since unfold grows the clump in place
     for bld in (d23, d33, square23, hex3):
-        after = chamber_clump(bld)
+        after = bld.ball(0)
         for _ in range(3):
             sides = after.sides()
             if not sides:
                 break
             side = sides[0]
             u = side.gen
-            current = Clump(bld, after.chambers)
+            current = reference_clump(bld, after.chambers)
             grown = unfold(after, side)
             gp = bld.gp
             before_scwol = current.scwol()
@@ -270,7 +266,7 @@ def _sides_oracle(clump):
     grouped by their {g, c}-cosets, c commuting with g, then joined."""
     bld = clump.building
     gp = bld.gp
-    counts = Clump(bld, clump.chambers).mirror_counts()
+    counts = reference_clump(bld, clump.chambers).mirror_counts()
     comps = {k: {k} for k, n in counts.items() if n == 1}
     groups = {}
     for g, rep in comps:
@@ -298,7 +294,7 @@ def _sides_oracle(clump):
 def _assert_matches_rebuild(carried, name):
     """Carried mirror counts, boundary, sides and scwol equal a rebuild."""
     scwol = carried.scwol()
-    fresh = Clump(carried.building, carried.chambers)
+    fresh = reference_clump(carried.building, carried.chambers)
     assert carried.mirror_counts() == fresh.mirror_counts(), name
     assert boundary_mirrors(carried) == boundary_mirrors(fresh), name
     assert carried.boundary_mirror_count() == fresh.boundary_mirror_count(), name
@@ -343,7 +339,7 @@ def test_sides_match_coset_grouping(suite_traces):
         for clump in clumps_along(final.building, records[:8]):
             assert clump.sides() == _sides_oracle(clump), name
         assert final.sides() == _sides_oracle(final), name
-        fresh = Clump(final.building, final.chambers)
+        fresh = reference_clump(final.building, final.chambers)
         assert fresh.sides() == _sides_oracle(fresh), name
 
 
@@ -368,7 +364,7 @@ def test_unfold_grows_the_clump_in_place(d33, hex3):
     # after the step, with every sorted view, equals a rebuild
     for bld in (d33, hex3):
         final, records = unfold_steps_to_ball(bld, 1)
-        clump = chamber_clump(bld)
+        clump = bld.ball(0)
         for step in records:
             clump.scwol().edges  # build the sorted views of the old state
             before = set(clump.chambers)
@@ -397,23 +393,23 @@ def test_unfolding_any_clump_matches_rebuild(suite):
                 d = gp.mul(c, ((g, rng.randrange(1, gp.qs[g])),))
                 if d in ball:
                     chambers.add(d)
-            for side in Clump(bld, chambers).sides():
-                clump = Clump(bld, chambers)
+            for side in reference_clump(bld, chambers).sides():
+                clump = reference_clump(bld, chambers)
                 unfold(clump, side)
                 _assert_matches_rebuild(clump, name)
 
 
-def _boundary_type_by_strips(clump, face, reading):
+def _boundary_type_by_strips(clump, counts, face, reading):
     """The boundary type as it was read before the face table: every
     chamber of the face stripped once per type, panel sizes from the mirror
-    counts."""
+    ``counts``."""
     gp = clump.building.gp
     members = clump.scwol().face_chambers[face]
     out = 0
     for g in range(len(gp.qs)):
         if (face[0] >> g) & 1:
             panels = {gp.strip(c, 1 << g) for c in members}
-            if reading(clump.panel_count(g, p) == 1 for p in panels):
+            if reading(counts.get((g, p)) == 1 for p in panels):
                 out |= 1 << g
     return out
 
@@ -424,13 +420,12 @@ def _assert_boundary_types_match(clump, name):
     scwol = clump.scwol()
     some = clump.cog().local_masks
     interior = _panel_types(scwol, False)
+    counts = clump.mirror_counts()
     for face in scwol.vertices:
         every = face[0] & ~interior[face]
         for reading, mask in ((any, some[face]), (all, every)):
-            assert mask == _boundary_type_by_strips(clump, face, reading), (
-                name,
-                face,
-            )
+            want = _boundary_type_by_strips(clump, counts, face, reading)
+            assert mask == want, (name, face)
 
 
 @pytest.mark.parametrize("seed", [None, 5, 17])
@@ -444,7 +439,7 @@ def test_boundary_type_matches_strip_reading(suite, seed):
         rng = None if seed is None else random.Random(seed)
         n = 1 if name == "hex3" else nmax
         final, records = unfold_steps_to_ball(bld, n, rng=rng)
-        _assert_boundary_types_match(chamber_clump(bld), name)
+        _assert_boundary_types_match(bld.ball(0), name)
         for current in clumps_along(bld, records):
             _assert_boundary_types_match(current, name)
         if name == "hex3" and seed is None:

@@ -4,12 +4,11 @@ import pytest
 
 from rabuild import cog as cog_mod
 from rabuild.building import Building
-from rabuild.clump import Clump, chamber_clump
 from rabuild.cog import ComplexOfGroups, Scwol, is_admissible, scwol_to_dot
 from rabuild.coxeter import CoxeterSystem
 from rabuild.covering import check_covering, covering_morphism
 from rabuild.errors import InternalError
-from tests.conftest import clumps_along
+from tests.conftest import clumps_along, reference_clump
 
 
 def l_clump(tree_product):
@@ -17,19 +16,19 @@ def l_clump(tree_product):
     gp = tree_product.gp
     i_s1 = tree_product.system.index["s1"]
     i_t1 = tree_product.system.index["t1"]
-    return Clump(
+    return reference_clump(
         tree_product, {(), ((i_s1, 1),), ((i_t1, 1),)}
     )
 
 
 def test_scwol_single_chamber_tree(d23):
-    scwol = chamber_clump(d23).scwol()
+    scwol = d23.ball(0).scwol()
     assert len(scwol.vertices) == 3  # empty type plus one per mirror
     assert len(scwol.edges) == 2
 
 
 def test_scwol_single_chamber_hexagon(hex3):
-    scwol = chamber_clump(hex3).scwol()
+    scwol = hex3.ball(0).scwol()
     types = sorted(bin(v[0]).count("1") for v in scwol.vertices)
     assert types == [0] + [1] * 6 + [2] * 6
     assert len(scwol.edges) == 6 + 6 + 12  # center->mirrors, center->corners, mirror->corner
@@ -75,7 +74,7 @@ def test_missing_composite_edge_is_refused(square23):
     # the one-chamber scwol of two commuting types without its edge from the
     # base chamber to the {s, t}-face: {s} -> {s, t} after {} -> {s} has no
     # composite
-    cog = chamber_clump(square23).cog()
+    cog = square23.ball(0).cog()
     top = (square23.system.mask(["s", "t"]), ())
     edges = {e for e in cog.scwol.edge_set if e != ((0, ()), top)}
     broken = ComplexOfGroups(
@@ -87,7 +86,7 @@ def test_missing_composite_edge_is_refused(square23):
 
 
 def test_canonical_cog_single_chamber(hex3):
-    cog = chamber_clump(hex3).cog()
+    cog = hex3.ball(0).cog()
     for face in cog.scwol.vertices:
         assert cog.local_masks[face] == face[0]  # every mirror is boundary
 
@@ -108,7 +107,7 @@ def test_nonadmissible_clump_local_groups(tree_product):
 
 
 def test_admissible_single_chamber(hex3):
-    report = is_admissible(chamber_clump(hex3))
+    report = is_admissible(hex3.ball(0))
     assert report.ok and report.failures == []
 
 
@@ -127,7 +126,7 @@ def test_inadmissible_l_clump_fails_at_its_corner(tree_product):
 
 
 def test_admissibility_verdicts(d23, tree_product, suite):
-    assert is_admissible(chamber_clump(d23)).ok
+    assert is_admissible(d23.ball(0)).ok
     bad = is_admissible(l_clump(tree_product))
     assert not bad.ok
     # the boundary-type readings disagree here, after the development failures
@@ -139,7 +138,7 @@ def test_admissibility_verdicts(d23, tree_product, suite):
 def _pairwise_commuting_chamber():
     """a, b and c pairwise commute: the radius-zero clump of their building."""
     sysm = CoxeterSystem(["a", "b", "c"], [("a", "b"), ("a", "c"), ("b", "c")])
-    return chamber_clump(Building(sysm, {"a": 2, "b": 2, "c": 2}))
+    return Building(sysm, {"a": 2, "b": 2, "c": 2}).ball(0)
 
 
 def test_nesting_failure_names_its_edge():
@@ -185,7 +184,7 @@ def test_chamber_count_law(suite_traces):
         bld = final.building
         # clumps_along yields one clump in each state, so each is read in turn
         states = itertools.chain(
-            [chamber_clump(bld)], clumps_along(bld, records[:3]), [final]
+            [bld.ball(0)], clumps_along(bld, records[:3]), [final]
         )
         for clump in states:
             cog = clump.cog()
@@ -206,6 +205,7 @@ def test_mirror_containment_law(suite_traces):
         clump = final
         bld = clump.building
         cog = clump.cog()
+        counts = clump.mirror_counts()
         for face in cog.scwol.vertices:
             tmask, bmask = face[0], cog.local_masks[face]
             members = cog.scwol.face_chambers[face]
@@ -217,14 +217,14 @@ def test_mirror_containment_law(suite_traces):
                 if not (bmask >> g) & 1:
                     continue
                 panels = {bld.gp.strip(c, 1 << g) for c in members}
-                assert all(clump.panel_count(g, p) == 1 for p in panels), name
+                assert all(counts.get((g, p)) == 1 for p in panels), name
                 assert len(panels) == free, name
 
 
 def test_center_uniqueness_after_unfolding(suite_traces):
     # a new vertex on several chambers has one neighbor of its free type
     for name, (final, records) in suite_traces.items():
-        old_faces = set(chamber_clump(final.building).scwol().vertices)
+        old_faces = set(final.building.ball(0).scwol().vertices)
         for clump in clumps_along(final.building, records[:6]):
             cog = clump.cog()
             for face in cog.scwol.vertices:
@@ -244,7 +244,7 @@ def test_center_uniqueness_after_unfolding(suite_traces):
 
 
 def test_dot_export(d23):
-    cog = chamber_clump(d23).cog()
+    cog = d23.ball(0).cog()
     dot = scwol_to_dot(cog)
     assert dot.startswith("digraph")
     assert dot == scwol_to_dot(cog)

@@ -4,7 +4,7 @@ import pytest
 
 from rabuild import covering
 from rabuild.building import Building
-from rabuild.clump import chamber_clump, sheets, unfold_steps_to_ball
+from rabuild.clump import unfold_steps_to_ball
 from rabuild.coxeter import CoxeterSystem
 from rabuild.cog import ComplexOfGroups
 from rabuild.covering import (
@@ -25,7 +25,7 @@ from tests.conftest import clumps_along, corrupted_labeling, element
 
 
 def test_label_initial_zero(d23):
-    y0 = chamber_clump(d23)
+    y0 = d23.ball(0)
     lab = label_initial(y0)
     assert set(lab.labels) == set(y0.scwol().edges)
     assert all(v == (0, 0) for v in lab.labels.values())
@@ -34,7 +34,7 @@ def test_label_initial_zero(d23):
 
 
 def test_initial_covering_identity(d23):
-    lab = label_initial(chamber_clump(d23))
+    lab = label_initial(d23.ball(0))
     cov = build_covering(lab)
     assert cov.covering_report.sheet_count == 1
 
@@ -42,7 +42,7 @@ def test_initial_covering_identity(d23):
 def test_label_unfold_assigns_remaining_components(d23):
     # one unfolding along the t-side: the two new chambers are distinct
     # sheets and receive the two nonzero exponents
-    clump = chamber_clump(d23)
+    clump = d23.ball(0)
     tside = [k for k in clump.sides() if k.gen == 1][0]
     from rabuild.clump import unfold
 
@@ -59,7 +59,7 @@ def test_label_stability_and_u_only_changes(d33):
     # labels of old edges never change, and new labels differ from their
     # companions only in the unfolded type
     final, records = unfold_steps_to_ball(d33, 2)
-    labels = label_initial(chamber_clump(d33)).labels
+    labels = label_initial(d33.ball(0)).labels
     for grown, clump in zip(records, clumps_along(d33, records)):
         old_labels = dict(labels)  # label_unfold extends labels in place
         label_unfold(d33, labels, grown)
@@ -183,7 +183,7 @@ def _same_report(data):
 def test_memoized_covering_equals_unshared_reference(suite_traces):
     for name, trace in suite_traces.items():
         lab = build_labeling(*trace)
-        tgt = chamber_clump(lab.clump.building).cog()
+        tgt = lab.clump.building.ball(0).cog()
         report = _same_report(covering_morphism(lab.clump.cog(), tgt, lab.labels))
         assert report.ok and report.sheet_count == len(lab.clump.chambers), name
 
@@ -227,7 +227,7 @@ def test_corrupted_label_in_a_shared_signature_names_only_its_face(suite_traces)
     report = verify_labeling(EdgeLabeling(lab.clump, labels))
     assert report.failures
     assert {f["where"][0] for f in report.failures if f["kind"] == "fiber"} == {face}
-    data = covering_morphism(lab.clump.cog(), chamber_clump(bld).cog(), labels)
+    data = covering_morphism(lab.clump.cog(), bld.ball(0).cog(), labels)
     creport = _same_report(data)
     named = {f["where"][0] for f in creport.failures if f["kind"] in FIBER_KINDS}
     assert named == {face}
@@ -239,7 +239,7 @@ def test_each_local_signature_is_checked_once(suite_traces, monkeypatch):
     # once; the edge checks run for the in-edges of one vertex per key.
     lab = build_labeling(*suite_traces["hex2"])
     src = lab.clump.cog()
-    data = covering_morphism(src, chamber_clump(lab.clump.building).cog(), lab.labels)
+    data = covering_morphism(src, lab.clump.building.ball(0).cog(), lab.labels)
     _, _, f_vertex, f_edge, phi_vertex, phi_edge = data
     first = {}  # vertex key -> its first vertex
     for v in src.vertices():
@@ -408,7 +408,7 @@ def _compare_with_quadratic_listing(lab):
                 expected.append({"kind": "fiber", "where": (face, umask)})
     assert report.fibers_checked == sum(counts)
     assert report.failures == expected
-    data = covering_morphism(cog, chamber_clump(bld).cog(), lab.labels)
+    data = covering_morphism(cog, bld.ball(0).cog(), lab.labels)
     found = [f for f in _same_report(data).failures if f["kind"] in FIBER_KINDS]
     assert found == _quadratic_fiber_failures(*data)
     return counts, bool(found)
@@ -441,7 +441,7 @@ def test_fiber_checks_match_quadratic_listing(suite):
     for name, bld, nmax in suite:
         n = 1 if name == "hex3" else min(nmax, 2)
         final, records = unfold_steps_to_ball(bld, n)
-        lab = label_initial(chamber_clump(bld))
+        lab = label_initial(bld.ball(0))
         counts, failed = _compare_with_quadratic_listing(lab)
         assert counts[0] == 0 and not failed, name
         for grown, clump in zip(records, clumps_along(bld, records)):
@@ -485,7 +485,7 @@ def test_coset_projections_examine_every_member(square23):
 
 def _covering_data(bld, n):
     lab = build_labeling(*unfold_steps_to_ball(bld, n))
-    return covering_morphism(lab.clump.cog(), chamber_clump(bld).cog(), lab.labels)
+    return covering_morphism(lab.clump.cog(), bld.ball(0).cog(), lab.labels)
 
 
 def _kinds(report):
@@ -632,7 +632,7 @@ def test_vertex_map_failure_at_the_initial_vertex_names_the_edge():
     # one that starts away from f(i(a)), which only the check of the
     # initial vertex sees
     bld = _cube()
-    y0 = chamber_clump(bld)
+    y0 = bld.ball(0)
     data = covering_morphism(y0.cog(), y0.cog(), label_initial(y0).labels)
     src, tgt, f_vertex, f_edge, phi_vertex, phi_edge = data
     x, y = (1 << bld.system.index[s] for s in "xy")
@@ -663,7 +663,7 @@ def test_every_covering_failure_kind_is_reachable(kind):
     # The one-chamber covering of the cube onto itself, with one piece of
     # its data doctored for each kind of failure.
     bld = _cube()
-    y0 = chamber_clump(bld)
+    y0 = bld.ball(0)
     data = covering_morphism(y0.cog(), y0.cog(), label_initial(y0).labels)
     assert check_covering(*data).ok
     report = _same_report(_doctor(kind, bld, data))

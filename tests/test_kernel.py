@@ -15,7 +15,7 @@ import pytest
 from rabuild import kernel
 from rabuild.cli import main
 from tests.conftest import make_suite
-from tests.test_cli_snapshot import CONFIGS, ROOT, RUNS
+from tests.test_cli_snapshot import CONFIGS, ROOT
 
 
 def random_system(rng, rank=None):
@@ -207,41 +207,6 @@ def test_add_chambers_faces_equal_strips(suite):
                 assert (rep is c) == (not tmask & dmask), (name, c, tmask)
 
 
-@pytest.fixture
-def canonical_first_argument(monkeypatch):
-    """Wrap ``multiply``, ``strip_coset`` and ``right_descents`` so that
-    every call asserts that its first argument is canonical, as the kernel
-    requires.
-
-    Each distinct argument is checked against the oracle once; the set of
-    checked arguments is returned.  ``right_descents`` gets no orders, and
-    exponents play no part in it, so its word is checked with orders above
-    each of its exponents: reduced, in canonical order, exponents >= 1.
-    """
-    checked = set()
-
-    def guard(name):
-        fn = getattr(kernel, name)
-
-        def wrapper(a, *rest):
-            key = (a,) + rest[-2:]  # the word with its qs and comm
-            if key not in checked:
-                word = key
-                if name == "right_descents":
-                    comm = rest[-1]
-                    top = max((e for _, e in a), default=1)
-                    word = (a, (top + 1,) * len(comm), comm)
-                assert a == reference_normalize(*word), (name, a)
-                checked.add(key)
-            return fn(a, *rest)
-
-        return wrapper
-
-    for name in ("multiply", "strip_coset", "right_descents"):
-        monkeypatch.setattr(kernel, name, guard(name))
-    return checked
-
-
 def test_canonical_guard_refuses_other_words(canonical_first_argument):
     qs, comm = (3, 2), (0b10, 0b01)  # two commuting generators
     assert kernel.multiply(((0, 1),), ((0, 1),), qs, comm) == ((0, 2),)
@@ -256,10 +221,10 @@ def test_canonical_guard_refuses_other_words(canonical_first_argument):
 
 
 def test_pipelines_pass_canonical_words(canonical_first_argument, tmp_path):
-    # the snapshot runs (ball, unfold-trace, label, verify-covering, index,
-    # apartments, quotient, witness), the other commands on the shipped
-    # configs, and every command at radius 1 on one suite system per rank
-    runs = [argv for _, argv in RUNS]
+    # info, classify and ball with a cache on the shipped configs, and every
+    # command at radius 1 on one suite system per rank; the snapshot runs
+    # pass the same guard in tests/test_cli_snapshot.py
+    runs = []
     for name in CONFIGS:
         config = str(ROOT / "configs" / f"{name}.json")
         for r in range(3):

@@ -8,7 +8,7 @@ import pytest
 
 from rabuild.building import Building
 from rabuild.cli import load_config, main
-from rabuild.clump import chamber_clump, sheets, unfold, unfold_steps_to_ball
+from rabuild.clump import unfold, unfold_steps_to_ball
 from rabuild.coxeter import CoxeterSystem
 from rabuild.errors import DomainError, InternalError, SizeCapError
 from rabuild import symmetry as sym
@@ -91,7 +91,7 @@ def test_quotient_table_cap_refuses_from_the_permutation_count(monkeypatch):
     # before any automorphism is built
     def free(rank):
         names = [f"x{i}" for i in range(rank)]
-        return chamber_clump(Building(CoxeterSystem(names), {s: 2 for s in names}))
+        return Building(CoxeterSystem(names), {s: 2 for s in names}).ball(0)
 
     y0 = free(5)
     assert sym.quotient_cog(y0, sym.type_permutation_group(y0.building)).report.ok
@@ -162,6 +162,7 @@ def _vertex_maps_by_strips(clump, h):
     sides looked up again, and each side's image read off ``side_image``."""
     cog = clump.cog()
     gp = clump.building.gp
+    counts = clump.mirror_counts()
     vertex_maps = {}
     for face in cog.scwol.vertices:
         mask = cog.local_masks[face]
@@ -173,7 +174,7 @@ def _vertex_maps_by_strips(clump, h):
             owners = {
                 clump.side_of_mirror(g, p)
                 for p in panels
-                if clump.panel_count(g, p) == 1
+                if counts.get((g, p)) == 1
             }
             owners.discard(None)
             assert len(owners) == 1
@@ -251,7 +252,7 @@ def test_extend_action_matches_strip_reading(suite):
     for name, n in (("d33", 2), ("hex3", 1)):
         ball, records = unfold_steps_to_ball(buildings[name], n)
         grown = records[-1]
-        for i, j in itertools.permutations(range(len(sheets(grown))), 2):
+        for i, j in itertools.permutations(range(len(grown.sheets)), 2):
             h = sym.sheet_swap(ball, grown, i, j)
             assert h.mapping != _identity_on(ball, len(h.perm))[1]
             sym.extend_action(ball, h)
@@ -264,7 +265,7 @@ def test_extend_action_refuses_a_broken_cyclic_order(d23):
     # d23 r0: exchanging s (q = 2) and t (q = 3) keeps the one chamber's
     # faces, so the chamber map verifies, but no local map of the s-panel's
     # group onto the t-panel's preserves the order
-    ball = chamber_clump(d23)
+    ball = d23.ball(0)
     h = sym.BallAutomorphism(ball, {(): ()}, (1, 0))
     assert h.verify() == []
     with pytest.raises(InternalError) as info:
@@ -461,9 +462,10 @@ def _reference_orbits(qc):
     """The orbit tables of ``qc``, read off face-tuple images.
 
     Each cell's images under the automorphisms are tuples of faces, and the
-    orbit representatives, transporters, stabilizers, edge orbits,
-    representative edges and the quotient's composition and twists are
-    chosen among them through vertex positions, with no integer coding.
+    orbit representatives, transporters, stabilizers, edge orbits and the
+    quotient's composition and twists are chosen among them through vertex
+    positions, with no integer coding.  Each edge orbit's representative
+    edge fixes its transporter ``kappa``; the quotient keeps only that.
     """
     cells = qc.cells.scwol
     position = {c: i for i, c in enumerate(cells.vertices)}
@@ -507,8 +509,7 @@ def _reference_orbits(qc):
             z_twist[(b, bp)] = ((), comp[(kappa[b], comp[(kappa[bp], inv[kappa[bb]])])])
     return {
         "rep_of": rep_of, "k_to_rep": k_to_rep, "stab": stab,
-        "edge_orbit": edge_orbit, "z_edges": z_edges, "edge_rep": edge_rep,
-        "kappa": kappa, "z_compose": z_compose, "z_twist": z_twist,
+        "edge_orbit": edge_orbit, "z_edges": z_edges, "kappa": kappa, "z_compose": z_compose, "z_twist": z_twist,
     }
 
 
@@ -921,7 +922,7 @@ def test_apartment_cap_refuses_before_enumerating(hex3, monkeypatch):
 
 
 def test_sheet_swap_rejects_single_sheet(d23):
-    clump = chamber_clump(d23)
+    clump = d23.ball(0)
     sside = [k for k in clump.sides() if k.gen == 0][0]  # q_s = 2
     grown = unfold(clump, sside)
     with pytest.raises(DomainError):
@@ -929,7 +930,7 @@ def test_sheet_swap_rejects_single_sheet(d23):
 
 
 def test_sheet_swap_involution(d23):
-    clump = chamber_clump(d23)
+    clump = d23.ball(0)
     tside = [k for k in clump.sides() if k.gen == 1][0]  # q_t = 3
     grown = unfold(clump, tside)
     h = sym.sheet_swap(clump, grown, 0, 1)
@@ -964,7 +965,7 @@ def test_sheet_swap_equals_reference_extension(suite):
             ball, records = unfold_steps_to_ball(bld, n)
             before = {()}
             for grown in records:
-                blocks = sheets(grown)
+                blocks = grown.sheets
                 mask = 1 << grown.side.gen
                 for i, j in itertools.permutations(range(len(blocks)), 2):
                     h = sym.sheet_swap(ball, grown, i, j)
@@ -1226,7 +1227,7 @@ def test_verify_names_a_face_that_leaves_the_clump():
     bld = Building(
         CoxeterSystem(["a", "b", "c"], [("b", "c")]), {"a": 2, "b": 2, "c": 3}
     )
-    h = sym.BallAutomorphism(chamber_clump(bld), {(): ()}, (1, 0, 2))
+    h = sym.BallAutomorphism(bld.ball(0), {(): ()}, (1, 0, 2))
     problems = h.verify()
     assert len(problems) == 1
     assert problems[0].startswith("face (6, ()) leaves the clump")
@@ -1242,7 +1243,7 @@ def test_extend_to_ball_panel_filter_matches_pairwise_filter(d23):
     before = {()}
     for grown in records:
         before |= grown.chambers
-        for i, j in itertools.permutations(range(len(sheets(grown))), 2):
+        for i, j in itertools.permutations(range(len(grown.sheets)), 2):
             h = sym.sheet_swap(ball, grown, i, j)
             partials.append(({c: h.mapping[c] for c in before}, h, ball))
     assert partials
