@@ -14,6 +14,7 @@ import hashlib
 import itertools
 import json
 import math
+from functools import cached_property
 
 from . import coxeter
 from .coxeter import CoxeterSystem
@@ -46,6 +47,13 @@ class Building:
         self._spherical_set = frozenset(self.spherical_masks)
         self._subgroup_cache = {}
         self._thin_cache = {}
+
+    @cached_property
+    def mask_pairs(self):
+        """(i, j) with ``spherical_masks[i]`` properly inside the j-th: the
+        faces of a chamber that ``cog.add_chambers`` joins by an edge."""
+        masks = list(enumerate(self.spherical_masks))
+        return [(i, j) for i, t1 in masks for j, t2 in masks if t1 != t2 and t1 & t2 == t1]
 
     def is_spherical_mask(self, mask):
         return mask in self._spherical_set

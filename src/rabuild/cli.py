@@ -17,6 +17,7 @@ identical inputs.  Exit codes: 0 success, 2 input error, 3 cap exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -362,7 +363,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="rabuild",
         description="Chamber-system computations on regular right-angled buildings",

@@ -104,12 +104,6 @@ def add_chambers(building, face_chambers, edge_set, chambers):
     """
     comm = building.gp.comm
     masks = building.spherical_masks
-    pairs = [
-        (i, j)
-        for i, t1 in enumerate(masks)
-        for j, t2 in enumerate(masks)
-        if t1 != t2 and (t1 & t2) == t1
-    ]
     added = {}
     new_edges = []
     for c in chambers:
@@ -131,7 +125,7 @@ def add_chambers(building, face_chambers, edge_set, chambers):
             faces.append((tmask, rep))
         for face in faces:
             added.setdefault(face, []).append(c)
-        for i, j in pairs:
+        for i, j in building.mask_pairs:
             edge = (faces[i], faces[j])
             if edge not in edge_set:
                 edge_set.add(edge)

@@ -272,6 +272,9 @@ def _fiber_failures(building, listings, tmask, bmask, ins):
 def verify_labeling(lab: EdgeLabeling) -> LabelingReport:
     """Support, multiplicativity, and the per-fiber coset bijections.
 
+    A label's support mask is read once per distinct label, and the sum of
+    two labels once per distinct pair.
+
     The fibers of a face are checked by ``_fiber_failures`` once per local
     signature: the face's type and local mask, and for each in-edge, in
     scwol order, the type and local mask of its initial face and its label.
@@ -292,14 +295,21 @@ def verify_labeling(lab: EdgeLabeling) -> LabelingReport:
     local_masks = cog.local_masks
     report = LabelingReport()
 
+    supports = {}  # label -> mask of its nonzero types
     for (src, dst), vec in labels.items():
-        for g in range(rank):
-            if vec[g] and not (dst[0] >> g) & 1:
-                report.fail("support", ((src, dst), g))
+        if vec not in supports:
+            supports[vec] = sum(1 << g for g, x in enumerate(vec) if x)
+        if supports[vec] & ~dst[0]:
+            for g in range(rank):
+                if vec[g] and not (dst[0] >> g) & 1:
+                    report.fail("support", ((src, dst), g))
 
+    sums = {}  # (label, label) -> their sum
     for a, b, ab in scwol.composable_pairs():
-        la, lb, lab_vec = labels[a], labels[b], labels[ab]
-        if any((la[g] + lb[g]) % qs[g] != lab_vec[g] for g in range(rank)):
+        pair = labels[a], labels[b]
+        if pair not in sums:
+            sums[pair] = tuple((x + y) % q for x, y, q in zip(*pair, qs))
+        if sums[pair] != labels[ab]:
             report.fail("composition", (a, b))
 
     listings = {}  # (B, B', T - U) -> coset_projections(...)
@@ -453,6 +463,11 @@ def check_covering(src, tgt, f_vertex, f_edge, phi_vertex, phi_edge) -> Covering
     "vertex-map" failure is checked in full, so every failure is found at
     each vertex that has it and names its own place.  Failures are
     reported in check order.
+
+    An edge diagram is checked once per in-edge key: f(v)'s local data id,
+    phi_v and the in-edge's slice of the vertex key, all the diagram reads.
+    Its verdict is kept whether it commutes or not, and a failing one is
+    reported at every in-edge that has it, in check order.
     """
     report = CoveringReport()
 
@@ -495,6 +510,7 @@ def check_covering(src, tgt, f_vertex, f_edge, phi_vertex, phi_edge) -> Covering
     local_ids, table_ids = {}, {}
     at_target = {}  # f(v) -> its local data id, in-edge positions, table ids
     sheets_by_key = {}  # vertex key that passed -> its sheet count
+    edge_verdicts = {}  # in-edge key -> whether its diagram commutes
     not_injective, edge_failures, fiber_failures, not_dividing = [], [], [], []
     per_vertex = {}
     for v in src.vertices():
@@ -525,11 +541,17 @@ def check_covering(src, tgt, f_vertex, f_edge, phi_vertex, phi_edge) -> Covering
             passed = mapped
             ins = []
             for a, i in zip(src.in_edges(v), range(3, len(key), 4)):
-                _, phi_i, pos, fa = key[i : i + 4]
+                edge_key = (lid, phi_v) + key[i : i + 4]
+                _, _, _, phi_i, pos, fa = edge_key
                 ins.append((a, f_edge[a], fa))
-                if pos is not None and not _check_edge(
-                    src, tgt, a, f_edge[a], fv, phi_v, phi_i, fa
-                ):
+                if pos is None:
+                    continue
+                commutes = edge_verdicts.get(edge_key)
+                if commutes is None:
+                    commutes = edge_verdicts[edge_key] = _check_edge(
+                        src, tgt, a, f_edge[a], fv, phi_v, phi_i, fa
+                    )
+                if not commutes:
                     passed = False
                     edge_failures.append(("edge-diagram", a))
             injective, failures, sheets = _check_vertex(

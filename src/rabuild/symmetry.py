@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 from . import kernel
-from .building import Building, face_key, syllable_key
+from .building import Building, syllable_key
 from .clump import Clump, Unfolding
 from .coxeter import CoxeterSystem
 from .covering import CoveringReport, check_covering
@@ -316,40 +316,45 @@ def _cell_cog(clump, subdivide):
     """The quotient base, a ``cog.ComplexOfGroups``: scwol vertices, or
     residue chains when subdividing.
 
-    A cell is a tuple of faces with strictly increasing types along scwol
-    edges, ordered by the tuple of its faces' ``face_key``s; its local group
-    is the local group of its first, smallest face, and so are its chambers.
-    An edge goes from a chain to each proper nonempty subchain, so an element
-    fixing a cell fixes every edge out of it.
+    A face is numbered by its position in the clump's scwol vertices, and a
+    cell is a tuple of face numbers with strictly increasing types along
+    scwol edges; its local group is the local group of its first, smallest
+    face, and so are its chambers.  An edge goes from a chain to each proper
+    nonempty subchain, so an element fixing a cell fixes every edge out of it.
+
+    Lemma: plain tuple order on cells is the order of the tuples of their
+    faces' ``face_key``s, since the scwol lists faces in ``face_key`` order
+    and ``face_key`` is injective.  So the cell scwol needs no key, and
+    orders its edges as face keys do.
     """
     # imported on first use, as clump does: the CLI starts without cog
     from .cog import ComplexOfGroups, Scwol
 
     cog = clump.cog()
     scwol = cog.scwol
+    faces = scwol.vertices
+    number = {f: i for i, f in enumerate(faces)}
     if subdivide:
+        after = [[number[dst] for _, dst in scwol.out_edges.get(f, ())] for f in faces]
         chains = []
-        stack = [(v,) for v in scwol.vertices]
+        stack = [(i,) for i in range(len(faces))]
         while stack:
             chain = stack.pop()
             chains.append(chain)
-            for _, nxt in scwol.out_edges.get(chain[-1], ()):
-                stack.append(chain + (nxt,))
+            stack.extend(chain + (j,) for j in after[chain[-1]])
         edges = set()
         for chain in chains:
             n = len(chain)
             for bits in range(1, (1 << n) - 1):
                 edges.add((chain, tuple(chain[i] for i in range(n) if (bits >> i) & 1)))
     else:
-        chains = [(v,) for v in scwol.vertices]
-        edges = {((src,), (dst,)) for src, dst in scwol.edges}
+        chains = [(i,) for i in range(len(faces))]
+        edges = {((number[src],), (number[dst],)) for src, dst in scwol.edges}
     cells = Scwol(
-        {c: scwol.face_chambers[c[0]] for c in chains},
-        edges,
-        key=lambda c: tuple(map(face_key, c)),
+        {c: scwol.face_chambers[faces[c[0]]] for c in chains}, edges, key=None
     )
     return ComplexOfGroups(
-        clump.building, cells, {c: cog.local_masks[c[0]] for c in chains}
+        clump.building, cells, {c: cog.local_masks[faces[c[0]]] for c in chains}
     )
 
 
@@ -389,24 +394,22 @@ class _IntoRep:
 
     Equal and hashed by its relabeling and h, which is everything it reads,
     so cells with the same local data share a vertex key in
-    ``check_covering``.
+    ``check_covering``; the hash is computed once.
     """
 
-    __slots__ = ("relabel", "h")
+    __slots__ = ("relabel", "h", "_hash")
 
     def __init__(self, relabel, h):
         self.relabel = relabel
         self.h = h
+        self._hash = hash((relabel, h))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, _IntoRep)
-            and self.h == other.h
-            and self.relabel == other.relabel
-        )
+        same = isinstance(other, _IntoRep) and self.h == other.h
+        return same and self.relabel == other.relabel
 
     def __hash__(self):
-        return hash((self.relabel, self.h))
+        return self._hash
 
     def __call__(self, x):
         return (self.relabel(x), self.h)
@@ -433,10 +436,12 @@ class QuotientCog:
     automorphism fixes the base face (0, ()), and one whose permutation
     moves g moves the end of the edge (0, ()) -> ({g}, ()), in every ball.
 
-    Cells are referred to by their position in the base's vertex order.
-    Each cell's images under all automorphisms are computed once, as a
-    tuple of positions, and an edge is coded as (position of its start) * n
-    + (position of its end), which orders edges as the base does.  Orbit
+    A cell is a tuple of face numbers (``_cell_cog``), and is referred to by
+    its position in the base's vertex order.  Each automorphism's action on
+    faces is read once, as a list from face number to image face number, and
+    each cell's images are mapped through those lists once, as a tuple of
+    positions.  An edge is coded as (position of its start) * n + (position
+    of its end), which orders edges as the base does.  Orbit
     representatives (least position), transporters, stabilizers, edge
     orbits (least code over the group) and representative edges are read
     off those integers.  The local map phi^h on a local group is h's type
@@ -495,9 +500,10 @@ class QuotientCog:
 
         # orbit[i][h]: position of the image of cell i under autos[h]
         faces = self.clump.scwol().vertices
+        number = {f: i for i, f in enumerate(faces)}
         by_auto = []
         for h in self.autos:
-            image = dict(zip(faces, map(h.face_image, faces))).__getitem__
+            image = [number[h.face_image(f)] for f in faces].__getitem__
             by_auto.append([position[tuple(map(image, c))] for c in vertices])
         orbit = list(zip(*by_auto))
 
@@ -669,10 +675,11 @@ def _quotient_morphism(qc: QuotientCog):
     """The covering of the base onto the quotient, as ``check_covering``'s
     maps: a cell goes to its orbit representative, an edge to its orbit,
     and the local map at a cell is its transporter's relabeling, compared
-    by value."""
-    phi_vertex = {
-        c: _IntoRep(qc.local_map(k, c), qc._id) for c, k in qc.k_to_rep.items()
-    }
+    by value and made once per value."""
+    into, phi_vertex = {}, {}
+    for c, k in qc.k_to_rep.items():
+        relabel = qc.local_map(k, c)
+        phi_vertex[c] = into.setdefault(relabel, _IntoRep(relabel, qc._id))
     phi_edge = {}
     for e in qc.cells.edges():
         b = qc.edge_orbit[e]
@@ -709,9 +716,13 @@ def composed_quotient_covering(labeling, perms) -> CoveringReport:
     y0 = building.ball(0)
     qc = QuotientCog(y0, perms)
     src_cells = _cell_cog(clump, qc.subdivided)
+    # a cell's type chain numbers each face's type by Y0's face of that type
+    faces = clump.scwol().vertices
+    y0_number = {f[0]: i for i, f in enumerate(y0.scwol().vertices)}
+    type_of = [y0_number[f[0]] for f in faces].__getitem__
 
     def type_chain(cell):
-        return tuple((f[0], ()) for f in cell)
+        return tuple(map(type_of, cell))
 
     # unfolding covering over chains: labels attach by minimal faces
     def chain_label(e):
@@ -719,7 +730,7 @@ def composed_quotient_covering(labeling, perms) -> CoveringReport:
         v_to = e[1][0]
         if v_from == v_to:
             return ()
-        vec = labeling.labels[(v_from, v_to)]
+        vec = labeling.labels[(faces[v_from], faces[v_to])]
         return building.gp.norm(tuple((g, x) for g, x in enumerate(vec) if x))
 
     fq_vertex, fq_edge, phiq_vertex, phiq_edge = _quotient_morphism(qc)

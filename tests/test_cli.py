@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -154,6 +157,44 @@ def test_quotient(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert data["ok"] is True and data["sheets"] == 2
+
+
+def test_consecutive_main_calls_print_what_separate_calls_print(tmp_path, capsys):
+    # main() reads one argument parser per process: an option given to one
+    # call must not reach the next.  Each pair of calls runs here, one after
+    # the other, and each call again in a process of its own.
+    mixed = {
+        "generators": ["a", "b", "c"],
+        "relations": [["b", "c"]],
+        "parameters": {"a": 2, "b": 2, "c": 3},
+    }
+    d23, config = write(tmp_path, D23), write(tmp_path, mixed, "mixed.json")
+    cache = tmp_path / "ball.json"
+    pairs = [
+        (
+            ["ball", d23, "--radius", "2", "--cache", str(cache)],
+            ["ball", d23, "--radius", "2"],
+        ),
+        (
+            ["unfold-trace", config, "--radius", "2", "--seed", "5"],
+            ["unfold-trace", config, "--radius", "2"],
+        ),
+    ]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    for pair in pairs:
+        together = [run(capsys, *argv) for argv in pair]
+        apart = []
+        for argv in pair:
+            cache.unlink(missing_ok=True)
+            done = subprocess.run(
+                [sys.executable, "-m", "rabuild.cli", *argv],
+                capture_output=True, text=True, env=env, check=False,
+            )
+            apart.append((done.returncode, done.stdout))
+        assert together == apart, pair[0][0]
+        assert together[0] != together[1], pair[0][0]
 
 
 def test_byte_determinism(tmp_path, capsys):

@@ -188,6 +188,23 @@ def test_memoized_covering_equals_unshared_reference(suite_traces):
         assert report.ok and report.sheet_count == len(lab.clump.chambers), name
 
 
+def _in_edge_keys(src, tgt, f_vertex, f_edge, phi_vertex, phi_edge):
+    """The distinct keys under which check_covering checks edge diagrams:
+    f(v)'s local data, phi_v, and the in-edge's group at ia, phi_ia, the
+    position of f(a) among the in-edges of f(v) and phi_a."""
+    keys = set()
+    for v in src.vertices():
+        fv = f_vertex[v]
+        head = (tgt.local_data(fv), phi_vertex[v])
+        into = tgt.in_edges(fv)
+        for a in src.in_edges(v):
+            keys.add(
+                head
+                + (src.group(a[0]), phi_vertex[a[0]], into.index(f_edge[a]), phi_edge[a])
+            )
+    return keys
+
+
 def _signatures(lab):
     """Each face's local signature, as verify_labeling reads it."""
     cog = lab.clump.cog()
@@ -236,7 +253,8 @@ def test_corrupted_label_in_a_shared_signature_names_only_its_face(suite_traces)
 def test_each_local_signature_is_checked_once(suite_traces, monkeypatch):
     # hex2 r2: 757 faces with 77 distinct signatures, and as many distinct
     # vertex keys.  Each signature's fibers and each vertex key's checks run
-    # once; the edge checks run for the in-edges of one vertex per key.
+    # once; the edge checks run for the in-edges of one vertex per key, once
+    # per distinct in-edge key: 84 of them.
     lab = build_labeling(*suite_traces["hex2"])
     src = lab.clump.cog()
     data = covering_morphism(src, lab.clump.building.ball(0).cog(), lab.labels)
@@ -253,6 +271,8 @@ def test_each_local_signature_is_checked_once(suite_traces, monkeypatch):
     assert len(signatures) == len(first) == 77
     in_edges = sum(len(src.in_edges(v)) for v in first.values())
     assert in_edges < 1776 // 2
+    edge_keys = len(_in_edge_keys(*data))
+    assert edge_keys == 84 < in_edges
     calls = {}
 
     def counted(name):
@@ -271,7 +291,7 @@ def test_each_local_signature_is_checked_once(suite_traces, monkeypatch):
     assert calls == {
         "_fiber_failures": 77,
         "_check_vertex": 77,
-        "_check_edge": in_edges,
+        "_check_edge": edge_keys,
     }
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from rabuild.building import Building
+from rabuild.building import Building, face_key
 from rabuild.cli import load_config, main
 from rabuild.clump import unfold, unfold_steps_to_ball
 from rabuild.coxeter import CoxeterSystem
@@ -458,27 +458,48 @@ def _full_quotient(bld, n):
     return sym.QuotientCog(ball, sym.type_permutation_group(bld))
 
 
+def _decoders(clump):
+    """Cell and edge decoders: a cell's face numbers -> its faces."""
+    faces = clump.scwol().vertices
+
+    def cell(c):
+        return tuple(faces[i] for i in c)
+
+    def edge(e):
+        return cell(e[0]), cell(e[1])
+
+    return cell, edge
+
+
+def _face_tuple_order(cells):
+    """Face-tuple cells, sorted by their faces' ``face_key``s."""
+    return sorted(cells, key=lambda c: tuple(map(face_key, c)))
+
+
 def _reference_orbits(qc):
     """The orbit tables of ``qc``, read off face-tuple images.
 
-    Each cell's images under the automorphisms are tuples of faces, and the
-    orbit representatives, transporters, stabilizers, edge orbits and the
-    quotient's composition and twists are chosen among them through vertex
-    positions, with no integer coding.  Each edge orbit's representative
-    edge fixes its transporter ``kappa``; the quotient keeps only that.
+    Every cell is decoded to its tuple of faces, and the cells are put in
+    ``face_key`` order.  Each cell's images under the automorphisms are
+    tuples of faces, and the orbit representatives, transporters,
+    stabilizers, edge orbits and the quotient's composition and twists are
+    chosen among them through positions in that order, with no integer
+    coding.  Each edge orbit's representative edge fixes its transporter
+    ``kappa``; the quotient keeps only that.
     """
-    cells = qc.cells.scwol
-    position = {c: i for i, c in enumerate(cells.vertices)}
+    cell, edge = _decoders(qc.clump)
+    vertices = _face_tuple_order(map(cell, qc.cells.scwol.face_chambers))
+    position = {c: i for i, c in enumerate(vertices)}
     images = {
         c: tuple(tuple(h.face_image(f) for f in c) for h in qc.autos)
-        for c in cells.vertices
+        for c in vertices
     }
 
     def edge_key(e):
         return (position[e[0]], position[e[1]])
 
     rep_of, k_to_rep = {}, {}
-    for c in cells.vertices:
+    for c in vertices:
         rep = min(images[c], key=position.__getitem__)
         rep_of[c] = rep
         k_to_rep[c] = images[c].index(rep)
@@ -487,7 +508,7 @@ def _reference_orbits(qc):
         rep: tuple(i for i, x in enumerate(images[rep]) if x == rep) for rep in reps
     }
     edge_orbit, least_from = {}, {}
-    for e in cells.edges:
+    for e in sorted(map(edge, qc.cells.scwol.edge_set), key=edge_key):
         b = min(zip(images[e[0]], images[e[1]]), key=edge_key)
         edge_orbit[e] = b
         least_from.setdefault((b, e[0]), e)
@@ -513,6 +534,29 @@ def _reference_orbits(qc):
     }
 
 
+def _decoded_orbits(qc):
+    """The orbit tables of ``qc`` in order, every cell decoded to its faces."""
+    cell, edge = _decoders(qc.clump)
+
+    def pair(p):
+        return edge(p[0]), edge(p[1])
+
+    def same(x):
+        return x
+
+    keys_values = {
+        "rep_of": (cell, cell), "k_to_rep": (cell, same), "stab": (cell, same),
+        "edge_orbit": (edge, edge), "kappa": (edge, same),
+        "z_compose": (pair, edge), "z_twist": (pair, same),
+    }
+    tables = {
+        name: {key(k): value(v) for k, v in getattr(qc, name).items()}
+        for name, (key, value) in keys_values.items()
+    }
+    tables["z_edges"] = tuple(map(edge, qc.z_edges))
+    return tables
+
+
 def test_orbit_tables_match_face_tuple_reference(suite):
     # Every suite ball to radius 2 (hex3 r2: 2,371 orbit vertices and 6,480
     # orbit edges), and free3 (configs/tree_234.json) at radius 3.  The
@@ -521,11 +565,32 @@ def test_orbit_tables_match_face_tuple_reference(suite):
     cases += [(name, bld, 3) for name, bld, _ in suite if name == "free3"]
     for name, bld, n in cases:
         qc = _full_quotient(bld, n)
+        got_tables = _decoded_orbits(qc)
         for table, want in _reference_orbits(qc).items():
-            got = getattr(qc, table)
+            got = got_tables[table]
             if isinstance(want, dict):
                 got, want = list(got.items()), list(want.items())
             assert got == want, (name, n, table)
+
+
+def test_cell_order_is_face_key_order(suite):
+    # The lemma of ``_cell_cog``: cells in plain tuple order, and edges in
+    # the order of their ends, follow the faces' ``face_key``s, on every
+    # suite ball to radius 2, subdivided and not.
+    for name, bld, _ in suite:
+        for n in range(3):
+            ball = bld.ball(n)
+            cell, edge = _decoders(ball)
+            for subdivide in (False, True):
+                scwol = sym._cell_cog(ball, subdivide).scwol
+                cells = list(map(cell, scwol.vertices))
+                assert cells == _face_tuple_order(cells), (name, n, subdivide)
+                edges = list(map(edge, scwol.edges))
+                keyed = [
+                    (tuple(map(face_key, s)), tuple(map(face_key, t)))
+                    for s, t in edges
+                ]
+                assert keyed == sorted(keyed), (name, n, subdivide)
 
 
 def _vertex_keys(src, tgt, f_vertex, f_edge, phi_vertex, phi_edge):
@@ -620,11 +685,13 @@ def test_doctored_target_psi_in_shared_local_data_names_its_cells(suite):
 
 
 def test_each_quotient_vertex_key_is_checked_once(suite, monkeypatch):
-    # hex2 r1: 553 cells with 98 distinct vertex keys; free3 (tree_234) r3,
-    # under the trivial group: 340 cells, each its own orbit, with 7.  Each
-    # key's vertex checks run once, and the edge checks for the in-edges of
-    # one cell per key.
+    # hex2 r1: 553 cells with 98 distinct vertex keys, whose first cells
+    # have 734 in-edges with 358 distinct in-edge keys; free3 (tree_234)
+    # r3, under the trivial group: 340 cells, each its own orbit, with 7
+    # vertex keys and 12 in-edge keys.  Each vertex key's checks run once,
+    # and each in-edge key's edge diagram once.
     from rabuild import covering
+    from tests.test_covering import _in_edge_keys
 
     calls = {}
 
@@ -640,21 +707,20 @@ def test_each_quotient_vertex_key_is_checked_once(suite, monkeypatch):
     for name in ("_check_vertex", "_check_edge"):
         counted(name)
     buildings = {name: bld for name, bld, _ in suite}
-    for name, n, cells, keys in (("hex2", 1, 553, 98), ("free3", 3, 340, 7)):
+    cases = (("hex2", 1, 553, 98, 734, 358), ("free3", 3, 340, 7, 12, 12))
+    for name, n, cells, keys, in_edges, edge_keys in cases:
         calls.clear()
         ball = buildings[name].ball(n)
         result = sym.quotient_cog(ball, sym.type_permutation_group(ball.building))
         assert result.report.ok
         qc = result.quotient
         src = qc.cells
-        first = [
-            vs[0] for vs in _vertex_keys(src, qc, *sym._quotient_morphism(qc)).values()
-        ]
+        data = sym._quotient_morphism(qc)
+        first = [vs[0] for vs in _vertex_keys(src, qc, *data).values()]
         assert len(src.vertices()) == cells and len(first) == keys, name
-        assert calls == {
-            "_check_vertex": keys,
-            "_check_edge": sum(len(src.in_edges(v)) for v in first),
-        }, name
+        assert sum(len(src.in_edges(v)) for v in first) == in_edges, name
+        assert len(_in_edge_keys(src, qc, *data)) == edge_keys, name
+        assert calls == {"_check_vertex": keys, "_check_edge": edge_keys}, name
 
 
 # -- discreteness ------------------------------------------------------------
